@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, InternalError
 
 
 class ComplexError(ValueError):
@@ -75,6 +75,15 @@ class GComplex:
         return self.involution[v]
 
 
+def _is_integer(x):
+    # bool is a subclass of int, but JSON true/false are not numbers
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_vertex_id(v, vertex_count):
+    return _is_integer(v) and 0 <= v < vertex_count
+
+
 def make_complex(vertex_count, simplices, involution, auto_subdivided=False):
     """Canonicalize and face-close the input; structural errors raise."""
     if vertex_count < 0:
@@ -86,7 +95,7 @@ def make_complex(vertex_count, simplices, involution, auto_subdivided=False):
             % (vertex_count, len(involution)))
     seen = set()
     for v, w in enumerate(involution):
-        if not isinstance(w, int) or not 0 <= w < vertex_count:
+        if not _is_vertex_id(w, vertex_count):
             raise ComplexFormatError(
                 "involution[%d]: %r is not a vertex id" % (v, w))
         seen.add(w)
@@ -96,16 +105,17 @@ def make_complex(vertex_count, simplices, involution, auto_subdivided=False):
     cleaned = []
     covered = set()
     for idx, simplex in enumerate(simplices):
+        # check the entries before sorting, which would compare them
+        for v in simplex:
+            if not _is_vertex_id(v, vertex_count):
+                raise ComplexFormatError(
+                    "simplices[%d]: %r is not a vertex id" % (idx, v))
         simplex = tuple(sorted(simplex))
         if not simplex:
             raise ComplexFormatError("simplices[%d]: empty simplex" % idx)
         if len(set(simplex)) != len(simplex):
             raise ComplexFormatError(
                 "simplices[%d]: repeated vertex in %r" % (idx, list(simplex)))
-        for v in simplex:
-            if not isinstance(v, int) or not 0 <= v < vertex_count:
-                raise ComplexFormatError(
-                    "simplices[%d]: %r is not a vertex id" % (idx, v))
         cleaned.append(simplex)
         covered.update(simplex)
     if covered != set(range(vertex_count)):
@@ -181,10 +191,6 @@ def validate(X):
                 return ("regularity violated: simplex %r is fixed setwise "
                         "but not vertexwise" % (list(s),))
     return None
-
-
-def is_valid(X):
-    return validate(X) is None
 
 
 def barycentric_subdivide(X):
@@ -323,12 +329,13 @@ def chain_complex(X, coeff):
         comm = cc.boundary(q) @ cc.sigma(q) - cc.sigma(q - 1) @ cc.boundary(q)
         if mod:
             dd, ss, comm = dd.mod(mod), ss.mod(mod), comm.mod(mod)
-            ident = IntMatrix.identity(cc.rank(q)).mod(mod)
-        else:
-            ident = IntMatrix.identity(cc.rank(q))
-        assert dd.is_zero(), "boundary squared is nonzero"
-        assert comm.is_zero(), "involution does not commute with boundary"
-        assert ss == ident, "involution matrix is not an involution"
+        if not dd.is_zero():
+            raise InternalError("boundary squared is nonzero")
+        if not comm.is_zero():
+            raise InternalError(
+                "involution does not commute with boundary")
+        if ss != IntMatrix.identity(cc.rank(q)):
+            raise InternalError("involution matrix is not an involution")
     return cc
 
 
@@ -543,7 +550,8 @@ def builtin(name):
         raise ComplexError("unknown builtin complex %r (choose from %s)"
                            % (name, ", ".join(BUILTIN_NAMES))) from None
     message = validate(X)
-    assert message is None, "builtin %s invalid: %s" % (name, message)
+    if message is not None:
+        raise InternalError("builtin %s invalid: %s" % (name, message))
     return X
 
 
@@ -581,7 +589,7 @@ def complex_from_dict(obj):
     extra = set(obj) - {"vertices", "simplices", "involution"}
     if extra:
         raise ComplexFormatError("%s: unknown field" % sorted(extra)[0])
-    if not isinstance(obj["vertices"], int):
+    if not _is_integer(obj["vertices"]):
         raise ComplexFormatError("vertices: expected an integer")
     if not isinstance(obj["simplices"], list):
         raise ComplexFormatError("simplices: expected a list of lists")

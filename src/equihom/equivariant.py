@@ -42,20 +42,21 @@ from .complexes import (
 )
 from .intlinalg import (
     FGAbelianGroup,
-    GroupHom,
     IntMatrix,
+    InternalError,
     LinAlgError,
     LinearSolver,
     _canonical_matrix,
     _mod_relations,
     _subquotient,
     exact_at,
+    hom_from_images,
     homology_at,
     induced_hom,
 )
 
 
-class ExactnessError(AssertionError):
+class ExactnessError(InternalError):
     """An im = ker check failed at a named node; this signals a bug in the
     assembly of the complexes, never a mathematical failure."""
 
@@ -64,9 +65,18 @@ class ExactnessError(AssertionError):
 # Total complexes
 # ---------------------------------------------------------------------------
 
-class TotalComplex:
-    """The staircase total complex of X with coefficients; differentials
-    are produced per total degree and memoized."""
+class _Staircase:
+    """Block layout shared by the total chain and cochain complexes.
+
+    The blocks in total degree p are listed by column c = 0, 1, ...; the
+    block in column c holds chain degree q = p + STEP * c, and only
+    0 <= q <= dim X occurs.  The differential sends a block to the block
+    one step down its column (the vertical map) and to the same chain
+    degree in the next column, by (-1)^q (1 - (-1)^c sigma).
+    Differentials are produced per total degree and memoized.
+    """
+
+    STEP = 0  # +1 for chains, -1 for cochains
 
     def __init__(self, X, coeff):
         self.X = X
@@ -75,19 +85,20 @@ class TotalComplex:
         self.n = dim(X)
         self._diffs = {}
         self._blocks = {}
+        self._block_maps = {}
 
     def blocks(self, p):
-        """List of (q, j, offset) for the column blocks in total degree p,
+        """List of (q, c, offset) for the column blocks in total degree p,
         columns ascending."""
         if p not in self._blocks:
             out = []
             offset = 0
-            j = max(0, -p)
-            while p + j <= self.n:
-                q = p + j
-                out.append((q, j, offset))
-                offset += self.cc.rank(q)
-                j += 1
+            # a block needs 0 <= q <= n, so c never exceeds |p| + n
+            for c in range(abs(p) + self.n + 1):
+                q = p + self.STEP * c
+                if 0 <= q <= self.n:
+                    out.append((q, c, offset))
+                    offset += self.cc.rank(q)
             self._blocks[p] = tuple(out)
         return self._blocks[p]
 
@@ -98,122 +109,68 @@ class TotalComplex:
         q, _, offset = blocks[-1]
         return offset + self.cc.rank(q)
 
-    def block_offset(self, p, j):
-        for q, jj, offset in self.blocks(p):
-            if jj == j:
-                return offset
-        raise LinAlgError("no column %d in total degree %d" % (j, p))
+    def _vertical_and_sigma(self, q):
+        """The vertical map out of chain degree q and the action of the
+        involution there."""
+        raise NotImplementedError
+
+    def _maps(self, q):
+        """(vertical map, 1 - sigma, 1 + sigma) out of chain degree q,
+        built once per staircase."""
+        if q not in self._block_maps:
+            vertical, sigma = self._vertical_and_sigma(q)
+            ident = IntMatrix.identity(self.cc.rank(q))
+            self._block_maps[q] = (vertical, ident - sigma, ident + sigma)
+        return self._block_maps[q]
+
+    def _diff(self, p):
+        if p in self._diffs:
+            return self._diffs[p]
+        tgt = {c: off for _, c, off in self.blocks(p - self.STEP)}
+        pieces = []
+        for q, c, off in self.blocks(p):
+            vertical, even, odd = self._maps(q)
+            # no vertical target when chain degree q - STEP is out of range
+            if c in tgt:
+                pieces.append((tgt[c], off, vertical, 1))
+            pieces.append((tgt[c + 1], off, odd if c % 2 else even,
+                           -1 if q % 2 else 1))
+        mat = IntMatrix.from_blocks(self.rank(p - self.STEP), self.rank(p),
+                                    pieces)
+        if self.coeff.mod:
+            mat = mat.mod(self.coeff.mod)
+        self._diffs[p] = mat
+        return mat
+
+
+class TotalComplex(_Staircase):
+    """The staircase on chains: column j holds chain degree q = p + j, the
+    vertical map is the boundary."""
+
+    STEP = 1
+
+    def _vertical_and_sigma(self, q):
+        return self.cc.boundary(q), self.cc.sigma(q)
 
     def diff(self, p):
         """The total differential T_p -> T_{p-1}."""
-        if p in self._diffs:
-            return self._diffs[p]
-        rows, cols = self.rank(p - 1), self.rank(p)
-        tgt_off = {j: off for _, j, off in self.blocks(p - 1)}
-        data = [[0] * cols for _ in range(rows)]
-        for q, j, off in self.blocks(p):
-            nq = self.cc.rank(q)
-            if q - 1 >= 0 and j in tgt_off:
-                bnd = self.cc.boundary(q)
-                roff = tgt_off[j]
-                for r in range(bnd.rows):
-                    row = bnd.data[r]
-                    out = data[roff + r]
-                    for c in range(nq):
-                        if row[c]:
-                            out[off + c] += row[c]
-            if j + 1 in tgt_off:
-                sg = self.cc.sigma(q)
-                hsign = -1 if q % 2 else 1
-                ssign = -1 if j % 2 else 1
-                roff = tgt_off[j + 1]
-                for c in range(nq):
-                    data[roff + c][off + c] += hsign
-                for r in range(nq):
-                    row = sg.data[r]
-                    out = data[roff + r]
-                    for c in range(nq):
-                        if row[c]:
-                            out[off + c] -= hsign * ssign * row[c]
-        mat = IntMatrix(rows, cols, data)
-        if self.coeff.mod:
-            mat = mat.mod(self.coeff.mod)
-        self._diffs[p] = mat
-        return mat
+        return self._diff(p)
 
 
-class TotalCochainComplex:
-    """Mirrored construction on cochains; the component in cochain degree q
-    and column i sits in total degree p = q + i, so p >= 0."""
+class TotalCochainComplex(_Staircase):
+    """The staircase on cochains: column i holds cochain degree q = p - i,
+    so p >= 0; the vertical map is the coboundary and sigma acts by its
+    transpose."""
 
-    def __init__(self, X, coeff):
-        self.X = X
-        self.coeff = coeff
-        self.cc = chain_complex(X, coeff)
-        self.n = dim(X)
-        self._diffs = {}
+    STEP = -1
 
-    def blocks(self, p):
-        out = []
-        offset = 0
-        if p < 0:
-            return ()
-        for q in range(min(p, self.n), -1, -1):
-            i = p - q
-            out.append((q, i, offset))
-            offset += self.cc.rank(q)
-        return tuple(out)
-
-    def rank(self, p):
-        blocks = self.blocks(p)
-        if not blocks:
-            return 0
-        q, _, offset = blocks[-1]
-        return offset + self.cc.rank(q)
-
-    def block_offset(self, p, i):
-        for q, ii, offset in self.blocks(p):
-            if ii == i:
-                return offset
-        raise LinAlgError("no column %d in total degree %d" % (i, p))
+    def _vertical_and_sigma(self, q):
+        return (self.cc.boundary(q + 1).transpose(),
+                self.cc.sigma(q).transpose())
 
     def diff(self, p):
         """The total codifferential T^p -> T^{p+1}."""
-        if p in self._diffs:
-            return self._diffs[p]
-        rows, cols = self.rank(p + 1), self.rank(p)
-        tgt_off = {i: off for _, i, off in self.blocks(p + 1)}
-        data = [[0] * cols for _ in range(rows)]
-        for q, i, off in self.blocks(p):
-            nq = self.cc.rank(q)
-            if q + 1 <= self.n and i in tgt_off:
-                cob = self.cc.boundary(q + 1).transpose()
-                roff = tgt_off[i]
-                for r in range(cob.rows):
-                    row = cob.data[r]
-                    out = data[roff + r]
-                    for c in range(nq):
-                        if row[c]:
-                            out[off + c] += row[c]
-            if i + 1 in tgt_off:
-                # sigma acts on cochains by its transpose
-                sg = self.cc.sigma(q)
-                hsign = -1 if q % 2 else 1
-                ssign = -1 if i % 2 else 1
-                roff = tgt_off[i + 1]
-                for c in range(nq):
-                    data[roff + c][off + c] += hsign
-                for r in range(nq):
-                    out = data[roff + r]
-                    for c in range(nq):
-                        v = sg.data[c][r]
-                        if v:
-                            out[off + c] -= hsign * ssign * v
-        mat = IntMatrix(rows, cols, data)
-        if self.coeff.mod:
-            mat = mat.mod(self.coeff.mod)
-        self._diffs[p] = mat
-        return mat
+        return self._diff(p)
 
 
 @lru_cache(maxsize=None)
@@ -285,14 +242,7 @@ def group_cohomology(module, invol, p):
     n = module.ngens
     if invol.rows != n or invol.cols != n:
         raise LinAlgError("involution matrix has wrong shape")
-    rels_cols = []
-    for i, d in enumerate(module.orders):
-        if d:
-            col = [0] * n
-            col[i] = d
-            rels_cols.append(col)
-    rels = IntMatrix(n, len(rels_cols),
-                     [[col[i] for col in rels_cols] for i in range(n)])
+    rels = module.relation_columns()
     ident = IntMatrix.identity(n)
     square = invol @ invol - ident
     if rels.cols:
@@ -388,9 +338,6 @@ class GradedClassVector:
                 return coords
         return ()
 
-    def degrees(self):
-        return tuple(p for p, _ in self.entries)
-
     def __add__(self, other):
         out = {}
         for p, coords in list(self.entries) + list(other.entries):
@@ -409,12 +356,6 @@ class GradedClassVector:
         return GradedClassVector(tuple(
             (p, coords) for p, coords in self.entries if p % 2 == parity))
 
-    def even(self):
-        return self.parity_part(0)
-
-    def odd(self):
-        return self.parity_part(1)
-
     def is_zero(self):
         return not self.entries
 
@@ -429,14 +370,13 @@ GRADED_ZERO = GradedClassVector(())
 # Edge morphisms and the eta cap
 # ---------------------------------------------------------------------------
 
-def _column_projection(tc, p, rank_target, offset_or_none):
-    cols = tc.rank(p)
-    data = [[0] * cols for _ in range(rank_target)]
-    if offset_or_none is not None:
-        off = offset_or_none
-        for r in range(rank_target):
-            data[r][off + r] = 1
-    return IntMatrix(rank_target, cols, data)
+def _column_projection(tc, p):
+    """Projection of the staircase in total degree p onto its column-0
+    block, chain degree p (zero rows when there is no such block)."""
+    rank = tc.cc.rank(p)
+    return IntMatrix.from_blocks(
+        rank, tc.rank(p), [(0, off, IntMatrix.identity(rank), 1)
+                           for _, c, off in tc.blocks(p) if c == 0])
 
 
 @lru_cache(maxsize=None)
@@ -444,21 +384,17 @@ def edge_morphism(X, coeff, p):
     """e_p : H_p(X; G, A(k)) -> H_p(X, A(k)), the column-0 projection.
 
     The image always lands in the invariants of the twisted involution
-    (asserted)."""
+    (checked)."""
     src = eq_homology(X, coeff, p)
     tgt = homology(X, coeff, p)
-    tc = total_complex_of(X, coeff)
-    offset = None
-    for q, j, off in tc.blocks(p):
-        if j == 0:
-            offset = off
-    proj = _column_projection(tc, p, tgt.ambient_rank, offset)
+    proj = _column_projection(total_complex_of(X, coeff), p)
     hom = induced_hom(proj, src, tgt)
     if tgt.ngens:
         sigma_star = homology_involution(X, coeff, p)
-        assert sigma_star.compose(hom).matrix == \
-            _canonical_matrix(tgt, hom.matrix), \
-            "edge image is not invariant under the involution"
+        if sigma_star.compose(hom).matrix != \
+                _canonical_matrix(tgt, hom.matrix):
+            raise InternalError(
+                "edge image is not invariant under the involution")
     return hom
 
 
@@ -467,28 +403,19 @@ def edge_morphism_cohomology(X, coeff, p):
     """e^p : H^p(X; G, A(k)) -> H^p(X, A(k)), the column-0 component."""
     src = eq_cohomology(X, coeff, p)
     tgt = cohomology(X, coeff, p)
-    tc = total_cochain_complex_of(X, coeff)
-    offset = None
-    for q, i, off in tc.blocks(p):
-        if i == 0:
-            offset = off
-    proj = _column_projection(tc, p, tgt.ambient_rank, offset)
+    proj = _column_projection(total_cochain_complex_of(X, coeff), p)
     return induced_hom(proj, src, tgt)
 
 
-def _shift_matrix(X, coeff_src, coeff_tgt, p, steps=1):
-    """Ambient matrix of the column shift T_p(src twist) ->
-    T_{p-steps}(twist raised by steps), block (q, j) -> (q, j + steps)."""
-    tc_src = total_complex_of(X, coeff_src)
-    tc_tgt = total_complex_of(X, coeff_tgt)
-    rows, cols = tc_tgt.rank(p - steps), tc_src.rank(p)
-    data = [[0] * cols for _ in range(rows)]
-    tgt_off = {j: off for _, j, off in tc_tgt.blocks(p - steps)}
-    for q, j, off in tc_src.blocks(p):
-        roff = tgt_off[j + steps]
-        for c in range(tc_src.cc.rank(q)):
-            data[roff + c][off + c] = 1
-    return IntMatrix(rows, cols, data)
+def _shift_matrix(tc, p, steps=1):
+    """Ambient matrix of the column shift T_p -> T_{p-steps}, block (q, j)
+    -> (q, j + steps).  The block layout depends on X only, so the shift
+    serves every coefficient system (the twist rises by steps)."""
+    tgt_off = {j: off for _, j, off in tc.blocks(p - steps)}
+    return IntMatrix.from_blocks(
+        tc.rank(p - steps), tc.rank(p),
+        [(tgt_off[j + steps], off, IntMatrix.identity(tc.cc.rank(q)), 1)
+         for q, j, off in tc.blocks(p)])
 
 
 @lru_cache(maxsize=None)
@@ -497,7 +424,7 @@ def eta_cap(X, coeff, p):
     realized by the column shift."""
     src = eq_homology(X, coeff, p)
     tgt = eq_homology(X, coeff.shift(), p - 1)
-    shift = _shift_matrix(X, coeff, coeff.shift(), p)
+    shift = _shift_matrix(total_complex_of(X, coeff), p)
     return induced_hom(shift, src, tgt)
 
 
@@ -508,7 +435,7 @@ def cap_with_eta(cls, power=1):
     coeff, p, vec = cls.coeff, cls.p, cls.vector
     X = cls.X
     for _ in range(power):
-        shift = _shift_matrix(X, coeff, coeff.shift(), p)
+        shift = _shift_matrix(total_complex_of(X, coeff), p)
         vec = shift.mul_vector(vec)
         coeff, p = coeff.shift(), p - 1
     return make_eq_class(X, coeff, p, vec)
@@ -537,45 +464,37 @@ class LesReport:
         return all(node.exact for node in self.nodes)
 
 
+def _exact_nodes(sequence, p, maps):
+    """One node per (label, incoming, outgoing) in maps, at the group
+    between the two maps; a node where the sequence is not exact raises
+    ExactnessError."""
+    nodes = []
+    for label, incoming, outgoing in maps:
+        if not exact_at(incoming, outgoing):
+            raise ExactnessError(
+                "%s sequence not exact at %s" % (sequence, label))
+        nodes.append(LesNode(p, label, outgoing.source, True))
+    return nodes
+
+
 @lru_cache(maxsize=None)
 def _edge_connecting(X, coeff, p):
     """Connecting map H_p(X, A(k)) -> H_p(X; G, A(k-1)) of the column-0
-    quotient sequence of total complexes (sign fixed by the construction,
+    quotient sequence of total complexes: a cycle x goes to
+    (-1)^p (1 - sigma) x in column 0 (sign fixed by the construction,
     exposed only up to sign)."""
     prev = coeff.shift()
     src = homology(X, coeff, p)
     tgt = eq_homology(X, prev, p)
     cc = chain_complex(X, coeff)
     tc_prev = total_complex_of(X, prev)
-    nq = cc.rank(p)
+    one_minus_sigma = IntMatrix.identity(cc.rank(p)) - cc.sigma(p)
     sign = -1 if p % 2 else 1
-    if nq:
-        ident = IntMatrix.identity(nq)
-        h0 = (ident - cc.sigma(p)).scale(sign)
-    cols = []
-    for gen in src.generators:
-        vec = [0] * tc_prev.rank(p)
-        if nq:
-            w = h0.mul_vector(gen)
-            off = tc_prev.block_offset(p, 0)
-            for i, x in enumerate(w):
-                vec[off + i] = x
-        cols.append(tgt.reduce(vec))
-    # well-definedness: ordinary boundaries must die in the target
-    bnd = IntMatrix.hstack(src.d_in, src.rels_ambient)
-    for jcol in range(bnd.cols):
-        z = bnd.column(jcol)
-        vec = [0] * tc_prev.rank(p)
-        if nq:
-            w = h0.mul_vector(z)
-            off = tc_prev.block_offset(p, 0)
-            for i, x in enumerate(w):
-                vec[off + i] = x
-        assert all(c == 0 for c in tgt.reduce(vec)), \
-            "connecting map is not well defined"
-    mat = IntMatrix(tgt.ngens, len(cols),
-                    [[col[i] for col in cols] for i in range(tgt.ngens)])
-    return GroupHom(src, tgt, _canonical_matrix(tgt, mat))
+    chain_map = IntMatrix.from_blocks(
+        tc_prev.rank(p), cc.rank(p),
+        [(off, 0, one_minus_sigma, sign)
+         for _, j, off in tc_prev.blocks(p) if j == 0])
+    return induced_hom(chain_map, src, tgt)
 
 
 def les_edge(X, coeff, p_min, p_max):
@@ -594,15 +513,10 @@ def les_edge(X, coeff, p_min, p_max):
         edge = edge_morphism(X, coeff, p)
         conn = _edge_connecting(X, coeff, p)
         cap_out = eta_cap(X, prev, p)
-        for label, incoming, outgoing, grp in (
-                ("H_%d(X;G,%s)" % (p, coeff), cap_in, edge, edge.source),
-                ("H_%d(X,%s)" % (p, coeff), edge, conn, conn.source),
-                ("H_%d(X;G,%s)" % (p, prev), conn, cap_out, cap_out.source)):
-            ok = exact_at(incoming, outgoing)
-            nodes.append(LesNode(p, label, grp, ok))
-            if not ok:
-                raise ExactnessError(
-                    "edge sequence not exact at %s" % label)
+        nodes += _exact_nodes("edge", p, (
+            ("H_%d(X;G,%s)" % (p, coeff), cap_in, edge),
+            ("H_%d(X,%s)" % (p, coeff), edge, conn),
+            ("H_%d(X;G,%s)" % (p, prev), conn, cap_out)))
     return LesReport("edge", "edge/cap sequence for %s" % coeff,
                      tuple(nodes))
 
@@ -618,32 +532,33 @@ def _times_two(X, coeff, p):
 def _mod2_reduction(X, coeff, p):
     src = eq_homology(X, coeff, p)
     tgt = eq_homology(X, COEFF_Z2, p)
-    assert src.ambient_rank == tgt.ambient_rank
+    if src.ambient_rank != tgt.ambient_rank:
+        raise InternalError("mod-2 reduction changes the ambient rank")
     return induced_hom(IntMatrix.identity(src.ambient_rank), src, tgt)
+
+
+def _halved_boundary_hom(d, src, tgt):
+    """Connecting map of a coefficient sequence whose kernel is
+    multiplication by two: lift each mod-2 cycle of src integrally, apply
+    the integral differential d, halve, and reduce in tgt.  Mod-2
+    boundaries must halve to boundaries."""
+    def halved(vec):
+        w = d.mul_vector(vec)
+        if any(x % 2 for x in w):
+            raise InternalError("mod-2 cycle has odd boundary")
+        return [x // 2 for x in w]
+
+    return hom_from_images(src, tgt, [halved(g) for g in src.generators],
+                           [halved(z) for z in src.d_in.columns()])
 
 
 @lru_cache(maxsize=None)
 def _coefficient_bockstein(X, coeff, p):
     """Connecting map H_p(X;G,Z/2) -> H_{p-1}(X;G,Z(k)) of the sequence
     0 -> Z(k) --2--> Z(k) -> Z/2 -> 0."""
-    src = eq_homology(X, COEFF_Z2, p)
-    tgt = eq_homology(X, coeff, p - 1)
-    tc = total_complex_of(X, coeff)
-    d = tc.diff(p)
-    cols = []
-    for gen in src.generators:
-        w = d.mul_vector(gen)
-        assert all(x % 2 == 0 for x in w), "mod-2 cycle has odd boundary"
-        cols.append(tgt.reduce([x // 2 for x in w]))
-    for jcol in range(src.d_in.cols):
-        z = src.d_in.column(jcol)
-        w = d.mul_vector(z)
-        assert all(x % 2 == 0 for x in w)
-        assert all(c == 0 for c in tgt.reduce([x // 2 for x in w])), \
-            "coefficient connecting map is not well defined"
-    mat = IntMatrix(tgt.ngens, len(cols),
-                    [[col[i] for col in cols] for i in range(tgt.ngens)])
-    return GroupHom(src, tgt, _canonical_matrix(tgt, mat))
+    return _halved_boundary_hom(total_complex_of(X, coeff).diff(p),
+                                eq_homology(X, COEFF_Z2, p),
+                                eq_homology(X, coeff, p - 1))
 
 
 def les_coeff(X, k, p_min, p_max):
@@ -656,37 +571,22 @@ def les_coeff(X, k, p_min, p_max):
         two = _times_two(X, coeff, p)
         red = _mod2_reduction(X, coeff, p)
         bock = _coefficient_bockstein(X, coeff, p)
-        for label, incoming, outgoing, grp in (
-                ("H_%d(X;G,%s) [x2 source]" % (p, coeff), bock_in, two,
-                 two.source),
-                ("H_%d(X;G,%s) [x2 target]" % (p, coeff), two, red,
-                 red.source),
-                ("H_%d(X;G,Z/2)" % p, red, bock, bock.source)):
-            ok = exact_at(incoming, outgoing)
-            nodes.append(LesNode(p, label, grp, ok))
-            if not ok:
-                raise ExactnessError(
-                    "coefficient sequence not exact at %s" % label)
+        nodes += _exact_nodes("coefficient", p, (
+            ("H_%d(X;G,%s) [x2 source]" % (p, coeff), bock_in, two),
+            ("H_%d(X;G,%s) [x2 target]" % (p, coeff), two, red),
+            ("H_%d(X;G,Z/2)" % p, red, bock)))
     return LesReport("coeff", "coefficient sequence for %s" % coeff,
                      tuple(nodes))
 
 
+@lru_cache(maxsize=None)
 def ordinary_bockstein(F, p):
     """Bockstein H_{p+1}(F, Z/2) -> H_p(F, Z/2) of 0->Z/2->Z/4->Z/2->0 on
     an ordinary complex, computed as (boundary of an integer lift)/2
     reduced mod 2."""
-    src = homology(F, COEFF_Z2, p + 1)
-    tgt = homology(F, COEFF_Z2, p)
-    cc = chain_complex(F, Coeff("Z", 0))
-    bnd = cc.boundary(p + 1)
-    cols = []
-    for gen in src.generators:
-        w = bnd.mul_vector(gen)
-        assert all(x % 2 == 0 for x in w)
-        cols.append(tgt.reduce([x // 2 for x in w]))
-    mat = IntMatrix(tgt.ngens, len(cols),
-                    [[col[i] for col in cols] for i in range(tgt.ngens)])
-    return GroupHom(src, tgt, _canonical_matrix(tgt, mat))
+    bnd = chain_complex(F, Coeff("Z", 0)).boundary(p + 1)
+    return _halved_boundary_hom(bnd, homology(F, COEFF_Z2, p + 1),
+                                homology(F, COEFF_Z2, p))
 
 
 # ---------------------------------------------------------------------------
@@ -699,47 +599,32 @@ def _localization_solver(X, p):
     equivariant classes in (negative) total degree p: solve
 
         incl . y = w  modulo  im(diff) + 2 . ambient."""
-    F = fixed_subcomplex(X)
+    incl = total_chain_map(fixed_inclusion(X), COEFF_Z2, p)
     tcx = total_complex_of(X, COEFF_Z2)
-    tcf = total_complex_of(F, COEFF_Z2)
-    mats = gmap_chain_matrices(fixed_inclusion(X), COEFF_Z2)
-    rows = tcx.rank(p)
-    cols = tcf.rank(p)
-    data = [[0] * cols for _ in range(rows)]
-    xoff = {j: off for _, j, off in tcx.blocks(p)}
-    for q, j, off in tcf.blocks(p):
-        roff = xoff[j]
-        mat = mats[q] if q < len(mats) else None
-        if mat is None:
-            continue
-        for r in range(mat.rows):
-            row = mat.data[r]
-            out = data[roff + r]
-            for c in range(mat.cols):
-                if row[c]:
-                    out[off + c] = row[c]
-    incl = IntMatrix(rows, cols, data)
     system = IntMatrix.hstack(incl, tcx.diff(p + 1),
-                              _mod_relations(rows, 2))
-    return LinearSolver(system), cols, tcf
+                              _mod_relations(incl.rows, 2))
+    return (LinearSolver(system), incl.cols,
+            total_complex_of(fixed_subcomplex(X), COEFF_Z2))
 
 
 @dataclass(frozen=True)
-class HomologyLocalization:
-    """The map into the mod-2 homology of the fixed set: reduce mod two,
-    cap with a high power of the twist class, invert the inclusion of the
-    fixed set (an isomorphism in negative degrees), and project away the
-    twist columns."""
+class Localization:
+    """A localization map in degree n, given by the graded mod-2 class of
+    the fixed set that each source generator maps to.
+
+    On homology (rho): reduce mod two, cap with a high power of the twist
+    class, invert the inclusion of the fixed set (an isomorphism in
+    negative degrees), and project away the twist columns.  On cohomology
+    (beta): restrict to the fixed set, reduce mod two, split off the twist
+    columns."""
 
     X: object
     coeff: Coeff
     n: int
     gen_images: tuple
 
-    def source(self):
-        return eq_homology(self.X, self.coeff, self.n)
-
     def apply(self, cls):
+        """The image of an EqClass or of generator coordinates."""
         if isinstance(cls, EqClass):
             coords = cls.coords()
         else:
@@ -749,11 +634,16 @@ class HomologyLocalization:
             out = out + img.scale_mod2(c)
         return out
 
-    def apply_parity(self, cls, parity):
-        return self.apply(cls).parity_part(parity)
 
-    def apply_component(self, cls, p):
-        return self.apply(cls).component(p)
+def _graded_fixed_class(tcf, p, y, group):
+    """The graded mod-2 class of the fixed set whose degree-q part is the
+    class in group(F, Z/2, q) of the chain-degree-q block of y, a vector
+    of the staircase tcf of F in total degree p."""
+    graded = {}
+    for q, _, off in tcf.blocks(p):
+        spot = group(tcf.X, COEFF_Z2, q)
+        graded[q] = spot.reduce(y[off:off + spot.ambient_rank])
+    return GradedClassVector.from_dict(graded)
 
 
 @lru_cache(maxsize=None)
@@ -762,49 +652,21 @@ def localize_homology(X, coeff, n):
     src = eq_homology(X, coeff, n)
     F = fixed_subcomplex(X)
     if F.vertex_count == 0:
-        return HomologyLocalization(
+        return Localization(
             X, coeff, n, tuple(GRADED_ZERO for _ in src.generators))
     steps = dim(X) + 1
     p_low = n - steps
     solver, ycols, tcf = _localization_solver(X, p_low)
-    shift = _shift_matrix(X, COEFF_Z2, COEFF_Z2, n, steps)
+    shift = _shift_matrix(total_complex_of(X, COEFF_Z2), n, steps)
     images = []
     for gen in src.generators:
         w = shift.mul_vector(gen)
         sol = solver.solve_vector(w)
-        assert sol is not None, \
-            "inclusion of the fixed set could not be inverted (bug)"
-        y = sol[:ycols]
-        graded = {}
-        for q, j, off in tcf.blocks(p_low):
-            spot = homology(F, COEFF_Z2, q)
-            comp = y[off:off + spot.ambient_rank]
-            graded[q] = spot.reduce(comp)
-        images.append(GradedClassVector.from_dict(graded))
-    return HomologyLocalization(X, coeff, n, tuple(images))
-
-
-@dataclass(frozen=True)
-class CohomologyLocalization:
-    """The cohomology analogue: restrict to the fixed set, reduce mod two,
-    split off the twist columns."""
-
-    X: object
-    coeff: Coeff
-    n: int
-    gen_images: tuple
-
-    def source(self):
-        return eq_cohomology(self.X, self.coeff, self.n)
-
-    def apply(self, coords):
-        out = GRADED_ZERO
-        for c, img in zip(coords, self.gen_images):
-            out = out + img.scale_mod2(c)
-        return out
-
-    def apply_component(self, coords, p):
-        return self.apply(coords).component(p)
+        if sol is None:
+            raise InternalError(
+                "inclusion of the fixed set could not be inverted")
+        images.append(_graded_fixed_class(tcf, p_low, sol[:ycols], homology))
+    return Localization(X, coeff, n, tuple(images))
 
 
 @lru_cache(maxsize=None)
@@ -814,50 +676,37 @@ def localize_cohomology(X, coeff, n):
     src = eq_cohomology(X, coeff, n)
     F = fixed_subcomplex(X)
     if F.vertex_count == 0:
-        return CohomologyLocalization(
+        return Localization(
             X, coeff, n, tuple(GRADED_ZERO for _ in src.generators))
-    tcx = total_cochain_complex_of(X, coeff)
-    mats = gmap_chain_matrices(fixed_inclusion(X), COEFF_Z2)
-    images = []
-    for gen in src.generators:
-        graded = {}
-        for q, i, off in tcx.blocks(n):
-            if q >= len(mats):
-                continue
-            res = mats[q].transpose()
-            comp = res.mul_vector(gen[off:off + tcx.cc.rank(q)])
-            spot = cohomology(F, COEFF_Z2, q)
-            graded[q] = spot.reduce(comp)
-        images.append(GradedClassVector.from_dict(graded))
-    return CohomologyLocalization(X, coeff, n, tuple(images))
+    restrict = total_cochain_map(fixed_inclusion(X), COEFF_Z2, n)
+    tcf = total_cochain_complex_of(F, COEFF_Z2)
+    images = [_graded_fixed_class(tcf, n, restrict.mul_vector(gen),
+                                  cohomology)
+              for gen in src.generators]
+    return Localization(X, coeff, n, tuple(images))
 
 
 # ---------------------------------------------------------------------------
 # Degrees, fundamental classes, pushforward
 # ---------------------------------------------------------------------------
 
+def _blockwise(tc_src, tc_tgt, p, mats):
+    """The map T_p(source) -> T_p(target) of two staircases that acts by
+    mats[q] from each block of chain degree q to the same column."""
+    tgt_off = {j: off for _, j, off in tc_tgt.blocks(p)}
+    return IntMatrix.from_blocks(
+        tc_tgt.rank(p), tc_src.rank(p),
+        [(tgt_off[j], off, mats[q], 1) for q, j, off in tc_src.blocks(p)
+         if j in tgt_off and q < len(mats)])
+
+
 @lru_cache(maxsize=None)
 def total_chain_map(f, coeff, p):
     """The map of total complexes T_p(source) -> T_p(target) induced by an
     equivariant simplicial map, acting block by block."""
-    mats = gmap_chain_matrices(f, coeff)
-    tc_src = total_complex_of(f.source, coeff)
-    tc_tgt = total_complex_of(f.target, coeff)
-    rows, cols = tc_tgt.rank(p), tc_src.rank(p)
-    data = [[0] * cols for _ in range(rows)]
-    tgt_off = {j: off for _, j, off in tc_tgt.blocks(p)}
-    for q, j, off in tc_src.blocks(p):
-        if j not in tgt_off or q >= len(mats):
-            continue
-        mat = mats[q]
-        roff = tgt_off[j]
-        for r in range(mat.rows):
-            row = mat.data[r]
-            out = data[roff + r]
-            for c in range(mat.cols):
-                if row[c]:
-                    out[off + c] = row[c]
-    return IntMatrix(rows, cols, data)
+    return _blockwise(total_complex_of(f.source, coeff),
+                      total_complex_of(f.target, coeff), p,
+                      gmap_chain_matrices(f, coeff))
 
 
 @lru_cache(maxsize=None)
@@ -881,23 +730,9 @@ def ordinary_pushforward_hom(f, coeff, q):
 @lru_cache(maxsize=None)
 def total_cochain_map(f, coeff, p):
     """Pullback of total cochain complexes T^p(target) -> T^p(source)."""
-    mats = gmap_chain_matrices(f, coeff)
-    tc_src = total_cochain_complex_of(f.source, coeff)
-    tc_tgt = total_cochain_complex_of(f.target, coeff)
-    rows, cols = tc_src.rank(p), tc_tgt.rank(p)
-    data = [[0] * cols for _ in range(rows)]
-    src_off = {i: off for _, i, off in tc_src.blocks(p)}
-    for q, i, off in tc_tgt.blocks(p):
-        if i not in src_off or q >= len(mats):
-            continue
-        mat = mats[q]
-        roff = src_off[i]
-        for r in range(mat.rows):
-            row = mat.data[r]
-            for c in range(mat.cols):
-                if row[c]:
-                    data[roff + c][off + r] = row[c]
-    return IntMatrix(rows, cols, data)
+    return _blockwise(total_cochain_complex_of(f.target, coeff),
+                      total_cochain_complex_of(f.source, coeff), p,
+                      [m.transpose() for m in gmap_chain_matrices(f, coeff)])
 
 
 @lru_cache(maxsize=None)
@@ -921,15 +756,9 @@ def fixed_map(f):
 def graded_pushforward(f, gcv):
     """Push a graded fixed-set class along the restriction of a map."""
     fg = fixed_map(f)
-    mats = gmap_chain_matrices(fg, COEFF_Z2)
-    out = {}
-    for p, coords in gcv.entries:
-        src = homology(fg.source, COEFF_Z2, p)
-        tgt = homology(fg.target, COEFF_Z2, p)
-        mat = mats[p] if p < len(mats) else IntMatrix.zeros(
-            tgt.ambient_rank, src.ambient_rank)
-        out[p] = induced_hom(mat, src, tgt).apply(coords)
-    return GradedClassVector.from_dict(out)
+    return GradedClassVector.from_dict(
+        {p: ordinary_pushforward_hom(fg, COEFF_Z2, p).apply(coords)
+         for p, coords in gcv.entries})
 
 
 def graded_pullback(f, gcv):
@@ -951,12 +780,8 @@ def graded_bockstein(F, gcv):
     (each degree p component lands in degree p - 1)."""
     out = {}
     for p, coords in gcv.entries:
-        if p == 0:
-            continue
-        img = ordinary_bockstein(F, p - 1).apply(coords)
-        if p - 1 in out:
-            img = tuple((a + b) % 2 for a, b in zip(out[p - 1], img))
-        out[p - 1] = img
+        if p:
+            out[p - 1] = ordinary_bockstein(F, p - 1).apply(coords)
     return GradedClassVector.from_dict(out)
 
 
@@ -1018,8 +843,8 @@ def fundamental_class(X, ring, expect_dim=None):
         elif action == -1:
             k = 1
         else:
-            raise AssertionError(
-                "involution acts on the top class by %d (bug)" % action)
+            raise InternalError(
+                "involution acts on the top class by %d" % action)
     else:
         if ord_spot != FGAbelianGroup(0, (2,)):
             raise LinAlgError(
@@ -1030,23 +855,21 @@ def fundamental_class(X, ring, expect_dim=None):
     ord_twisted = homology(X, coeff, d)
     mu = ord_twisted.generators[0]
     eq_spot = eq_homology(X, coeff, d)
-    tc = total_complex_of(X, coeff)
-    offset = tc.block_offset(d, 0)
-    nq = ord_twisted.ambient_rank
-    proj = _column_projection(tc, d, nq, offset)
+    proj = _column_projection(total_complex_of(X, coeff), d)
     reachable = IntMatrix.hstack(
         proj @ eq_spot.kmat,
         ord_twisted.d_in, ord_twisted.rels_ambient)
     sol = LinearSolver(reachable).solve_vector(mu)
     if sol is None:
-        raise AssertionError("edge morphism misses the fundamental cycle "
-                             "(bug: wrong twist parity?)")
+        raise InternalError("edge morphism misses the fundamental cycle "
+                            "(wrong twist parity?)")
     y = eq_spot.kmat.mul_vector(sol[:eq_spot.kmat.cols])
     if coeff.mod:
         y = [x % coeff.mod for x in y]
     cls = make_eq_class(X, coeff, d, y)
     check = ord_twisted.reduce(proj.mul_vector(y))
-    assert check == ord_twisted.reduce(mu), "edge image mismatch (bug)"
+    if check != ord_twisted.reduce(mu):
+        raise InternalError("edge image mismatch")
     return cls
 
 

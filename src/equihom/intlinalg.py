@@ -19,6 +19,11 @@ class ChainConditionError(LinAlgError):
     """The composite d_out . d_in is nonzero, so the input is not a complex."""
 
 
+class InternalError(AssertionError):
+    """An internal consistency check failed: a bug in this package, never
+    bad input.  Raised explicitly, so the checks also run under python -O."""
+
+
 class IntMatrix:
     """Dense matrix of exact integers, shape fixed at construction.
 
@@ -53,24 +58,25 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)]
-                          for i in range(n)])
+        return cls(n, n, _identity_rows(n))
 
     @classmethod
     def zeros(cls, rows, cols):
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
-    def column_vector(cls, entries):
-        entries = list(entries)
-        return cls(len(entries), 1, [[x] for x in entries])
-
-    @classmethod
-    def diagonal(cls, entries):
-        entries = list(entries)
-        n = len(entries)
-        return cls(n, n, [[entries[i] if i == j else 0 for j in range(n)]
-                          for i in range(n)])
+    def from_blocks(cls, rows, cols, blocks):
+        """The rows x cols matrix that is the sum of sign * block placed
+        with its top-left entry at (row offset, column offset), for each
+        (row offset, column offset, block, sign) in blocks."""
+        data = [[0] * cols for _ in range(rows)]
+        for roff, coff, block, sign in blocks:
+            for r, row in enumerate(block.data):
+                out = data[roff + r]
+                for c, x in enumerate(row):
+                    if x:
+                        out[coff + c] += sign * x
+        return cls(rows, cols, data)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -149,7 +155,6 @@ class IntMatrix:
 
     @staticmethod
     def hstack(*mats):
-        mats = [m for m in mats if m is not None]
         if not mats:
             raise LinAlgError("hstack of nothing")
         rows = mats[0].rows
@@ -157,19 +162,6 @@ class IntMatrix:
             raise LinAlgError("hstack row mismatch")
         data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
         return IntMatrix(rows, sum(m.cols for m in mats), data)
-
-    @staticmethod
-    def vstack(*mats):
-        mats = [m for m in mats if m is not None]
-        if not mats:
-            raise LinAlgError("vstack of nothing")
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise LinAlgError("vstack column mismatch")
-        data = []
-        for m in mats:
-            data.extend(m.data)
-        return IntMatrix(sum(m.rows for m in mats), cols, data)
 
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.data)
@@ -455,8 +447,18 @@ class FGAbelianGroup:
         """Per-generator order, 0 meaning infinite; torsion first."""
         return self.torsion + (0,) * self.free_rank
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
+    def relation_columns(self):
+        """Columns spanning the relation lattice of the coordinate space,
+        i.e. diag(orders) restricted to the torsion generators."""
+        cols = []
+        for i, d in enumerate(self.orders):
+            if d:
+                col = [0] * self.ngens
+                col[i] = d
+                cols.append(col)
+        return IntMatrix(self.ngens, len(cols),
+                         [[col[i] for col in cols]
+                          for i in range(self.ngens)])
 
     def f2_dim(self):
         """Dimension as a Z/2 vector space; only for elementary groups."""
@@ -509,7 +511,7 @@ class PresentedGroup(FGAbelianGroup):
     to canonical generator coordinates and to lift coordinates back."""
 
     __slots__ = ("ambient_rank", "_orders_all", "_kept", "_ksolver", "_uy",
-                 "d_out", "d_in", "rels_ambient", "rels_target", "kmat")
+                 "d_in", "rels_ambient", "kmat")
 
     def reduce(self, vec):
         """Coordinates of an ambient cycle in the chosen generators.
@@ -539,22 +541,6 @@ class PresentedGroup(FGAbelianGroup):
                     vec[i] += c * g
         return tuple(vec)
 
-    def is_zero_class(self, vec):
-        return all(c == 0 for c in self.reduce(vec))
-
-    def relation_columns(self):
-        """Columns spanning the relation lattice of the coordinate space,
-        i.e. diag(orders) restricted to the torsion generators."""
-        cols = []
-        for i, d in enumerate(self.orders):
-            if d:
-                col = [0] * self.ngens
-                col[i] = d
-                cols.append(col)
-        return IntMatrix(self.ngens, len(cols),
-                         [[col[i] for col in cols]
-                          for i in range(self.ngens)])
-
     def coordinate_kernel_lattice(self, matrix, target):
         """Generators of {x in Z^ngens : matrix . x dies in target}, as a
         sublattice of this group's coordinate space (contains relations)."""
@@ -572,7 +558,8 @@ def _subquotient(d_out, d_in, rels_ambient, rels_target):
     ksolver = LinearSolver(kmat)
     # the projection stays a basis because the relation columns are
     # independent (diagonal); anything else would corrupt reductions
-    assert ksolver.snf.rank == kmat.cols, "cycle basis degenerated"
+    if ksolver.snf.rank != kmat.cols:
+        raise InternalError("cycle basis degenerated")
     lmat = IntMatrix.hstack(d_in, rels_ambient)
     y = ksolver.solve_matrix(lmat)
     if y is None:
@@ -595,10 +582,8 @@ def _subquotient(d_out, d_in, rels_ambient, rels_target):
     grp._kept = kept
     grp._ksolver = ksolver
     grp._uy = sy.U
-    grp.d_out = d_out
     grp.d_in = d_in
     grp.rels_ambient = rels_ambient
-    grp.rels_target = rels_target
     grp.kmat = kmat
     return grp
 
@@ -625,21 +610,6 @@ def homology_at(d_in, d_out, mod=0):
         raise ChainConditionError("d_out . d_in != 0: not a chain complex")
     return _subquotient(d_out, d_in,
                         _mod_relations(g, mod), _mod_relations(d_out.rows, mod))
-
-
-def presented_module(group, rels=None):
-    """Present a plain FGAbelianGroup as a subquotient of its own
-    coordinate space (used for group cohomology of presented modules)."""
-    n = group.ngens
-    cols = []
-    for i, d in enumerate(group.orders):
-        if d:
-            col = [0] * n
-            col[i] = d
-            cols.append(col)
-    relmat = IntMatrix(n, len(cols),
-                       [[col[i] for col in cols] for i in range(n)])
-    return relmat
 
 
 def _canonical_matrix(target, mat):
@@ -682,34 +652,25 @@ class GroupHom:
     def is_zero(self):
         return _canonical_matrix(self.target, self.matrix).is_zero()
 
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target,
-                   IntMatrix.zeros(target.ngens, source.ngens))
 
-    @classmethod
-    def identity(cls, group):
-        return cls(group, group, IntMatrix.identity(group.ngens))
+def hom_from_images(src, tgt, images, boundary_images):
+    """The homomorphism sending the i-th generator of src to the class in
+    tgt of the i-th ambient vector of images.
 
-
-def induced_hom(chain_map, src, tgt):
-    """The map on homology induced by a chain-level matrix.
-
-    Checks that chain_map sends the cycle lattice of src into that of tgt
-    and boundaries to boundaries (this is exactly well-definedness and
-    independence of the chosen generator lifts).
+    boundary_images are the images of the boundaries (and relations) of
+    src; each must be a boundary of tgt.  That is exactly
+    well-definedness and independence of the chosen generator lifts.
     """
-    if chain_map.cols != src.ambient_rank or chain_map.rows != tgt.ambient_rank:
-        raise LinAlgError("chain map has wrong shape for these presentations")
-    boundary_img = chain_map @ IntMatrix.hstack(src.d_in, src.rels_ambient)
-    tgt_boundaries = LinearSolver(
-        IntMatrix.hstack(tgt.d_in, tgt.rels_ambient))
-    if not tgt_boundaries.contains(boundary_img):
-        raise LinAlgError("chain map does not commute with the "
-                          "differentials: boundaries are not preserved")
+    for img in boundary_images:
+        try:
+            preserved = not any(tgt.reduce(img))
+        except LinAlgError:
+            preserved = False
+        if not preserved:
+            raise LinAlgError("map is not well defined: boundaries are not "
+                              "sent to boundaries")
     cols = []
-    for gen in src.generators:
-        img = chain_map.mul_vector(gen)
+    for img in images:
         try:
             cols.append(tgt.reduce(img))
         except LinAlgError:
@@ -718,6 +679,17 @@ def induced_hom(chain_map, src, tgt):
     mat = IntMatrix(tgt.ngens, len(cols),
                     [[col[i] for col in cols] for i in range(tgt.ngens)])
     return GroupHom(src, tgt, _canonical_matrix(tgt, mat))
+
+
+def induced_hom(chain_map, src, tgt):
+    """The map on homology induced by a chain-level matrix, which must
+    send cycles to cycles and boundaries to boundaries."""
+    if chain_map.cols != src.ambient_rank or chain_map.rows != tgt.ambient_rank:
+        raise LinAlgError("chain map has wrong shape for these presentations")
+    boundary_img = chain_map @ IntMatrix.hstack(src.d_in, src.rels_ambient)
+    return hom_from_images(
+        src, tgt, [chain_map.mul_vector(gen) for gen in src.generators],
+        boundary_img.columns())
 
 
 def image_lattice(hom):

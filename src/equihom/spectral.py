@@ -41,6 +41,7 @@ from .equivariant import (
 from .intlinalg import (
     FGAbelianGroup,
     IntMatrix,
+    InternalError,
     LinAlgError,
     image_lattice,
     induced_hom,
@@ -83,7 +84,6 @@ class _FixedFlattener:
             self.offsets[q] = off
             self.dims[q] = d
             off += d
-        self.total = off
 
     def mask(self, gcv):
         m = 0
@@ -95,9 +95,6 @@ class _FixedFlattener:
                 if c % 2:
                     m |= 1 << (off + i)
         return m
-
-    def unit(self, q, i):
-        return 1 << (self.offsets[q] + i)
 
     def degree_functional(self):
         """Bit positions of H_0 generators weighted by their mod-2 degree."""
@@ -161,12 +158,12 @@ def e2_page(X, coeff, depth=None):
             grp = group_cohomology(hq, sigma.matrix, -p)
             entries.append(((p, q), grp))
     page = E2Page(coeff, -depth, dim(X), tuple(entries))
+    period = 1 if coeff.mod else 2
     for (p, q), grp in page.table:
-        if p <= -1:
-            if coeff.mod and p - 1 >= -depth:
-                assert page.entry(p - 1, q) == grp, "mod-2 periodicity broken"
-            if not coeff.mod and p - 2 >= -depth:
-                assert page.entry(p - 2, q) == grp, "periodicity broken"
+        if p <= -1 and p - period >= -depth \
+                and page.entry(p - period, q) != grp:
+            raise InternalError("period-%d periodicity broken at (%d, %d)"
+                                % (period, p, q))
     return page
 
 
@@ -174,13 +171,13 @@ def e2_page(X, coeff, depth=None):
 # Edge surjectivity, GM reports
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def invariant_lattice(X, coeff, q):
-    """Sublattice of H_q(X, A(k)) coordinates fixed by the involution."""
-    spot = homology(X, coeff, q)
-    sigma = homology_involution(X, coeff, q)
+def _onto_invariants(hom, sigma):
+    """Whether hom maps onto the coordinates of its target fixed by the
+    involution sigma of that target."""
+    spot = hom.target
     ident = IntMatrix.identity(spot.ngens)
-    return spot.coordinate_kernel_lattice(ident - sigma.matrix, spot)
+    invariants = spot.coordinate_kernel_lattice(ident - sigma.matrix, spot)
+    return lattices_equal(image_lattice(hom), invariants)
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +186,7 @@ def edge_surjective(X, coeff, p):
     hom = edge_morphism(X, coeff, p)
     if hom.target.ngens == 0:
         return True
-    return lattices_equal(image_lattice(hom), invariant_lattice(X, coeff, p))
+    return _onto_invariants(hom, homology_involution(X, coeff, p))
 
 
 @lru_cache(maxsize=None)
@@ -203,13 +200,9 @@ def cohomology_involution(X, coeff, q):
 def coedge_surjective(X, coeff, p):
     """Whether e^p maps onto the invariants of H^p(X, A(k))."""
     hom = edge_morphism_cohomology(X, coeff, p)
-    spot = hom.target
-    if spot.ngens == 0:
+    if hom.target.ngens == 0:
         return True
-    sigma = cohomology_involution(X, coeff, p)
-    ident = IntMatrix.identity(spot.ngens)
-    inv = spot.coordinate_kernel_lattice(ident - sigma.matrix, spot)
-    return lattices_equal(image_lattice(hom), inv)
+    return _onto_invariants(hom, cohomology_involution(X, coeff, p))
 
 
 EDGE_FAMILIES = (("Z2", COEFF_Z2), ("Z+", COEFF_Z), ("Z-", COEFF_Z1))
@@ -246,7 +239,7 @@ def gm_bounds(X):
     cohomology, and over Z the group-cohomology degree q - n has the
     parity of the row q, so even rows contribute degree-2 entries and odd
     rows degree-1 entries (even target; the odd target swaps the roles).
-    lhs <= rhs is a hard assertion.
+    lhs <= rhs is a hard check (InternalError).
     """
     F = fixed_subcomplex(X)
     dims = [homology(F, COEFF_Z2, q).ngens for q in range(dim(F) + 1)]
@@ -270,7 +263,8 @@ def gm_bounds(X):
             rhs3 += deg2
     bounds = ((lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3))
     for lhs, rhs in bounds:
-        assert lhs <= rhs, "Galois bound violated: %d > %d" % (lhs, rhs)
+        if lhs > rhs:
+            raise InternalError("Galois bound violated: %d > %d" % (lhs, rhs))
     return bounds
 
 def gm_report(X):
@@ -336,7 +330,6 @@ def rho_surjectivity_criteria(X, variant):
 
     # side two: image of the localization against the target subspace
     flat = _FixedFlattener(F)
-    src = eq_homology(X, coeff2, 2)
     loc = localize_homology(X, coeff2, 2)
     span = []
     for img in loc.gen_images:
@@ -367,8 +360,8 @@ def edge_defect_witness(X):
             continue
         if any(e1.apply(coords)) and beta.apply(coords).is_zero():
             return coords
-    raise AssertionError("no witness found although the degree-2 edge map "
-                         "is not surjective (bug)")
+    raise InternalError("no witness found although the degree-2 edge map "
+                        "is not surjective")
 
 
 # ---------------------------------------------------------------------------

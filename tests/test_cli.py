@@ -41,6 +41,27 @@ class TestCompute:
         assert code == 2
         assert "simplices[0]" in err
 
+    @pytest.mark.parametrize("obj, field", [
+        ({"vertices": True, "simplices": [[0]], "involution": [0]},
+         "vertices"),
+        ({"vertices": 2, "simplices": [[0, "a"]], "involution": [0, 1]},
+         "simplices[0]"),
+        ({"vertices": 2, "simplices": [[0, 1], [1, None]],
+          "involution": [0, 1]}, "simplices[1]"),
+        ({"vertices": 2, "simplices": [[0, True]], "involution": [0, 1]},
+         "simplices[0]"),
+        ({"vertices": 2, "simplices": [[0, 1]], "involution": [0, True]},
+         "involution[1]"),
+        ({"vertices": 2, "simplices": [[0, 1]], "involution": [0, 1.0]},
+         "involution[1]"),
+    ])
+    def test_malformed_entry_names_field(self, capsys, tmp_path, obj, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "compute", "--file", str(path))
+        assert code == 2
+        assert err.startswith("error: %s: " % field)
+
     def test_unknown_builtin_exits_two(self, capsys):
         code, _, err = run(capsys, "compute", "--builtin", "moebius")
         assert code == 2

@@ -1,0 +1,52 @@
+"""Internal consistency checks raise InternalError explicitly, so they
+still fire under python -O, where bare asserts are stripped."""
+
+import os
+import subprocess
+import sys
+
+from equihom.equivariant import ExactnessError
+from equihom.intlinalg import InternalError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+FORCED_VIOLATIONS = r"""
+import sys
+from equihom import spectral
+from equihom.complexes import COEFF_Z, GComplex, builtin, chain_complex
+from equihom.intlinalg import FGAbelianGroup, InternalError
+
+def raises_internal(fn):
+    try:
+        fn()
+    except InternalError:
+        return True
+    return False
+
+X = builtin("circle-reflection")
+# an order-three vertex permutation is no involution
+rotation = GComplex(3, ((0,), (1,), (2,)), (1, 2, 0))
+results = [raises_internal(lambda: chain_complex(rotation, COEFF_Z))]
+# every right-hand side of the Galois bound forced to zero
+spectral.group_cohomology = lambda module, invol, p: FGAbelianGroup(0)
+results.append(raises_internal(lambda: spectral.gm_bounds(X)))
+# second-page columns that are not periodic
+spectral.group_cohomology = (
+    lambda module, invol, p: FGAbelianGroup(0, (2,) * p))
+results.append(raises_internal(lambda: spectral.e2_page(X, COEFF_Z)))
+print(sys.flags.optimize, results)
+"""
+
+
+def test_exactness_error_is_internal():
+    assert issubclass(ExactnessError, InternalError)
+    assert issubclass(InternalError, AssertionError)
+
+
+def test_forced_violations_raise_under_optimize():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", FORCED_VIOLATIONS],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "[True,", "True,", "True]"]

@@ -1,0 +1,48 @@
+"""The benchmark's span tracer (perfbench/tracer.py) wraps equihom's
+functions and methods by name.  This runs it on a small computation, so a
+rename in the package fails here instead of in a traced benchmark run."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# a fresh process, so the memo caches are cold and every layer is reached
+TRACED_RUN = r"""
+import importlib.util
+import json
+import sys
+
+import equihom
+import equihom.cli  # the tracer also wraps cli._emit and verify.suite_*
+from equihom import equivariant
+from equihom.complexes import COEFF_Z2, builtin
+
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+tracer = tracer_module.Tracer()
+tracer.install(equihom)
+try:
+    X = builtin("circle-reflection")
+    equivariant.eq_homology(X, COEFF_Z2, 0)
+    equivariant.eq_cohomology(X, COEFF_Z2, 1)
+finally:
+    tracer.uninstall()
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_tracer_wraps_the_package():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN,
+         os.path.join(ROOT, "perfbench", "tracer.py")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    for key in ("equivariant.total_diff_calls", "intlinalg.snf_calls",
+                "intlinalg.subquotient_calls"):
+        assert metrics[key] > 0, key
