@@ -4,7 +4,8 @@ Commands: compute (equivariant groups and edge images over a degree
 range), e2 (render the second page), classify (the closed-form surface
 classifier), verify (property suites).  Every command emits either an
 aligned text report or JSON; identical inputs produce byte-identical JSON.
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure or internal error, 2 input
+error.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from .enriques import (
     load_type,
 )
 from .equivariant import (
-    ExactnessError,
     edge_morphism,
     eq_cohomology,
     eq_homology,
     les_coeff,
     les_edge,
 )
-from .intlinalg import LinAlgError
+from .intlinalg import InternalError, LinAlgError
 from .spectral import e2_page, edge_surjective
 from .verify import run_suite
 
@@ -109,22 +109,19 @@ def cmd_compute(args):
     }
     if args.les and not args.cohomology:
         sequences = []
-        try:
-            edge_rep = les_edge(X, coeff, lo, hi)
+        edge_rep = les_edge(X, coeff, lo, hi)
+        sequences.append({
+            "sequence": "edge", "exact": edge_rep.ok,
+            "nodes": [{"degree": n.degree, "at": n.label,
+                       "group": str(n.group), "exact": n.exact}
+                      for n in edge_rep.nodes]})
+        if coeff.ring == "Z":
+            coeff_rep = les_coeff(X, coeff.k, lo, hi)
             sequences.append({
-                "sequence": "edge", "exact": edge_rep.ok,
+                "sequence": "coefficient", "exact": coeff_rep.ok,
                 "nodes": [{"degree": n.degree, "at": n.label,
                            "group": str(n.group), "exact": n.exact}
-                          for n in edge_rep.nodes]})
-            if coeff.ring == "Z":
-                coeff_rep = les_coeff(X, coeff.k, lo, hi)
-                sequences.append({
-                    "sequence": "coefficient", "exact": coeff_rep.ok,
-                    "nodes": [{"degree": n.degree, "at": n.label,
-                               "group": str(n.group), "exact": n.exact}
-                              for n in coeff_rep.nodes]})
-        except ExactnessError as exc:
-            raise InputError("exactness failure: %s" % exc) from None
+                          for n in coeff_rep.nodes]})
         report["sequences"] = sequences
 
     def render(rep):
@@ -308,6 +305,10 @@ def main(argv=None):
             ComplexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except InternalError as exc:
+        # a failed consistency check is a bug here, not bad input
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

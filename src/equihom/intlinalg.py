@@ -9,6 +9,7 @@ integers; no floating point is used anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice
 
 
 class LinAlgError(ValueError):
@@ -356,31 +357,57 @@ def smith_normal_form(M):
     return dec
 
 
+def _sparse_columns(M, ncols):
+    """The first ncols columns of the square matrix M, each as a list of
+    (row, value) over its nonzero entries."""
+    rows = range(M.rows)
+    return [[(i, col[i]) for i in compress(rows, col)]
+            for col in islice(zip(*M.data), ncols)]
+
+
 class LinearSolver:
-    """Solve M x = b over Z, reusing one Smith decomposition for many b."""
+    """Solve M x = b over Z, reusing one Smith decomposition for many b.
+
+    Only the nonzeros of the transforms are kept: every column of U, and
+    the columns of V at nonzero invariant factors (the others never enter
+    a solution).  A right-hand side costs time in proportion to the
+    nonzeros of the columns it touches, not to the size of M.
+    """
 
     def __init__(self, M):
-        self.M = M
-        self.snf = smith_normal_form(M)
-        self._diag = self.snf.diag
+        snf = smith_normal_form(M)
+        self.rows, self.cols = M.rows, M.cols
+        self.rank = snf.rank
+        self._diag = snf.diag[:self.rank]
+        self._ucols = _sparse_columns(snf.U, self.rows)
+        self._vcols = _sparse_columns(snf.V, self.rank)
 
     def solve_vector(self, b):
-        """An integer solution of M x = b, or None if there is none."""
-        m, n = self.M.rows, self.M.cols
-        if len(b) != m:
+        """An integer solution of M x = b, or None if there is none.
+
+        With U M V = D: x = V z where D z = U b, so (U b)_i must be
+        divisible by d_i, and must vanish where d_i = 0."""
+        if len(b) != self.rows:
             raise LinAlgError("right-hand side has wrong length")
-        c = self.snf.U.mul_vector(b)
-        z = [0] * n
-        for i in range(m):
-            d = self._diag[i] if i < len(self._diag) else 0
-            if d:
-                q, r = divmod(c[i], d)
-                if r:
-                    return None
-                z[i] = q
-            elif c[i]:
+        ucols = self._ucols
+        c = {}
+        for j in compress(range(self.rows), b):
+            bj = b[j]
+            for i, u in ucols[j]:
+                c[i] = c.get(i, 0) + bj * u
+        rank, diag, vcols = self.rank, self._diag, self._vcols
+        x = [0] * self.cols
+        for i, ci in c.items():
+            if not ci:
+                continue
+            if i >= rank:
                 return None
-        return self.snf.V.mul_vector(z)
+            q, r = divmod(ci, diag[i])
+            if r:
+                return None
+            for k, v in vcols[i]:
+                x[k] += q * v
+        return x
 
     def solve_matrix(self, B):
         """X with M X = B, or None if some column is unsolvable."""
@@ -390,9 +417,9 @@ class LinearSolver:
             if x is None:
                 return None
             cols.append(x)
-        return IntMatrix(self.M.cols, len(cols),
+        return IntMatrix(self.cols, len(cols),
                          [[col[i] for col in cols]
-                          for i in range(self.M.cols)])
+                          for i in range(self.cols)])
 
     def contains(self, B):
         """Whether every column of B lies in the column lattice of M."""
@@ -510,8 +537,8 @@ class PresentedGroup(FGAbelianGroup):
     Z^ambient_rank, remembering enough structure to reduce arbitrary cycles
     to canonical generator coordinates and to lift coordinates back."""
 
-    __slots__ = ("ambient_rank", "_orders_all", "_kept", "_ksolver", "_uy",
-                 "d_in", "rels_ambient", "kmat")
+    __slots__ = ("ambient_rank", "_ksolver", "_coord_rows", "d_in",
+                 "rels_ambient", "kmat")
 
     def reduce(self, vec):
         """Coordinates of an ambient cycle in the chosen generators.
@@ -522,11 +549,12 @@ class PresentedGroup(FGAbelianGroup):
         y = self._ksolver.solve_vector(vec)
         if y is None:
             raise LinAlgError("vector is not a cycle of this presentation")
-        u = self._uy.mul_vector(y)
         out = []
-        for i in self._kept:
-            d = self._orders_all[i]
-            out.append(u[i] % d if d else u[i])
+        for row, d in zip(self._coord_rows, self.orders):
+            u = 0
+            for j, x in row:
+                u += x * y[j]
+            out.append(u % d if d else u)
         return tuple(out)
 
     def lift(self, coords):
@@ -558,7 +586,7 @@ def _subquotient(d_out, d_in, rels_ambient, rels_target):
     ksolver = LinearSolver(kmat)
     # the projection stays a basis because the relation columns are
     # independent (diagonal); anything else would corrupt reductions
-    if ksolver.snf.rank != kmat.cols:
+    if ksolver.rank != kmat.cols:
         raise InternalError("cycle basis degenerated")
     lmat = IntMatrix.hstack(d_in, rels_ambient)
     y = ksolver.solve_matrix(lmat)
@@ -578,10 +606,12 @@ def _subquotient(d_out, d_in, rels_ambient, rels_target):
     grp = PresentedGroup(free_rank, torsion,
                          generators=gens_ambient.columns())
     grp.ambient_rank = g
-    grp._orders_all = orders_all
-    grp._kept = kept
     grp._ksolver = ksolver
-    grp._uy = sy.U
+    # the rows of U_y at the kept generators, over their nonzeros
+    urows = sy.U.data
+    grp._coord_rows = tuple(
+        tuple((j, urows[i][j]) for j in compress(range(t), urows[i]))
+        for i in kept)
     grp.d_in = d_in
     grp.rels_ambient = rels_ambient
     grp.kmat = kmat

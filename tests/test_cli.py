@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from equihom import equivariant
 from equihom.cli import main
 
 
@@ -66,6 +67,17 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--builtin", "moebius")
         assert code == 2
         assert "unknown builtin" in err
+
+    def test_les_exactness_failure_exits_one(self, capsys, monkeypatch):
+        # a non-exact long exact sequence is an internal bug, not bad input
+        monkeypatch.setattr(equivariant, "exact_at", lambda inc, out: False)
+        code, out, err = run(capsys, "compute", "--builtin",
+                             "circle-reflection", "--range", "0..1", "--les")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error: edge sequence not exact at "
+                              "H_1(X;G,")
+        assert "Traceback" not in err
 
     def test_cohomology_mode(self, capsys):
         code, out, _ = run(capsys, "compute", "--builtin", "point",

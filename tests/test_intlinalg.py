@@ -8,6 +8,7 @@ from equihom.intlinalg import (
     FGAbelianGroup,
     IntMatrix,
     LinAlgError,
+    LinearSolver,
     exact_at,
     homology_at,
     induced_hom,
@@ -278,6 +279,151 @@ class TestInducedHom:
         hgf = induced_hom(g @ f, h1, h1)
         assert hg.compose(hf).matrix == hgf.matrix
         assert hgf.matrix.data[0][0] in (-1, 1)
+
+
+def matrix_with_invariants(rng, m, n, diag):
+    """P . D . Q for random unimodular P, Q and D = diag(diag) padded with
+    zeros to m x n."""
+    D = IntMatrix(m, n, [[diag[i] if i == j and i < len(diag) else 0
+                          for j in range(n)] for i in range(m)])
+    return random_unimodular(rng, m) @ D @ random_unimodular(rng, n)
+
+
+def with_zero_lines(rng, M, extra_rows, extra_cols):
+    """M with zero rows and zero columns inserted at random places."""
+    rows = [list(r) for r in M.data]
+    for _ in range(extra_rows):
+        rows.insert(rng.randint(0, len(rows)), [0] * M.cols)
+    cols = M.cols
+    for _ in range(extra_cols):
+        at = rng.randint(0, cols)
+        for r in rows:
+            r.insert(at, 0)
+        cols += 1
+    return IntMatrix(len(rows), cols, rows)
+
+
+def reference_solve(M, b):
+    """V . D^+ . U . b from the dense Smith decomposition, or None when
+    U . b is not divisible by the invariant factors."""
+    dec = smith_normal_form(M)
+    diag = dec.diag
+    c = dec.U.mul_vector(b)
+    z = [0] * M.cols
+    for i, ci in enumerate(c):
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            q, r = divmod(ci, d)
+            if r:
+                return None
+            z[i] = q
+        elif ci:
+            return None
+    return dec.V.mul_vector(z)
+
+
+def reference_reduce(grp, vec):
+    """The coordinates of vec by the dense formula: solve in the cycle
+    basis, apply the full U_y of the boundary Smith decomposition, keep
+    the rows whose invariant factor is not 1; None for a non-cycle."""
+    kmat = grp.kmat
+    lmat = IntMatrix.hstack(grp.d_in, grp.rels_ambient)
+    sols = [reference_solve(kmat, col) for col in lmat.columns()]
+    ymat = IntMatrix(kmat.cols, len(sols),
+                     [[sol[i] for sol in sols] for i in range(kmat.cols)])
+    sy = smith_normal_form(ymat)
+    orders = [sy.diag[i] if i < len(sy.diag) else 0
+              for i in range(kmat.cols)]
+    y = reference_solve(kmat, vec)
+    if y is None:
+        return None
+    u = sy.U.mul_vector(y)
+    return tuple(u[i] % d if d else u[i]
+                 for i, d in enumerate(orders) if d != 1)
+
+
+def random_chain_pair(rng, mod):
+    """Random d_in : Z^s -> Z^g, d_out : Z^g -> Z^h with d_out . d_in = 0
+    (mod 2 only, when mod=2): d_in = P [A; 0], d_out = [0 | E] P^-1."""
+    g = rng.randint(1, 7)
+    r = rng.randint(0, g)
+    s, h = rng.randint(0, 4), rng.randint(0, 4)
+    P = random_unimodular(rng, g)
+    dec = smith_normal_form(P)
+    Pinv = dec.V @ dec.U
+    A = [[rng.randint(-3, 3) for _ in range(s)] for _ in range(r)]
+    E = [[rng.randint(-2, 2) for _ in range(g - r)] for _ in range(h)]
+    d_in = P @ IntMatrix(g, s, A + [[0] * s] * (g - r))
+    d_out = IntMatrix(h, g, [[0] * r + row for row in E]) @ Pinv
+    if mod:
+        d_out = d_out + random_matrix(rng, h, g, bound=1).scale(mod)
+    return d_in, d_out
+
+
+SOLVER_CASES = {
+    # name: (rows, cols, invariant factors, zero rows, zero columns)
+    "full-rank": (6, 4, (1, 1, 1, 1), 0, 0),
+    "rank-deficient": (5, 6, (1, 1, 0), 0, 0),
+    "torsion": (5, 5, (1, 2, 6, 12), 0, 0),
+    "zero-lines": (4, 4, (1, 3), 2, 2),
+}
+
+
+class TestSolverAgainstDenseReference:
+    @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solve_vector(self, case, seed):
+        rng = random.Random(4000 + seed)
+        m, n, diag, zr, zc = SOLVER_CASES[case]
+        M = with_zero_lines(rng, matrix_with_invariants(rng, m, n, diag),
+                            zr, zc)
+        solver = LinearSolver(M)
+        outcomes = set()
+        for _ in range(12):
+            x = [rng.randint(-3, 3) for _ in range(M.cols)]
+            b = M.mul_vector(x)
+            for rhs in (b, [bi + rng.randint(-1, 1) for bi in b],
+                        [rng.randint(-5, 5) for _ in b]):
+                got = solver.solve_vector(rhs)
+                assert got == reference_solve(M, rhs)
+                if got is not None:
+                    assert M.mul_vector(got) == list(rhs)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
+    def test_solve_vector_empty_shapes(self, m, n):
+        M = IntMatrix.zeros(m, n)
+        solver = LinearSolver(M)
+        assert solver.solve_vector([0] * m) == reference_solve(M, [0] * m) \
+            == [0] * n
+        if m:
+            assert solver.solve_vector([1] * m) is None
+            assert reference_solve(M, [1] * m) is None
+
+    @pytest.mark.parametrize("mod", [0, 2])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reduce(self, mod, seed):
+        rng = random.Random(5000 + 100 * mod + seed)
+        d_in, d_out = random_chain_pair(rng, mod)
+        grp = homology_at(d_in, d_out, mod=mod)
+        g = d_out.cols
+        spanning = list(grp.generators) + d_in.columns() \
+            + grp.rels_ambient.columns()
+        for _ in range(10):
+            cycle = [0] * g
+            for vec in spanning:
+                c = rng.randint(-3, 3)
+                cycle = [a + c * v for a, v in zip(cycle, vec)]
+            noise = [rng.randint(-2, 2) for _ in range(g)]
+            for vec in (cycle, noise):
+                want = reference_reduce(grp, vec)
+                if want is None:
+                    with pytest.raises(LinAlgError):
+                        grp.reduce(vec)
+                else:
+                    assert grp.reduce(vec) == want
+            assert reference_reduce(grp, cycle) is not None
 
 
 class TestGroupBasics:

@@ -29,6 +29,7 @@ try:
     X = builtin("circle-reflection")
     equivariant.eq_homology(X, COEFF_Z2, 0)
     equivariant.eq_cohomology(X, COEFF_Z2, 1)
+    equivariant.edge_morphism(X, COEFF_Z2, 0)  # solves and reduces
 finally:
     tracer.uninstall()
 print(json.dumps(tracer.metrics()))
@@ -43,6 +44,8 @@ def test_tracer_wraps_the_package():
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)
+    # solve_vector and reduce are wrapped in their class __dict__s
     for key in ("equivariant.total_diff_calls", "intlinalg.snf_calls",
-                "intlinalg.subquotient_calls"):
+                "intlinalg.subquotient_calls", "intlinalg.solve_columns",
+                "intlinalg.reduce_calls", "equivariant.maps_calls"):
         assert metrics[key] > 0, key
