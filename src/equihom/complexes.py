@@ -71,9 +71,6 @@ class GComplex:
     involution: tuple
     auto_subdivided: bool = False
 
-    def sigma(self, v):
-        return self.involution[v]
-
 
 def _is_integer(x):
     # bool is a subclass of int, but JSON true/false are not numbers

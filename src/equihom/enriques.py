@@ -29,7 +29,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .complexes import ComplexFormatError
+from .complexes import ComplexFormatError, _is_integer
 from .intlinalg import FGAbelianGroup
 
 
@@ -262,7 +262,7 @@ def _component_from_dict(obj, where):
             "%s.%s: unknown field" % (where, sorted(extra)[0]))
     if not isinstance(obj["orientable"], bool):
         raise ComplexFormatError("%s.orientable: expected a boolean" % where)
-    if not isinstance(obj["genus"], int):
+    if not _is_integer(obj["genus"]):
         raise ComplexFormatError("%s.genus: expected an integer" % where)
     c = SurfaceComponent(obj["orientable"], obj["genus"])
     message = c.violation()

@@ -122,6 +122,17 @@ class TestClassify:
         assert code == 2
         assert "genus" in err
 
+    def test_boolean_genus_exits_two(self, capsys, tmp_path):
+        # JSON true is no integer, although Python's bool is an int
+        path = tmp_path / "type.json"
+        path.write_text(json.dumps({
+            "half1": [{"orientable": True, "genus": True}],
+            "half2": [],
+        }))
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert code == 2 and out == ""
+        assert "half1[0].genus" in err
+
 
 class TestE2:
     def test_table_rendering(self, capsys):

@@ -51,6 +51,10 @@ class TestGroupCohomology:
     def test_twisted_integers_degree1(self):
         got = group_cohomology(Z, IntMatrix.identity(1).scale(-1), 1)
         assert got == Z2G
+        # 3 = -1 mod 4: H^1 = ker(1 + 3) / im(1 - 3) on Z/4
+        got = group_cohomology(FGAbelianGroup(0, (4,)),
+                               IntMatrix.from_rows([[3]]), 1)
+        assert got == Z2G
 
     def test_twisted_integers_no_invariants(self):
         got = group_cohomology(Z, IntMatrix.identity(1).scale(-1), 0)
@@ -59,6 +63,15 @@ class TestGroupCohomology:
     def test_rejects_non_involution(self):
         with pytest.raises(LinAlgError):
             group_cohomology(Z, IntMatrix.from_rows([[2]]), 1)
+        # 2 * 2 - 1 = 3 is not 0 mod 4
+        with pytest.raises(LinAlgError, match="not an involution"):
+            group_cohomology(FGAbelianGroup(0, (4,)),
+                             IntMatrix.from_rows([[2]]), 1)
+        # squares to the identity, but sends the relation 2 e0 to
+        # 2 e0 + 2 e1, which is no relation of Z/2 + Z
+        with pytest.raises(LinAlgError, match="not an involution"):
+            group_cohomology(FGAbelianGroup(1, (2,)),
+                             IntMatrix.from_rows([[1, 0], [1, -1]]), 1)
 
     def test_swap_module_is_acyclic(self):
         swap = IntMatrix.from_rows([[0, 1], [1, 0]])

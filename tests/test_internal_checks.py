@@ -1,6 +1,8 @@
 """Internal consistency checks raise InternalError explicitly, so they
 still fire under python -O, where bare asserts are stripped."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -50,3 +52,13 @@ def test_forced_violations_raise_under_optimize():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "[True,", "True,", "True]"]
+
+
+def test_no_bare_asserts_in_src():
+    bare = []
+    for path in sorted(glob.glob(os.path.join(SRC, "equihom", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        bare += ["%s:%d" % (os.path.basename(path), node.lineno)
+                 for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert bare == [], "bare asserts vanish under python -O: %s" % bare

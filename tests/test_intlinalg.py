@@ -158,6 +158,14 @@ class TestHomologyAt:
         d_out = mat([[1, 0]])
         with pytest.raises(ChainConditionError):
             homology_at(d_in, d_out)
+        with pytest.raises(ChainConditionError):
+            homology_at(d_in, d_out, mod=2)
+        # the composite is 2: no complex over Z, a complex over Z/2
+        d_in = mat([[1], [1]])
+        d_out = mat([[1, 1]])
+        with pytest.raises(ChainConditionError):
+            homology_at(d_in, d_out)
+        assert homology_at(d_in, d_out, mod=2) == FGAbelianGroup(0)
 
     def test_mod2(self):
         d_in = mat([[2]])
@@ -459,6 +467,9 @@ class TestExactness:
         assert exact_at(times2, proj)
         not_exact = induced_hom(IntMatrix.from_rows([[4]]), z, z)
         assert not exact_at(not_exact, proj)
+        # a nonzero composite: the image is not even inside the kernel
+        identity = induced_hom(IntMatrix.identity(1), z, z)
+        assert not exact_at(identity, proj)
 
     def test_lattices_equal(self):
         a = IntMatrix.from_rows([[2, 0], [0, 3]])

@@ -30,6 +30,8 @@ try:
     equivariant.eq_homology(X, COEFF_Z2, 0)
     equivariant.eq_cohomology(X, COEFF_Z2, 1)
     equivariant.edge_morphism(X, COEFF_Z2, 0)  # solves and reduces
+    equivariant.les_edge(X, COEFF_Z2, -1, 1)  # exactness: lattice tests
+    equivariant.fundamental_class(X, "Z2")
 finally:
     tracer.uninstall()
 print(json.dumps(tracer.metrics()))
@@ -47,5 +49,6 @@ def test_tracer_wraps_the_package():
     # solve_vector and reduce are wrapped in their class __dict__s
     for key in ("equivariant.total_diff_calls", "intlinalg.snf_calls",
                 "intlinalg.subquotient_calls", "intlinalg.solve_columns",
-                "intlinalg.reduce_calls", "equivariant.maps_calls"):
+                "intlinalg.reduce_calls", "equivariant.maps_calls",
+                "intlinalg.lattice_calls", "equivariant.les_calls"):
         assert metrics[key] > 0, key
