@@ -298,11 +298,7 @@ def main(argv=None):
     args = parser.parse_args(merged)
     try:
         return args.func(args)
-    except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ComplexFormatError, EnriquesTypeError, LinAlgError,
-            ComplexError) as exc:
+    except (InputError, ComplexError, EnriquesTypeError, LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except InternalError as exc:

@@ -609,13 +609,25 @@ def complex_from_dict(obj):
     raise ComplexFormatError(message)
 
 
-def load_complex(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def read_json(path):
+    """The JSON document in the file at path.  A file that is not UTF-8,
+    not JSON, or too long or deep to parse is a ComplexFormatError."""
     try:
-        obj = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ComplexFormatError("file is not UTF-8: %s" % exc.reason) \
+            from None
     except json.JSONDecodeError as exc:
         raise ComplexFormatError(
             "invalid JSON at line %d column %d: %s"
             % (exc.lineno, exc.colno, exc.msg)) from None
-    return complex_from_dict(obj)
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts
+        raise ComplexFormatError("invalid JSON: %s" % exc) from None
+    except RecursionError:
+        raise ComplexFormatError("JSON nested too deeply") from None
+
+
+def load_complex(path):
+    return complex_from_dict(read_json(path))

@@ -26,10 +26,9 @@ are total functions on structurally valid types.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
-from .complexes import ComplexFormatError, _is_integer
+from .complexes import ComplexFormatError, _is_integer, read_json
 from .intlinalg import FGAbelianGroup
 
 
@@ -291,12 +290,4 @@ def type_from_dict(obj):
 
 
 def load_type(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ComplexFormatError(
-            "invalid JSON at line %d column %d: %s"
-            % (exc.lineno, exc.colno, exc.msg)) from None
-    return type_from_dict(obj)
+    return type_from_dict(read_json(path))

@@ -395,10 +395,12 @@ def edge_morphism_cohomology(X, coeff, p):
     return induced_hom(proj, src, tgt)
 
 
-def _shift_matrix(tc, p, steps=1):
+@lru_cache(maxsize=None)
+def _shift_matrix(X, p, steps=1):
     """Ambient matrix of the column shift T_p -> T_{p-steps}, block (q, j)
     -> (q, j + steps).  The block layout depends on X only, so the shift
     serves every coefficient system (the twist rises by steps)."""
+    tc = total_complex_of(X, COEFF_Z2)
     tgt_off = {j: off for _, j, off in tc.blocks(p - steps)}
     return IntMatrix.from_blocks(
         tc.rank(p - steps), tc.rank(p),
@@ -412,7 +414,7 @@ def eta_cap(X, coeff, p):
     realized by the column shift."""
     src = eq_homology(X, coeff, p)
     tgt = eq_homology(X, coeff.shift(), p - 1)
-    shift = _shift_matrix(total_complex_of(X, coeff), p)
+    shift = _shift_matrix(X, p)
     return induced_hom(shift, src, tgt)
 
 
@@ -421,7 +423,7 @@ def cap_with_eta(cls, power=1):
     coeff, p, vec = cls.coeff, cls.p, cls.vector
     X = cls.X
     for _ in range(power):
-        shift = _shift_matrix(total_complex_of(X, coeff), p)
+        shift = _shift_matrix(X, p)
         vec = shift.mul_vector(vec)
         coeff, p = coeff.shift(), p - 1
     return make_eq_class(X, coeff, p, vec)
@@ -643,7 +645,7 @@ def localize_homology(X, coeff, n):
     steps = dim(X) + 1
     p_low = n - steps
     solver, ycols, tcf = _localization_solver(X, p_low)
-    shift = _shift_matrix(total_complex_of(X, COEFF_Z2), n, steps)
+    shift = _shift_matrix(X, n, steps)
     images = []
     for gen in src.generators:
         w = shift.mul_vector(gen)

@@ -87,12 +87,8 @@ class IntMatrix:
         out = []
         for row in self.data:
             acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    orow = odata[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
+            for k in compress(range(self.cols), row):
+                _add_multiple(acc, odata[k], row[k])
             out.append(acc)
         return IntMatrix(self.rows, other.cols, out)
 
@@ -181,6 +177,12 @@ def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _add_multiple(dst, src, c):
+    """dst += c * src in place, touching only the nonzeros of src."""
+    for t in compress(range(len(src)), src):
+        dst[t] += c * src[t]
+
+
 @dataclass(frozen=True)
 class SNFDecomposition:
     """U . M . V = D with U, V unimodular and D = diag(d1 | d2 | ...) >= 0.
@@ -213,58 +215,42 @@ def smith_normal_form(M):
     """
     m, n = M.rows, M.cols
     D = [list(row) for row in M.data]
+    # U^-1 and V are kept transposed, so that the column operations they
+    # take are row operations like every other transform update
     U = _identity_rows(m)
-    Ui = _identity_rows(m)
-    V = _identity_rows(n)
+    UiT = _identity_rows(m)
+    VT = _identity_rows(n)
     Vi = _identity_rows(n)
 
     def row_swap(i, j):
         if i != j:
-            D[i], D[j] = D[j], D[i]
-            U[i], U[j] = U[j], U[i]
-            for r in Ui:
-                r[i], r[j] = r[j], r[i]
+            for A in (D, U, UiT):
+                A[i], A[j] = A[j], A[i]
 
     def row_addmul(i, j, c):
-        # row_i += c * row_j on D and U; Ui picks up the inverse column op
-        di, dj = D[i], D[j]
-        for t in range(n):
-            if dj[t]:
-                di[t] += c * dj[t]
-        ui, uj = U[i], U[j]
-        for t in range(m):
-            if uj[t]:
-                ui[t] += c * uj[t]
-        for r in Ui:
-            if r[i]:
-                r[j] -= c * r[i]
+        # row_i += c * row_j on D and U; U^-1 takes col_j -= c * col_i
+        _add_multiple(D[i], D[j], c)
+        _add_multiple(U[i], U[j], c)
+        _add_multiple(UiT[j], UiT[i], -c)
 
     def row_negate(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Ui:
-            r[i] = -r[i]
+        for A in (D, U, UiT):
+            A[i] = [-x for x in A[i]]
 
     def col_swap(i, j):
         if i != j:
             for r in D:
                 r[i], r[j] = r[j], r[i]
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-            Vi[i], Vi[j] = Vi[j], Vi[i]
+            for A in (VT, Vi):
+                A[i], A[j] = A[j], A[i]
 
     def col_addmul(i, j, c):
-        # col_i += c * col_j on D and V; Vi picks up the inverse row op
+        # col_i += c * col_j on D and V; V^-1 takes row_j -= c * row_i
         for r in D:
             if r[j]:
                 r[i] += c * r[j]
-        for r in V:
-            if r[j]:
-                r[i] += c * r[j]
-        vi, vj = Vi[i], Vi[j]
-        for t in range(n):
-            if vi[t]:
-                vj[t] -= c * vi[t]
+        _add_multiple(VT[i], VT[j], c)
+        _add_multiple(Vi[j], Vi[i], -c)
 
     def clear(t):
         # Reduce column t and row t against the pivot until both vanish
@@ -348,10 +334,10 @@ def smith_normal_form(M):
             clear(t)
         t += 1
 
-    dec = SNFDecomposition(
-        U=IntMatrix(m, m, U), D=IntMatrix(m, n, D), V=IntMatrix(n, n, V),
-        Uinv=IntMatrix(m, m, Ui), Vinv=IntMatrix(n, n, Vi))
-    return dec
+    return SNFDecomposition(
+        U=IntMatrix(m, m, U), D=IntMatrix(m, n, D),
+        V=IntMatrix(n, n, zip(*VT)), Uinv=IntMatrix(m, m, zip(*UiT)),
+        Vinv=IntMatrix(n, n, Vi))
 
 
 def _sparse_columns(M, ncols):
@@ -562,8 +548,7 @@ class PresentedGroup(FGAbelianGroup):
         vec = [0] * self.ambient_rank
         for c, gen in zip(coords, self.generators):
             if c:
-                for i, g in enumerate(gen):
-                    vec[i] += c * g
+                _add_multiple(vec, gen, c)
         return tuple(vec)
 
     def coordinate_kernel_lattice(self, matrix, target):

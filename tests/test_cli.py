@@ -134,6 +134,20 @@ class TestClassify:
         assert "half1[0].genus" in err
 
 
+@pytest.mark.parametrize("command", ["compute", "classify"])
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",                # a UTF-16 byte-order mark: not UTF-8
+    b"[" * 100000,                 # nested past the parser's recursion limit
+    b'{"vertices": ' + b"1" * 5000 + b"}",  # past int's digit limit
+], ids=["not-utf8", "too-deep", "too-long"])
+def test_unreadable_file_exits_two(capsys, tmp_path, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 class TestE2:
     def test_table_rendering(self, capsys):
         code, out, _ = run(capsys, "e2", "--builtin", "circle-reflection",

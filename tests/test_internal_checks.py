@@ -54,11 +54,31 @@ def test_forced_violations_raise_under_optimize():
     assert proc.stdout.split() == ["1", "[True,", "True,", "True]"]
 
 
-def test_no_bare_asserts_in_src():
-    bare = []
+def src_nodes():
+    """(file name, node) for every AST node of the package's modules."""
     for path in sorted(glob.glob(os.path.join(SRC, "equihom", "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
-        bare += ["%s:%d" % (os.path.basename(path), node.lineno)
-                 for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        for node in ast.walk(tree):
+            yield os.path.basename(path), node
+
+
+def test_no_bare_asserts_in_src():
+    bare = ["%s:%d" % (name, node.lineno) for name, node in src_nodes()
+            if isinstance(node, ast.Assert)]
     assert bare == [], "bare asserts vanish under python -O: %s" % bare
+
+
+def test_src_imports_only_the_standard_library():
+    foreign = []
+    for name, node in src_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        foreign += ["%s:%d %s" % (name, node.lineno, module)
+                    for module in modules
+                    if module.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == [], "imports outside the standard library: %s" % foreign

@@ -28,6 +28,12 @@ def random_matrix(rng, rows, cols, bound=4):
                       for _ in range(rows)])
 
 
+def random_sparse_matrix(rng, rows, cols, density=0.2):
+    return IntMatrix(rows, cols,
+                     [[rng.choice((-1, 1)) if rng.random() < density else 0
+                       for _ in range(cols)] for _ in range(rows)])
+
+
 def random_unimodular(rng, n, ops=12):
     m = [list(r) for r in IntMatrix.identity(n).data]
     for _ in range(ops):
@@ -87,11 +93,23 @@ class TestSmithNormalForm:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_reconstruction(self, seed):
         rng = random.Random(seed)
-        M = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        dec = smith_normal_form(M)
-        check_decomposition(M, dec)
-        # reconstructing Uinv . D . Vinv returns M
-        assert dec.Uinv @ dec.D @ dec.Vinv == M
+        cases = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))]
+        # tall and wide
+        cases += [random_matrix(rng, r, c)
+                  for r, c in ((1, 12), (12, 1), (9, 15), (15, 9))]
+        # sparse +-1 with zero rows and columns, like boundary matrices
+        cases.append(with_zero_lines(
+            rng, random_sparse_matrix(rng, rng.randint(1, 12),
+                                      rng.randint(1, 12)),
+            rng.randint(1, 3), rng.randint(1, 3)))
+        # [d | 2 I], the stack homology_at builds for mod 2
+        d = random_sparse_matrix(rng, rng.randint(1, 8), rng.randint(1, 7))
+        cases.append(IntMatrix.hstack(d, IntMatrix.identity(d.rows).scale(2)))
+        for M in cases:
+            dec = smith_normal_form(M)
+            check_decomposition(M, dec)
+            # reconstructing Uinv . D . Vinv returns M
+            assert dec.Uinv @ dec.D @ dec.Vinv == M
 
     def test_deterministic(self):
         M = mat([[6, 4, 2], [4, 2, 8], [0, 10, 6]])
@@ -102,10 +120,13 @@ class TestSmithNormalForm:
     @pytest.mark.parametrize("seed", range(6))
     def test_larger_entries_stress(self, seed):
         rng = random.Random(7000 + seed)
-        M = random_matrix(rng, rng.randint(4, 8), rng.randint(4, 8),
-                          bound=30)
-        dec = smith_normal_form(M)
-        check_decomposition(M, dec)
+        square = random_matrix(rng, rng.randint(4, 8), rng.randint(4, 8),
+                               bound=30)
+        tall = random_matrix(rng, 15, 9, bound=30)
+        for M in (square, tall, tall.transpose()):
+            dec = smith_normal_form(M)
+            check_decomposition(M, dec)
+            assert dec.Uinv @ dec.D @ dec.Vinv == M
 
 
 class TestKernel:
