@@ -108,21 +108,15 @@ def cmd_compute(args):
         "items": items,
     }
     if args.les and not args.cohomology:
-        sequences = []
-        edge_rep = les_edge(X, coeff, lo, hi)
-        sequences.append({
-            "sequence": "edge", "exact": edge_rep.ok,
-            "nodes": [{"degree": n.degree, "at": n.label,
-                       "group": str(n.group), "exact": n.exact}
-                      for n in edge_rep.nodes]})
+        reps = [("edge", les_edge(X, coeff, lo, hi))]
         if coeff.ring == "Z":
-            coeff_rep = les_coeff(X, coeff.k, lo, hi)
-            sequences.append({
-                "sequence": "coefficient", "exact": coeff_rep.ok,
-                "nodes": [{"degree": n.degree, "at": n.label,
-                           "group": str(n.group), "exact": n.exact}
-                          for n in coeff_rep.nodes]})
-        report["sequences"] = sequences
+            reps.append(("coefficient", les_coeff(X, coeff.k, lo, hi)))
+        report["sequences"] = [
+            {"sequence": kind, "exact": rep.ok,
+             "nodes": [{"degree": n.degree, "at": n.label,
+                        "group": str(n.group), "exact": n.exact}
+                       for n in rep.nodes]}
+            for kind, rep in reps]
 
     def render(rep):
         yield "space: %s   coefficients: %s   (%s)" % (
@@ -159,8 +153,8 @@ def cmd_e2(args):
         for item in rep["items"]:
             rows.setdefault(item["q"], {})[item["p"]] = item["group_str"]
         ps = sorted({item["p"] for item in rep["items"]})
-        width = max(len(s) for item in rep["items"]
-                    for s in [item["group_str"]]) + 2
+        width = max((len(item["group_str"]) for item in rep["items"]),
+                    default=0) + 2
         header = "  q\\p " + "".join(("%d" % p).rjust(width) for p in ps)
         yield header
         for q in sorted(rows, reverse=True):

@@ -9,7 +9,7 @@ integers; no floating point is used anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress
 
 
 class LinAlgError(ValueError):
@@ -41,10 +41,9 @@ class IntMatrix:
         if len(data) != rows or any(len(row) != cols for row in data):
             raise LinAlgError(
                 "entry count does not match %d x %d" % (rows, cols))
-        for row in data:
-            for x in row:
-                if not isinstance(x, int):
-                    raise LinAlgError("entries must be exact integers")
+        if not all(issubclass(t, int)
+                   for t in set(map(type, chain.from_iterable(data)))):
+            raise LinAlgError("entries must be exact integers")
         self.rows = rows
         self.cols = cols
         self.data = data
@@ -56,6 +55,12 @@ class IntMatrix:
             raise LinAlgError("from_rows needs at least one row; "
                               "use IntMatrix(r, c, []) for empty matrices")
         return cls(len(rows), len(rows[0]), rows)
+
+    @classmethod
+    def from_columns(cls, rows, columns):
+        """The matrix with `rows` rows whose columns are the given vectors."""
+        return cls(rows, len(columns),
+                   zip(*columns) if columns else [()] * rows)
 
     @classmethod
     def identity(cls, n):
@@ -126,19 +131,14 @@ class IntMatrix:
             raise LinAlgError("shape mismatch")
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+        return IntMatrix.from_columns(self.cols, self.data)
 
     def mod(self, m):
         return IntMatrix(self.rows, self.cols,
                          [[x % m for x in row] for row in self.data])
 
-    def column(self, j):
-        return tuple(row[j] for row in self.data)
-
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def take_columns(self, indices):
         return IntMatrix(self.rows, len(indices),
@@ -340,12 +340,25 @@ def smith_normal_form(M):
         Vinv=IntMatrix(n, n, Vi))
 
 
-def _sparse_columns(M, ncols):
-    """The first ncols columns of the square matrix M, each as a list of
-    (row, value) over its nonzero entries."""
-    rows = range(M.rows)
-    return [[(i, col[i]) for i in compress(rows, col)]
-            for col in islice(zip(*M.data), ncols)]
+def _column_entries(rows, ncols):
+    """The first ncols columns of the matrix with these rows, each as the
+    list of (row, value) over its nonzero entries."""
+    cols = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in compress(range(ncols), row):
+            cols[j].append((i, row[j]))
+    return cols
+
+
+def _combine(cols, coeffs, n):
+    """sum of coeffs[j] * cols[j], a list of length n, over the columns of
+    _column_entries; only the nonzeros of coeffs and of cols are touched."""
+    out = [0] * n
+    for j in compress(range(len(coeffs)), coeffs):
+        c = coeffs[j]
+        for i, x in cols[j]:
+            out[i] += c * x
+    return out
 
 
 class LinearSolver:
@@ -360,10 +373,9 @@ class LinearSolver:
     def __init__(self, M):
         snf = smith_normal_form(M)
         self.rows, self.cols = M.rows, M.cols
-        self.rank = snf.rank
-        self._diag = snf.diag[:self.rank]
-        self._ucols = _sparse_columns(snf.U, self.rows)
-        self._vcols = _sparse_columns(snf.V, self.rank)
+        self._diag = snf.diag[:snf.rank]
+        self._ucols = _column_entries(snf.U.data, self.rows)
+        self._vcols = _column_entries(snf.V.data, snf.rank)
 
     def solve_vector(self, b):
         """An integer solution of M x = b, or None if there is none.
@@ -372,37 +384,26 @@ class LinearSolver:
         divisible by d_i, and must vanish where d_i = 0."""
         if len(b) != self.rows:
             raise LinAlgError("right-hand side has wrong length")
-        ucols = self._ucols
-        c = {}
-        for j in compress(range(self.rows), b):
-            bj = b[j]
-            for i, u in ucols[j]:
-                c[i] = c.get(i, 0) + bj * u
-        rank, diag, vcols = self.rank, self._diag, self._vcols
-        x = [0] * self.cols
-        for i, ci in c.items():
-            if not ci:
-                continue
-            if i >= rank:
-                return None
-            q, r = divmod(ci, diag[i])
+        c = _combine(self._ucols, b, self.rows)
+        if any(c[len(self._diag):]):
+            return None
+        z = []
+        for ci, d in zip(c, self._diag):
+            q, r = divmod(ci, d)
             if r:
                 return None
-            for k, v in vcols[i]:
-                x[k] += q * v
-        return x
+            z.append(q)
+        return _combine(self._vcols, z, self.cols)
 
     def solve_matrix(self, B):
         """X with M X = B, or None if some column is unsolvable."""
         cols = []
-        for j in range(B.cols):
-            x = self.solve_vector(B.column(j))
+        for col in B.columns():
+            x = self.solve_vector(col)
             if x is None:
                 return None
             cols.append(x)
-        return IntMatrix(self.cols, len(cols),
-                         [[col[i] for col in cols]
-                          for i in range(self.cols)])
+        return IntMatrix.from_columns(self.cols, cols)
 
     def contains(self, B):
         """Whether every column of B lies in the column lattice of M."""
@@ -460,15 +461,10 @@ class FGAbelianGroup:
     def relation_columns(self):
         """Columns spanning the relation lattice of the coordinate space,
         i.e. diag(orders) restricted to the torsion generators."""
-        cols = []
-        for i, d in enumerate(self.orders):
-            if d:
-                col = [0] * self.ngens
-                col[i] = d
-                cols.append(col)
-        return IntMatrix(self.ngens, len(cols),
-                         [[col[i] for col in cols]
-                          for i in range(self.ngens)])
+        n = self.ngens
+        return IntMatrix.from_columns(
+            n, [[d if i == j else 0 for i in range(n)]
+                for j, d in enumerate(self.orders) if d])
 
     def f2_dim(self):
         """Dimension as a Z/2 vector space; only for elementary groups."""
@@ -520,7 +516,7 @@ class PresentedGroup(FGAbelianGroup):
     Z^ambient_rank, remembering enough structure to reduce arbitrary cycles
     to canonical generator coordinates and to lift coordinates back."""
 
-    __slots__ = ("ambient_rank", "_ksolver", "_coord_rows", "d_in",
+    __slots__ = ("ambient_rank", "_cycles", "_coord_cols", "d_in",
                  "rels_ambient", "kmat")
 
     def reduce(self, vec):
@@ -529,27 +525,19 @@ class PresentedGroup(FGAbelianGroup):
         Raises if vec is not a cycle of the presentation.  Torsion
         coordinates are returned in [0, d).
         """
-        y = self._ksolver.solve_vector(vec)
+        y = _cycle_coordinates(*self._cycles, vec)
         if y is None:
             raise LinAlgError("vector is not a cycle of this presentation")
-        out = []
-        for row, d in zip(self._coord_rows, self.orders):
-            u = 0
-            for j, x in row:
-                u += x * y[j]
-            out.append(u % d if d else u)
-        return tuple(out)
+        out = _combine(self._coord_cols, y, self.ngens)
+        return tuple(u % d if d else u for u, d in zip(out, self.orders))
 
     def lift(self, coords):
         """An ambient cycle representing the given generator coordinates."""
         coords = list(coords)
         if len(coords) != self.ngens:
             raise LinAlgError("coordinate vector has wrong length")
-        vec = [0] * self.ambient_rank
-        for c, gen in zip(coords, self.generators):
-            if c:
-                _add_multiple(vec, gen, c)
-        return tuple(vec)
+        gen_cols = _column_entries(zip(*self.generators), self.ngens)
+        return tuple(_combine(gen_cols, coords, self.ambient_rank))
 
     def coordinate_kernel_lattice(self, matrix, target):
         """Generators of {x in Z^ngens : matrix . x dies in target}, as a
@@ -559,41 +547,65 @@ class PresentedGroup(FGAbelianGroup):
         return IntMatrix.hstack(ker, self.relation_columns())
 
 
+def _cycle_coordinates(dcols, relrows, vicols, t, vec):
+    """Coordinates of the ambient vector x in the cycle basis, or None if x
+    is not a cycle.  Row i of R holds relation relrows[i] = (column, entry)
+    or none, so d_out . x + R . z = 0 gives z by division, and the
+    coordinates are V^-1[r:] . (x; z), whose columns are vicols."""
+    if len(vec) != len(dcols):
+        raise LinAlgError("vector has wrong length for this presentation")
+    z = [0] * (len(vicols) - len(dcols))
+    b = _combine(dcols, vec, len(relrows))
+    for i in compress(range(len(b)), b):
+        if relrows[i] is None:
+            return None
+        j, d = relrows[i]
+        q, rem = divmod(b[i], d)
+        if rem:
+            return None
+        z[j] = -q
+    return _combine(vicols, list(vec) + z, t)
+
+
 def _subquotient(d_out, d_in, rels_ambient, rels_target):
     g = d_out.cols
     if d_in.rows != g:
         raise LinAlgError("d_in lands in the wrong ambient")
-    stacked = IntMatrix.hstack(d_out, rels_target)
-    kmat = kernel_basis(stacked).top_rows(g)
-    ksolver = LinearSolver(kmat)
-    # the projection stays a basis because the relation columns are
-    # independent (diagonal); anything else would corrupt reductions
-    if ksolver.rank != kmat.cols:
-        raise InternalError("cycle basis degenerated")
-    lmat = IntMatrix.hstack(d_in, rels_ambient)
-    y = ksolver.solve_matrix(lmat)
-    if y is None:
-        raise ChainConditionError(
-            "boundaries do not lie in the cycle lattice")
-    sy = smith_normal_form(y)
-    t = kmat.cols
-    diag = sy.diag
-    orders_all = tuple(diag[i] if i < len(diag) else 0 for i in range(t))
-    kept = tuple(i for i in range(t) if orders_all[i] != 1)
-    gens_in_k = sy.Uinv.take_columns(list(kept))
-    gens_ambient = kmat @ gens_in_k
-    torsion = tuple(orders_all[i] for i in kept if orders_all[i] >= 2)
-    free_rank = sum(1 for i in kept if orders_all[i] == 0)
+    relrows = [None] * d_out.rows
+    for j, col in enumerate(_column_entries(rels_target.data,
+                                            rels_target.cols)):
+        if len(col) != 1 or relrows[col[0][0]] is not None:
+            raise InternalError("relation columns must be single entries "
+                                "on distinct rows")
+        relrows[col[0][0]] = (j, col[0][1])
+    # with U . [d_out | R] . V = D of rank r, the cycles are the top g
+    # rows of the kernel basis V[:, r:], and V^-1[r:] gives coordinates
+    snf = smith_normal_form(IntMatrix.hstack(d_out, rels_target))
+    r = snf.rank
+    t = snf.V.rows - r
+    kmat = IntMatrix(g, t, [row[r:] for row in snf.V.data[:g]])
+    cycles = (_column_entries(d_out.data, g), relrows,
+              _column_entries(snf.Vinv.data[r:], snf.V.rows), t)
+    ycols = []
+    for col in d_in.columns() + rels_ambient.columns():
+        y = _cycle_coordinates(*cycles, col)
+        if y is None:
+            raise ChainConditionError(
+                "boundaries do not lie in the cycle lattice")
+        ycols.append(y)
+    sy = smith_normal_form(IntMatrix.from_columns(t, ycols))
+    orders_all = sy.diag + (0,) * (t - len(sy.diag))
+    kept = [i for i in range(t) if orders_all[i] != 1]
+    gens_ambient = kmat @ sy.Uinv.take_columns(kept)
+    torsion = tuple(d for d in orders_all if d >= 2)
+    free_rank = orders_all.count(0)
 
     grp = PresentedGroup(free_rank, torsion,
                          generators=gens_ambient.columns())
     grp.ambient_rank = g
-    grp._ksolver = ksolver
-    # the rows of U_y at the kept generators, over their nonzeros
-    urows = sy.U.data
-    grp._coord_rows = tuple(
-        tuple((j, urows[i][j]) for j in compress(range(t), urows[i]))
-        for i in kept)
+    grp._cycles = cycles
+    # the rows of U_y at the kept generators, as columns
+    grp._coord_cols = _column_entries([sy.U.data[i] for i in kept], t)
     grp.d_in = d_in
     grp.rels_ambient = rels_ambient
     grp.kmat = kmat
@@ -685,9 +697,7 @@ def hom_from_images(src, tgt, images, boundary_images):
         except LinAlgError:
             raise LinAlgError("generator image fails membership in the "
                               "target cycle lattice") from None
-    mat = IntMatrix(tgt.ngens, len(cols),
-                    [[col[i] for col in cols] for i in range(tgt.ngens)])
-    return GroupHom(src, tgt, _canonical_matrix(tgt, mat))
+    return GroupHom(src, tgt, IntMatrix.from_columns(tgt.ngens, cols))
 
 
 def induced_hom(chain_map, src, tgt):

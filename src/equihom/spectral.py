@@ -150,6 +150,8 @@ def e2_page(X, coeff, depth=None):
     and constant over Z/2."""
     if depth is None:
         depth = dim(X) + 2
+    if depth < 0:
+        raise LinAlgError("depth must be nonnegative, got %d" % depth)
     entries = []
     for q in range(dim(X) + 1):
         hq = homology(X, coeff, q)
@@ -321,12 +323,8 @@ def rho_surjectivity_criteria(X, variant):
     h1 = homology(X, coeff1, 1)
     sigma = homology_involution(X, coeff1, 1)
     h2g = group_cohomology(h1, sigma.matrix, 2)
-    criterion_zero = True
-    for j in range(e1.matrix.cols):
-        img = e1.matrix.column(j)
-        if any(h2g.reduce(img)):
-            criterion_zero = False
-            break
+    criterion_zero = not any(any(h2g.reduce(img))
+                             for img in e1.matrix.columns())
 
     # side two: image of the localization against the target subspace
     flat = _FixedFlattener(F)

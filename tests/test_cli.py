@@ -89,6 +89,22 @@ class TestCompute:
                   for item in report["items"]}
         assert groups[2] == [2] and groups[1] == []
 
+    def test_les_sequences_over_z(self, capsys):
+        code, out, _ = run(capsys, "compute", "--builtin",
+                           "circle-reflection", "--coeff", "Z",
+                           "--range", "-2..1", "--les", "--json")
+        assert code == 0
+        sequences = json.loads(out)["sequences"]
+        assert [seq["sequence"] for seq in sequences] == ["edge",
+                                                          "coefficient"]
+        for seq in sequences:
+            assert sorted(seq) == ["exact", "nodes", "sequence"]
+            assert seq["exact"] is True
+            # three nodes per degree of the range
+            assert len(seq["nodes"]) == 12
+            for node in seq["nodes"]:
+                assert sorted(node) == ["at", "degree", "exact", "group"]
+
 
 class TestClassify:
     def test_file(self, capsys, tmp_path):
@@ -162,6 +178,22 @@ class TestE2:
         entry = {(item["p"], item["q"]): item["group"]
                  for item in report["items"]}
         assert entry[(-2, 0)] == {"free_rank": 0, "torsion": [2]}
+
+    @pytest.mark.parametrize("fmt", ["--text", "--json"])
+    def test_negative_depth_exits_two(self, capsys, fmt):
+        code, out, err = run(capsys, "e2", "--builtin", "point",
+                             "--depth", "-5", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "depth" in err
+
+    def test_empty_complex_renders_empty_page(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(
+            {"vertices": 0, "simplices": [], "involution": []}))
+        code, out, err = run(capsys, "e2", "--file", str(path))
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "second page for %s with Z2 coefficients" % path, "  q\\p "]
 
 
 class TestVerify:

@@ -1,12 +1,26 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from equihom import intlinalg
+from equihom.complexes import (
+    COEFF_Z,
+    COEFF_Z1,
+    COEFF_Z2,
+    barycentric_subdivide,
+    dim,
+    make_complex,
+    simplex_count,
+    validate,
+)
+from equihom.equivariant import eq_cohomology, eq_homology, group_cohomology
 from equihom.intlinalg import (
     ChainConditionError,
     FGAbelianGroup,
     IntMatrix,
+    InternalError,
     LinAlgError,
     LinearSolver,
     exact_at,
@@ -332,13 +346,12 @@ def with_zero_lines(rng, M, extra_rows, extra_cols):
     return IntMatrix(len(rows), cols, rows)
 
 
-def reference_solve(M, b):
-    """V . D^+ . U . b from the dense Smith decomposition, or None when
-    U . b is not divisible by the invariant factors."""
-    dec = smith_normal_form(M)
+def dense_solve(dec, b):
+    """V . D^+ . U . b from the dense Smith decomposition dec of M, or None
+    when U . b is not divisible by the invariant factors."""
     diag = dec.diag
     c = dec.U.mul_vector(b)
-    z = [0] * M.cols
+    z = [0] * dec.V.rows
     for i, ci in enumerate(c):
         d = diag[i] if i < len(diag) else 0
         if d:
@@ -351,24 +364,60 @@ def reference_solve(M, b):
     return dec.V.mul_vector(z)
 
 
-def reference_reduce(grp, vec):
-    """The coordinates of vec by the dense formula: solve in the cycle
-    basis, apply the full U_y of the boundary Smith decomposition, keep
-    the rows whose invariant factor is not 1; None for a non-cycle."""
+def reference_solve(M, b):
+    return dense_solve(smith_normal_form(M), b)
+
+
+def reference_reducer(grp):
+    """reduce by the dense formula, built once per group: solve in the
+    cycle basis, apply the full U_y of the boundary Smith decomposition,
+    keep the rows whose invariant factor is not 1.  The returned function
+    gives None for a non-cycle."""
     kmat = grp.kmat
+    ks = smith_normal_form(kmat)
     lmat = IntMatrix.hstack(grp.d_in, grp.rels_ambient)
-    sols = [reference_solve(kmat, col) for col in lmat.columns()]
+    sols = [dense_solve(ks, col) for col in lmat.columns()]
     ymat = IntMatrix(kmat.cols, len(sols),
                      [[sol[i] for sol in sols] for i in range(kmat.cols)])
     sy = smith_normal_form(ymat)
     orders = [sy.diag[i] if i < len(sy.diag) else 0
               for i in range(kmat.cols)]
-    y = reference_solve(kmat, vec)
-    if y is None:
-        return None
-    u = sy.U.mul_vector(y)
-    return tuple(u[i] % d if d else u[i]
-                 for i, d in enumerate(orders) if d != 1)
+
+    def reduce(vec):
+        y = dense_solve(ks, vec)
+        if y is None:
+            return None
+        u = sy.U.mul_vector(y)
+        return tuple(u[i] % d if d else u[i]
+                     for i, d in enumerate(orders) if d != 1)
+    return reduce
+
+
+def check_against_reference(grp, rng, rounds=10):
+    """Random cycles (combinations of generators, boundaries and relations)
+    and random noise reduce as the dense reference does, a non-cycle
+    raises, and the lift of every unit vector reduces back to it."""
+    reference = reference_reducer(grp)
+    g = grp.ambient_rank
+    spanning = list(grp.generators) + grp.d_in.columns() \
+        + grp.rels_ambient.columns()
+    for _ in range(rounds):
+        cycle = [0] * g
+        for vec in spanning:
+            c = rng.randint(-3, 3)
+            cycle = [a + c * v for a, v in zip(cycle, vec)]
+        noise = [rng.randint(-2, 2) for _ in range(g)]
+        for vec in (cycle, noise):
+            want = reference(vec)
+            if want is None:
+                with pytest.raises(LinAlgError):
+                    grp.reduce(vec)
+            else:
+                assert grp.reduce(vec) == want
+        assert reference(cycle) is not None
+    for k in range(grp.ngens):
+        unit = tuple(int(i == k) for i in range(grp.ngens))
+        assert grp.reduce(grp.lift(unit)) == unit
 
 
 def random_chain_pair(rng, mod):
@@ -435,24 +484,139 @@ class TestSolverAgainstDenseReference:
     def test_reduce(self, mod, seed):
         rng = random.Random(5000 + 100 * mod + seed)
         d_in, d_out = random_chain_pair(rng, mod)
-        grp = homology_at(d_in, d_out, mod=mod)
-        g = d_out.cols
-        spanning = list(grp.generators) + d_in.columns() \
-            + grp.rels_ambient.columns()
-        for _ in range(10):
-            cycle = [0] * g
-            for vec in spanning:
-                c = rng.randint(-3, 3)
-                cycle = [a + c * v for a, v in zip(cycle, vec)]
-            noise = [rng.randint(-2, 2) for _ in range(g)]
-            for vec in (cycle, noise):
-                want = reference_reduce(grp, vec)
-                if want is None:
-                    with pytest.raises(LinAlgError):
-                        grp.reduce(vec)
-                else:
-                    assert grp.reduce(vec) == want
-            assert reference_reduce(grp, cycle) is not None
+        check_against_reference(homology_at(d_in, d_out, mod=mod), rng)
+
+
+def random_module(rng):
+    """A module mixing Z/2, Z/4 and free generators, with a random
+    signed-permutation involution preserving the orders."""
+    orders = [2] * rng.randint(0, 3) + [4] * rng.randint(0, 2)
+    free = rng.randint(0, 3)
+    module = FGAbelianGroup(free, orders)
+    orders = module.orders
+    n = module.ngens
+    sigma = [[0] * n for _ in range(n)]
+    for d in set(orders):
+        block = [i for i in range(n) if orders[i] == d]
+        rng.shuffle(block)
+        while block:
+            i = block.pop()
+            sign = rng.choice((-1, 1))
+            j = block.pop() if block and rng.random() < 0.6 else i
+            sigma[i][j] = sigma[j][i] = sign
+    return module, IntMatrix(n, n, sigma)
+
+
+class TestGroupCohomologyReduce:
+    # the only presentations whose relation columns skip rows (the free
+    # generators), where z of d_out . x + R . z = 0 comes by division
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reduce_matches_reference(self, seed):
+        rng = random.Random(6000 + seed)
+        module, sigma = random_module(rng)
+        for p in range(4):
+            check_against_reference(group_cohomology(module, sigma, p), rng)
+
+
+class TestTwoSmithForms:
+    @pytest.fixture
+    def snf_calls(self, monkeypatch):
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return smith_normal_form(M)
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+        return calls
+
+    def test_homology_at(self, snf_calls):
+        rng = random.Random(31)
+        d_in, d_out = random_chain_pair(rng, 0)
+        grp = homology_at(d_in, d_out)
+        assert len(snf_calls) == 2
+        assert not any(isinstance(getattr(grp, name), LinearSolver)
+                       for name in type(grp).__slots__)
+
+    def test_group_cohomology(self, snf_calls):
+        module, sigma = random_module(random.Random(32))
+        group_cohomology(module, sigma, 1)
+        assert len(snf_calls) == 2
+
+
+@pytest.mark.parametrize("rels_target", [
+    [[2, 3]],     # two relations on one row
+    [[2], [2]],   # one relation with two nonzeros
+    [[0], [0]],   # one relation with none
+])
+def test_relation_columns_must_be_single_entries(rels_target):
+    rels_target = IntMatrix.from_rows(rels_target)
+    d_out = IntMatrix.zeros(rels_target.rows, 1)
+    with pytest.raises(InternalError, match="single entries"):
+        intlinalg._subquotient(d_out, IntMatrix.zeros(1, 0),
+                               IntMatrix.zeros(1, 0), rels_target)
+
+
+def random_g_complex(rng):
+    """A random regular G-complex on at most 8 vertices: up to three free
+    pairs and some fixed points, random simplices closed under the
+    involution, and one subdivision when validate reports a regularity
+    violation.  Half the draws with a free pair put it inside a simplex,
+    which is such a violation."""
+    pairs = rng.randint(0, 3)
+    n = 2 * pairs + rng.randint(0 if pairs else 2, 8 - 2 * pairs)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    inv = list(range(n))
+    for k in range(pairs):
+        a, b = labels[2 * k], labels[2 * k + 1]
+        inv[a], inv[b] = b, a
+    simplices = [[v] for v in range(n)]
+    if pairs and rng.random() < 0.5:
+        # subdivision multiplies the size, so keep these at dimension 2
+        simplices.append(labels[:rng.randint(2, 3)])
+        top = 3
+    else:
+        top = 4
+    for _ in range(rng.randint(1, n)):
+        s = rng.sample(range(n), rng.randint(min(n, 2), min(n, top)))
+        if top == 4:
+            # keep one vertex of each free pair: the simplex stays regular
+            s = [v for v in s if inv[v] <= v or inv[v] not in s]
+        simplices.append(s)
+    simplices += [[inv[v] for v in s] for s in simplices]
+    X = make_complex(n, simplices, inv)
+    problem = validate(X)
+    if problem is not None:
+        assert "regularity violated" in problem
+        X = barycentric_subdivide(X)
+    assert validate(X) is None
+    return X
+
+
+class TestRandomGComplexOracle:
+    """Every equivariant presentation of a random G-complex reduces and
+    lifts as the dense reference does."""
+
+    MAX_SIMPLICES = 80
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_presentations(self, seed):
+        rng = random.Random(7000 + seed)
+        X = random_g_complex(rng)
+        while simplex_count(X) > self.MAX_SIMPLICES:
+            X = random_g_complex(rng)
+        for coeff in (COEFF_Z2, COEFF_Z, COEFF_Z1):
+            for p in range(-2, dim(X) + 2):
+                check_against_reference(eq_homology(X, coeff, p), rng, 3)
+                check_against_reference(eq_cohomology(X, coeff, p), rng, 3)
+
+
+def test_matrix_entries_must_be_integers():
+    for bad in (1.0, Fraction(1, 2), "1", None):
+        with pytest.raises(LinAlgError, match="exact integers"):
+            IntMatrix(2, 2, [[1, 0], [0, bad]])
+    # bool is an int subclass, and passes as it always did
+    assert IntMatrix(1, 2, [[True, 2]]).data == ((True, 2),)
 
 
 class TestGroupBasics:
