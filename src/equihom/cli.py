@@ -107,7 +107,7 @@ def cmd_compute(args):
         "kind": "cohomology" if args.cohomology else "homology",
         "items": items,
     }
-    if args.les and not args.cohomology:
+    if args.les:
         reps = [("edge", les_edge(X, coeff, lo, hi))]
         if coeff.ring == "Z":
             reps.append(("coefficient", les_coeff(X, coeff.k, lo, hi)))
@@ -243,9 +243,10 @@ def build_parser():
     add_space(p)
     p.add_argument("--range", default="-2..2",
                    help="total degree range, e.g. -3..2")
-    p.add_argument("--cohomology", action="store_true")
-    p.add_argument("--les", action="store_true",
-                   help="also verify the long exact sequences on the range")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--cohomology", action="store_true")
+    kind.add_argument("--les", action="store_true",
+                      help="also verify the long exact sequences on the range")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("e2", help="render the second page")

@@ -19,9 +19,9 @@ Everything below: edge morphisms (column-0 projection), the eta cap
 localization maps to the mod-2 homology/cohomology of the fixed set,
 degree maps, and fundamental classes of closed G-manifolds.
 
-All inputs are immutable and the computations are pure; results are
-memoized per (complex, coefficient system, degree), and the caches are
-safe for concurrent readers.
+All inputs are immutable and the computations are pure; groups, total
+complexes and the maps that are asked for again are memoized per (complex,
+coefficient system, degree), and the caches are safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -386,7 +386,6 @@ def edge_morphism(X, coeff, p):
     return hom
 
 
-@lru_cache(maxsize=None)
 def edge_morphism_cohomology(X, coeff, p):
     """e^p : H^p(X; G, A(k)) -> H^p(X, A(k)), the column-0 component."""
     src = eq_cohomology(X, coeff, p)
@@ -465,7 +464,6 @@ def _exact_nodes(sequence, p, maps):
     return nodes
 
 
-@lru_cache(maxsize=None)
 def _edge_connecting(X, coeff, p):
     """Connecting map H_p(X, A(k)) -> H_p(X; G, A(k-1)) of the column-0
     quotient sequence of total complexes: a cycle x goes to
@@ -509,14 +507,12 @@ def les_edge(X, coeff, p_min, p_max):
                      tuple(nodes))
 
 
-@lru_cache(maxsize=None)
 def _times_two(X, coeff, p):
     spot = eq_homology(X, coeff, p)
     amb = IntMatrix.identity(spot.ambient_rank).scale(2)
     return induced_hom(amb, spot, spot)
 
 
-@lru_cache(maxsize=None)
 def _mod2_reduction(X, coeff, p):
     src = eq_homology(X, coeff, p)
     tgt = eq_homology(X, COEFF_Z2, p)
@@ -697,7 +693,6 @@ def total_chain_map(f, coeff, p):
                       gmap_chain_matrices(f, coeff))
 
 
-@lru_cache(maxsize=None)
 def pushforward_hom(f, coeff, p):
     """Functoriality on equivariant homology as a homomorphism."""
     src = eq_homology(f.source, coeff, p)
@@ -723,7 +718,6 @@ def total_cochain_map(f, coeff, p):
                       [m.transpose() for m in gmap_chain_matrices(f, coeff)])
 
 
-@lru_cache(maxsize=None)
 def pullback_hom(f, coeff, p):
     """Contravariant functoriality on equivariant cohomology."""
     src = eq_cohomology(f.target, coeff, p)

@@ -174,7 +174,7 @@ class IntMatrix:
 
 
 def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
 def _add_multiple(dst, src, c):
@@ -211,7 +211,12 @@ def smith_normal_form(M):
     """Smith normal form of an integer matrix.
 
     Deterministic: the pivot is the entry of smallest nonzero absolute
-    value, ties broken by lowest row then column index.
+    value, ties broken by lowest row then column index.  One loop fixes
+    the pivots in order.  Its scan also checks that the pivot fixed last
+    divides every entry left; the first entry it does not divide is added
+    to that pivot's row, which is then eliminated again.  A remainder left
+    after the pivot's column or row pass sends control back to the scan,
+    which then finds a smaller pivot.
     """
     m, n = M.rows, M.cols
     D = [list(row) for row in M.data]
@@ -233,106 +238,66 @@ def smith_normal_form(M):
         _add_multiple(U[i], U[j], c)
         _add_multiple(UiT[j], UiT[i], -c)
 
-    def row_negate(i):
-        for A in (D, U, UiT):
-            A[i] = [-x for x in A[i]]
-
-    def col_swap(i, j):
-        if i != j:
-            for r in D:
-                r[i], r[j] = r[j], r[i]
-            for A in (VT, Vi):
-                A[i], A[j] = A[j], A[i]
-
-    def col_addmul(i, j, c):
-        # col_i += c * col_j on D and V; V^-1 takes row_j -= c * row_i
-        for r in D:
-            if r[j]:
-                r[i] += c * r[j]
-        _add_multiple(VT[i], VT[j], c)
-        _add_multiple(Vi[j], Vi[i], -c)
-
-    def clear(t):
-        # Reduce column t and row t against the pivot until both vanish
-        # beyond (t, t); the pivot may shrink along the way.
-        if D[t][t] < 0:
-            row_negate(t)
-        while True:
-            restart = False
-            i = t + 1
-            while i < m:
-                a = D[i][t]
-                if a:
-                    q = a // D[t][t]
-                    if q:
-                        row_addmul(i, t, -q)
-                    if D[i][t]:
-                        row_swap(t, i)
-                        if D[t][t] < 0:
-                            row_negate(t)
-                        restart = True
-                        i = t + 1
-                        continue
-                i += 1
-            j = t + 1
-            while j < n:
-                a = D[t][j]
-                if a:
-                    q = a // D[t][t]
-                    if q:
-                        col_addmul(j, t, -q)
-                    if D[t][j]:
-                        col_swap(t, j)
-                        if D[t][t] < 0:
-                            row_negate(t)
-                        restart = True
-                        j = t + 1
-                        continue
-                j += 1
-            if not restart:
-                return
-
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        best = None
-        piv = None
+    while t < min(m, n):
+        prev = D[t - 1][t - 1] if t else 1
+        best = piv = bad = None
         for i in range(t, m):
             di = D[i]
             for j in range(t, n):
                 a = di[j]
                 if a:
+                    if a % prev:
+                        bad = i
+                        break
                     a = -a if a < 0 else a
                     if best is None or a < best:
                         best = a
                         piv = (i, j)
                         if a == 1:
                             break
-            if best == 1:
+            if bad is not None or best == 1:
                 break
+        if bad is not None:
+            # step back: the pivot at t - 1 does not divide row bad
+            t -= 1
+            row_addmul(t, bad, 1)
+            continue
         if piv is None:
             break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        clear(t)
-        while True:
-            d = D[t][t]
-            if d == 1:
-                break
-            bad = None
-            for i in range(t + 1, m):
-                di = D[i]
-                for j in range(t + 1, n):
-                    if di[j] % d:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_addmul(t, bad, 1)
-            clear(t)
-        t += 1
+        i, j = piv
+        row_swap(t, i)
+        if j != t:
+            for r in D:
+                r[t], r[j] = r[j], r[t]
+            for A in (VT, Vi):
+                A[t], A[j] = A[j], A[t]
+        if D[t][t] < 0:
+            for A in (D, U, UiT):
+                A[t] = [-x for x in A[t]]
+        d = D[t][t]
+        remainder = False
+        for i in range(t + 1, m):
+            q = D[i][t] // d
+            if q:
+                row_addmul(i, t, -q)
+            if D[i][t]:
+                remainder = True
+        if remainder:
+            continue
+        # column t is zero off the pivot, so col_j -= q * col_t changes
+        # D in row t only; V^-1 takes row_t += q * row_j
+        Dt = D[t]
+        for j in range(t + 1, n):
+            q = Dt[j] // d
+            if q:
+                Dt[j] -= q * d
+                _add_multiple(VT[j], VT[t], -q)
+                _add_multiple(Vi[t], Vi[j], q)
+            if Dt[j]:
+                remainder = True
+        if not remainder:
+            t += 1
 
     return SNFDecomposition(
         U=IntMatrix(m, m, U), D=IntMatrix(m, n, D),

@@ -191,7 +191,6 @@ def edge_surjective(X, coeff, p):
     return _onto_invariants(hom, homology_involution(X, coeff, p))
 
 
-@lru_cache(maxsize=None)
 def cohomology_involution(X, coeff, q):
     spot = cohomology(X, coeff, q)
     cc = chain_complex(X, coeff)

@@ -89,6 +89,13 @@ class TestCompute:
                   for item in report["items"]}
         assert groups[2] == [2] and groups[1] == []
 
+    def test_les_with_cohomology_exits_two(self, capsys):
+        # the sequences are verified for homology only, so the two clash
+        with pytest.raises(SystemExit) as err:
+            main(["compute", "--builtin", "point", "--cohomology", "--les"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_les_sequences_over_z(self, capsys):
         code, out, _ = run(capsys, "compute", "--builtin",
                            "circle-reflection", "--coeff", "Z",

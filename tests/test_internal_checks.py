@@ -82,3 +82,21 @@ def test_src_imports_only_the_standard_library():
                     for module in modules
                     if module.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == [], "imports outside the standard library: %s" % foreign
+
+
+def test_every_top_level_definition_is_used():
+    # no dead code: each module-level def and class is named somewhere in
+    # the package, as a name, an attribute or an import
+    defined, used = [], set()
+    for name, node in src_nodes():
+        if isinstance(node, ast.Module):
+            defined += [(name, d.name) for d in node.body
+                        if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    dead = ["%s:%s" % d for d in defined if d[1] not in used]
+    assert dead == [], "definitions nothing in src/ refers to: %s" % dead

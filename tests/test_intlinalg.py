@@ -119,11 +119,27 @@ class TestSmithNormalForm:
         # [d | 2 I], the stack homology_at builds for mod 2
         d = random_sparse_matrix(rng, rng.randint(1, 8), rng.randint(1, 7))
         cases.append(IntMatrix.hstack(d, IntMatrix.identity(d.rows).scale(2)))
+        # no unit entries, so pivots leave remainders and fail to divide
+        cases.append(IntMatrix(6, 7, [[rng.choice((0, 2, 3, 5, 6, 10, 15))
+                                       for _ in range(7)] for _ in range(6)]))
         for M in cases:
             dec = smith_normal_form(M)
             check_decomposition(M, dec)
             # reconstructing Uinv . D . Vinv returns M
             assert dec.Uinv @ dec.D @ dec.Vinv == M
+
+    @pytest.mark.parametrize("rows, diag", [
+        ([[2], [3]], (1,)),  # a remainder in the pivot column
+        ([[2, 3]], (1,)),  # a remainder in the pivot row
+        ([[2, 0], [0, 3]], (1, 6)),  # the pivot 2 does not divide 3
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 9]], (1, 6, 36)),  # chained
+        ([[-4, 6], [6, 9]], (1, 72)),  # a negative pivot
+    ])
+    def test_pivot_control_paths(self, rows, diag):
+        M = mat(rows)
+        dec = smith_normal_form(M)
+        check_decomposition(M, dec)
+        assert dec.diag == diag
 
     def test_deterministic(self):
         M = mat([[6, 4, 2], [4, 2, 8], [0, 10, 6]])
