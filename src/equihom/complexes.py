@@ -285,38 +285,47 @@ class GChainComplex:
 
 
 @lru_cache(maxsize=None)
+def chain_columns(X):
+    """The integral chain data of X with the untwisted involution, as
+    sparse columns: per degree q a pair (boundary, sigma) of lists with
+    one list of (row, entry) per q-simplex."""
+    index = face_index(X)
+    out = []
+    for q, basis in enumerate(simplices_by_dim(X)):
+        boundary = [[(index[q - 1][s[:i] + s[i + 1:]], (-1) ** i)
+                     for i in range(len(s))] if q else []
+                    for s in basis]
+        sigma = []
+        for s in basis:
+            image = [X.involution[v] for v in s]
+            sigma.append([(index[q][tuple(sorted(image))],
+                           _perm_sign(image))])
+        out.append((boundary, sigma))
+    return tuple(out)
+
+
+def _dense(rows, columns, scale, mod):
+    """The rows x len(columns) matrix scale * (sparse columns), mod mod."""
+    data = [[0] * len(columns) for _ in range(rows)]
+    for col, entries in enumerate(columns):
+        for row, x in entries:
+            data[row][col] = scale * x % mod if mod else scale * x
+    return IntMatrix(rows, len(columns), data)
+
+
+@lru_cache(maxsize=None)
 def chain_complex(X, coeff):
     levels = simplices_by_dim(X)
-    index = face_index(X)
     n = dim(X)
     mod = coeff.mod
     twist = 1 if (coeff.k % 2 == 0 or mod) else -1
 
     boundaries = []
     sigmas = []
-    for q in range(n + 1):
-        basis = levels[q]
-        prev = len(levels[q - 1]) if q else 0
-        bdata = [[0] * len(basis) for _ in range(prev)]
-        for col, s in enumerate(basis):
-            if q == 0:
-                continue
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                bdata[index[q - 1][face]][col] = (-1) ** i
-        sdata = [[0] * len(basis) for _ in range(len(basis))]
-        for col, s in enumerate(basis):
-            image = [X.involution[v] for v in s]
-            target = tuple(sorted(image))
-            sign = _perm_sign(image) * twist
-            sdata[index[q][target]][col] = sign
-        b = IntMatrix(prev, len(basis), bdata)
-        sg = IntMatrix(len(basis), len(basis), sdata)
-        if mod:
-            b = b.mod(mod)
-            sg = sg.mod(mod)
-        boundaries.append(b)
-        sigmas.append(sg)
+    for q, (boundary, sigma) in enumerate(chain_columns(X)):
+        boundaries.append(_dense(len(levels[q - 1]) if q else 0, boundary,
+                                 1, mod))
+        sigmas.append(_dense(len(sigma), sigma, twist, mod))
 
     cc = GChainComplex(X, coeff, tuple(levels), tuple(boundaries),
                        tuple(sigmas))

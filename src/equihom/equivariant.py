@@ -14,6 +14,12 @@ the boundary, and the horizontal map out of column j is 1 - (-1)^j sigma
 D squares to zero exactly.  Degrees may be negative; for a point the
 construction reproduces group cohomology of the group of order two.
 
+Groups are eliminated on the staircase of the Morse-reduced chain complex
+(morse.py), which has the same homology, and are presented in the
+coordinates of the simplicial staircase: generators are lifted through
+iota, and reduce tests a simplicial cycle and maps it through pi.  Every
+map, class and localization below works on the simplicial staircase.
+
 Everything below: edge morphisms (column-0 projection), the eta cap
 (column shift raising the twist), the two long exact sequences, the
 localization maps to the mod-2 homology/cohomology of the fixed set,
@@ -39,6 +45,7 @@ from .complexes import (
     fixed_inclusion,
     fixed_subcomplex,
     gmap_chain_matrices,
+    simplices_by_dim,
 )
 from .intlinalg import (
     FGAbelianGroup,
@@ -54,7 +61,9 @@ from .intlinalg import (
     homology_at,
     image_lattice,
     induced_hom,
+    reduced_presentation,
 )
+from .morse import morse_reduction, reduced_chain_complex, transpose
 
 
 class ExactnessError(InternalError):
@@ -79,11 +88,11 @@ class _Staircase:
 
     STEP = 0  # +1 for chains, -1 for cochains
 
-    def __init__(self, X, coeff):
-        self.X = X
-        self.coeff = coeff
-        self.cc = chain_complex(X, coeff)
-        self.n = dim(X)
+    def __init__(self, cc):
+        self.X = cc.X
+        self.coeff = cc.coeff
+        self.cc = cc
+        self.n = dim(cc.X)
         self._diffs = {}
         self._blocks = {}
         self._block_maps = {}
@@ -176,12 +185,24 @@ class TotalCochainComplex(_Staircase):
 
 @lru_cache(maxsize=None)
 def total_complex_of(X, coeff):
-    return TotalComplex(X, coeff)
+    """The staircase on the simplicial chains of X."""
+    return TotalComplex(chain_complex(X, coeff))
 
 
 @lru_cache(maxsize=None)
 def total_cochain_complex_of(X, coeff):
-    return TotalCochainComplex(X, coeff)
+    return TotalCochainComplex(chain_complex(X, coeff))
+
+
+@lru_cache(maxsize=None)
+def reduced_total_complex_of(X, coeff):
+    """The staircase on the critical cells of the Morse reduction of X."""
+    return TotalComplex(reduced_chain_complex(X, coeff))
+
+
+@lru_cache(maxsize=None)
+def reduced_total_cochain_complex_of(X, coeff):
+    return TotalCochainComplex(reduced_chain_complex(X, coeff))
 
 
 def total_complex(X, coeff, p_min, p_max):
@@ -195,30 +216,69 @@ def total_complex(X, coeff, p_min, p_max):
 # Groups
 # ---------------------------------------------------------------------------
 
+def _on_simplices(X, coeff, blocks, cochains, inner, d_out, d_in):
+    """The presentation inner, computed on reduced chains (cochains when
+    cochains is true) laid out in blocks of (chain degree, offset), in the
+    coordinates of the simplicial chains laid out in the same blocks;
+    d_out() and d_in() give the simplicial differentials.  The maps are
+    iota and pi of the Morse reduction, block by block; on cochains they
+    are the transposes of pi and iota."""
+    red = morse_reduction(X)
+    levels = simplices_by_dim(X)
+    lift, proj, full = [], [], 0
+    for q, off in blocks:
+        iota, pi = red.lifts[q], red.projections[q]
+        if cochains:
+            iota, pi = transpose(pi, len(iota)), transpose(iota, len(pi))
+        lift += [[(full + j, x) for j, x in col] for col in iota]
+        proj += [[(off + i, x) for i, x in col] for col in pi]
+        full += len(levels[q])
+    return reduced_presentation(inner, lift, proj, d_out, d_in, coeff.mod)
+
+
 @lru_cache(maxsize=None)
 def eq_homology(X, coeff, p):
-    tc = total_complex_of(X, coeff)
-    return homology_at(tc.diff(p + 1), tc.diff(p), coeff.mod)
+    tc = reduced_total_complex_of(X, coeff)
+    return _on_simplices(
+        X, coeff, [(q, off) for q, _, off in tc.blocks(p)], False,
+        homology_at(tc.diff(p + 1), tc.diff(p), coeff.mod),
+        lambda: total_complex_of(X, coeff).diff(p),
+        lambda: total_complex_of(X, coeff).diff(p + 1))
 
 
 @lru_cache(maxsize=None)
 def eq_cohomology(X, coeff, p):
-    tc = total_cochain_complex_of(X, coeff)
-    return homology_at(tc.diff(p - 1), tc.diff(p), coeff.mod)
+    tc = reduced_total_cochain_complex_of(X, coeff)
+    return _on_simplices(
+        X, coeff, [(q, off) for q, _, off in tc.blocks(p)], True,
+        homology_at(tc.diff(p - 1), tc.diff(p), coeff.mod),
+        lambda: total_cochain_complex_of(X, coeff).diff(p),
+        lambda: total_cochain_complex_of(X, coeff).diff(p - 1))
+
+
+def _ordinary_blocks(X, q):
+    return [(q, 0)] if 0 <= q <= dim(X) else []
 
 
 @lru_cache(maxsize=None)
 def homology(X, coeff, q):
-    cc = chain_complex(X, coeff)
-    return homology_at(cc.boundary(q + 1), cc.boundary(q), coeff.mod)
+    cc = reduced_chain_complex(X, coeff)
+    return _on_simplices(
+        X, coeff, _ordinary_blocks(X, q), False,
+        homology_at(cc.boundary(q + 1), cc.boundary(q), coeff.mod),
+        lambda: chain_complex(X, coeff).boundary(q),
+        lambda: chain_complex(X, coeff).boundary(q + 1))
 
 
 @lru_cache(maxsize=None)
 def cohomology(X, coeff, q):
-    cc = chain_complex(X, coeff)
-    d_out = cc.boundary(q + 1).transpose()
-    d_in = cc.boundary(q).transpose()
-    return homology_at(d_in, d_out, coeff.mod)
+    cc = reduced_chain_complex(X, coeff)
+    return _on_simplices(
+        X, coeff, _ordinary_blocks(X, q), True,
+        homology_at(cc.boundary(q).transpose(),
+                    cc.boundary(q + 1).transpose(), coeff.mod),
+        lambda: chain_complex(X, coeff).boundary(q + 1).transpose(),
+        lambda: chain_complex(X, coeff).boundary(q).transpose())
 
 
 @lru_cache(maxsize=None)
@@ -606,13 +666,22 @@ class Localization:
     coeff: Coeff
     n: int
     gen_images: tuple
+    cohomology: bool = False
 
     def apply(self, cls):
-        """The image of an EqClass or of generator coordinates."""
+        """The image of an EqClass or of generator coordinates of the
+        source; a class of another group, or coordinates of the wrong
+        length, raise LinAlgError."""
         if isinstance(cls, EqClass):
+            if self.cohomology or (cls.X, cls.coeff, cls.p) != (
+                    self.X, self.coeff, self.n):
+                raise LinAlgError(
+                    "class does not lie in the source of the localization")
             coords = cls.coords()
         else:
             coords = tuple(cls)
+        if len(coords) != len(self.gen_images):
+            raise LinAlgError("coordinate vector has wrong length")
         out = GRADED_ZERO
         for c, img in zip(coords, self.gen_images):
             out = out + img.scale_mod2(c)
@@ -661,13 +730,13 @@ def localize_cohomology(X, coeff, n):
     F = fixed_subcomplex(X)
     if F.vertex_count == 0:
         return Localization(
-            X, coeff, n, tuple(GRADED_ZERO for _ in src.generators))
+            X, coeff, n, tuple(GRADED_ZERO for _ in src.generators), True)
     restrict = total_cochain_map(fixed_inclusion(X), COEFF_Z2, n)
     tcf = total_cochain_complex_of(F, COEFF_Z2)
     images = [_graded_fixed_class(tcf, n, restrict.mul_vector(gen),
                                   cohomology)
               for gen in src.generators]
-    return Localization(X, coeff, n, tuple(images))
+    return Localization(X, coeff, n, tuple(images), True)
 
 
 # ---------------------------------------------------------------------------

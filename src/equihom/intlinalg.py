@@ -9,6 +9,7 @@ integers; no floating point is used anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, compress
 
 
@@ -479,10 +480,23 @@ class FGAbelianGroup:
 class PresentedGroup(FGAbelianGroup):
     """A subquotient (ker d_out mod relations) / (im d_in + relations) of
     Z^ambient_rank, remembering enough structure to reduce arbitrary cycles
-    to canonical generator coordinates and to lift coordinates back."""
+    to canonical generator coordinates and to lift coordinates back.
 
-    __slots__ = ("ambient_rank", "_cycles", "_coord_cols", "d_in",
-                 "rels_ambient", "kmat")
+    A presentation computed on a reduced complex (reduced_presentation)
+    keeps the coordinates of the complex it was reduced from: generators,
+    reduce, d_in and rels_ambient all speak that complex's ambient.
+    """
+
+    __slots__ = ("ambient_rank", "_cycles", "_coord_cols", "_projection",
+                 "_boundaries")
+
+    @property
+    def d_in(self):
+        return self._boundaries()[0]
+
+    @property
+    def rels_ambient(self):
+        return self._boundaries()[1]
 
     def reduce(self, vec):
         """Coordinates of an ambient cycle in the chosen generators.
@@ -490,6 +504,8 @@ class PresentedGroup(FGAbelianGroup):
         Raises if vec is not a cycle of the presentation.  Torsion
         coordinates are returned in [0, d).
         """
+        if self._projection is not None:
+            vec = _project(*self._projection, vec)
         y = _cycle_coordinates(*self._cycles, vec)
         if y is None:
             raise LinAlgError("vector is not a cycle of this presentation")
@@ -571,9 +587,49 @@ def _subquotient(d_out, d_in, rels_ambient, rels_target):
     grp._cycles = cycles
     # the rows of U_y at the kept generators, as columns
     grp._coord_cols = _column_entries([sy.U.data[i] for i in kept], t)
-    grp.d_in = d_in
-    grp.rels_ambient = rels_ambient
-    grp.kmat = kmat
+    grp._projection = None
+    grp._boundaries = lambda: (d_in, rels_ambient)
+    return grp
+
+
+def _project(cols, rank, d_out, mod, vec):
+    """pi . vec for the sparse columns cols of pi (rank rows), after
+    testing that vec is a cycle of the ambient differential d_out() (mod
+    mod), given as (sparse columns, rows)."""
+    if len(vec) != len(cols):
+        raise LinAlgError("vector has wrong length for this presentation")
+    dcols, rows = d_out()
+    if any(x % mod if mod else x for x in _combine(dcols, vec, rows)):
+        raise LinAlgError("vector is not a cycle of this presentation")
+    return _combine(cols, vec, rank)
+
+
+def reduced_presentation(inner, lift_cols, proj_cols, d_out, d_in, mod):
+    """The presentation inner of a reduced complex, in the coordinates of
+    the complex it was reduced from.
+
+    lift_cols and proj_cols are the sparse columns of the chain maps iota
+    (reduced -> ambient) and pi (ambient -> reduced), with pi iota = 1 and
+    iota pi chain homotopic to 1.  d_out() and d_in() give the ambient
+    differentials out of and into the degree; each is read on first use.
+    The generators are iota of inner's; reduce tests a cycle against d_out
+    and reduces pi of it in inner.
+    """
+    rank = len(proj_cols)
+    grp = PresentedGroup(
+        inner.free_rank, inner.torsion,
+        generators=[_combine(lift_cols, g, rank) for g in inner.generators])
+    grp.ambient_rank = rank
+    grp._cycles = inner._cycles
+    grp._coord_cols = inner._coord_cols
+
+    @cache
+    def outgoing():
+        d = d_out()
+        return _column_entries(d.data, rank), d.rows
+
+    grp._projection = (proj_cols, inner.ambient_rank, outgoing, mod)
+    grp._boundaries = cache(lambda: (d_in(), _mod_relations(rank, mod)))
     return grp
 
 

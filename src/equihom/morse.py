@@ -1,0 +1,241 @@
+"""Equivariant algebraic Morse reduction of the chain complex of a G-complex.
+
+Cancelling a pair of cells (a, b), a a face of b with incidence u = +-1,
+replaces the chain complex C by a chain homotopy equivalent one C' on the
+other cells (Gaussian elimination of the pivot u): the cofaces x of a take
+boundary dx - <dx, a> u db, and the chain maps
+
+    iota : C' -> C,  x |-> x - <dx, a> u b          (x of the degree of b)
+    pi   : C -> C',  a |-> -u (db - u a),  b |-> 0
+
+satisfy pi iota = 1, while iota pi is chain homotopic to 1.  Pairs are taken
+by orbits of the involution, so that C' is again a complex of Z[G]-modules
+and both maps are equivariant:
+
+  stage 1 cancels a free orbit, (a, b) together with (sigma a, sigma b),
+    where <db, a> = +-1 and <d(sigma b), a> = 0 and neither cell is fixed;
+  stage 2 cancels a pair of fixed cells (sigma = +-1 on each).
+
+The stages repeat, greedily on the current boundary, until no pair is left.
+The involution of C' is the signed permutation of C restricted to the cells
+left (the critical cells).  The pairing and both maps are computed once per
+complex over Z with the untwisted involution: the twist only flips the sign
+of sigma, and Z/2 is the same data mod 2, so one reduction serves every
+coefficient system.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .complexes import GChainComplex, _dense, chain_columns, simplices_by_dim
+from .intlinalg import InternalError
+
+
+@dataclass(frozen=True)
+class MorseReduction:
+    """The reduced complex of X over Z, untwisted, and the maps to and
+    from the simplicial chains.  Sparse columns are lists of (row, entry).
+
+    cells[q]: the simplex indices of the critical cells of degree q;
+    boundaries[q], sigmas[q]: d'_q and sigma'_q as sparse columns;
+    lifts[q]: iota_q, one column over the q-simplices per critical cell;
+    projections[q]: pi_q, one column over the critical cells per q-simplex.
+    """
+
+    cells: tuple
+    boundaries: tuple
+    sigmas: tuple
+    lifts: tuple
+    projections: tuple
+
+
+def _apply(cols, entries):
+    """sum of c * cols[j] over (j, c) in entries, as a dict of nonzeros."""
+    out = {}
+    for j, c in entries:
+        for i, x in cols[j]:
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+def transpose(cols, n):
+    """The n sparse columns of the transpose of the matrix with these
+    sparse columns."""
+    out = [[] for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i].append((j, x))
+    return out
+
+
+def _add_sparse(dst, src, c):
+    """dst += c * src on sparse dicts, dropping the entries that cancel."""
+    for i, x in src.items():
+        y = dst.get(i, 0) + c * x
+        if y:
+            dst[i] = y
+        else:
+            del dst[i]
+
+
+class _Elimination:
+    """The current complex while pairs are cancelled: per degree the
+    boundary of each live cell ({face: incidence}, None once cancelled),
+    its transpose, and the column of iota and the row of pi at each live
+    cell, all as dicts over the simplices."""
+
+    def __init__(self, columns):
+        self.faces = [[dict(col) for col in boundary]
+                      for boundary, _ in columns]
+        self.cofaces = [[{} for _ in boundary] for boundary, _ in columns]
+        for q in range(1, len(columns)):
+            for b, col in enumerate(self.faces[q]):
+                for a, u in col.items():
+                    self.cofaces[q - 1][a][b] = u
+        self.sigma = [[col[0] for col in sigma] for _, sigma in columns]
+        self.lift = [[{c: 1} for c in range(len(boundary))]
+                     for boundary, _ in columns]
+        self.proj = [[{c: 1} for c in range(len(boundary))]
+                     for boundary, _ in columns]
+
+    def cancel(self, q, a, b):
+        """Cancel the face a (degree q - 1) of b (degree q)."""
+        fb = self.faces[q][b]
+        u = fb.get(a, 0)
+        if u not in (1, -1):
+            raise InternalError("Morse pair (%d, %d) in degree %d has "
+                                "incidence %d, not a unit" % (a, b, q, u))
+        for x, alpha in list(self.cofaces[q - 1][a].items()):
+            if x == b:
+                continue
+            c = -alpha * u
+            fx = self.faces[q][x]
+            for y, v in fb.items():
+                w = fx.get(y, 0) + c * v
+                if w:
+                    fx[y] = self.cofaces[q - 1][y][x] = w
+                else:
+                    del fx[y], self.cofaces[q - 1][y][x]
+            _add_sparse(self.lift[q][x], self.lift[q][b], c)
+        pa = self.proj[q - 1][a]
+        for y, v in fb.items():
+            if y != a:
+                _add_sparse(self.proj[q - 1][y], pa, -u * v)
+            del self.cofaces[q - 1][y][b]
+        if q + 1 < len(self.faces):
+            for z in self.cofaces[q][b]:
+                del self.faces[q + 1][z][b]
+        if q > 1:
+            for y in self.faces[q - 1][a]:
+                del self.cofaces[q - 2][y][a]
+        for d, c in ((q - 1, a), (q, b)):
+            self.faces[d][c] = self.cofaces[d][c] = None
+            self.lift[d][c] = self.proj[d][c] = None
+
+    def sweep(self, free):
+        """Cancel every pair of the stage (free orbits, or fixed cells)
+        found in one pass over the cells, top degree first; whether any
+        was found."""
+        found = False
+        for q in range(len(self.faces) - 1, 0, -1):
+            for b, fb in enumerate(self.faces[q]):
+                sb = self.sigma[q][b][0]
+                if fb is None or (sb != b) != free:
+                    continue
+                # the faces of a fixed cell are fixed, and a fixed face of
+                # a free cell b is also a face of sigma b
+                for a, u in fb.items():
+                    if u not in (1, -1) or free and a in self.faces[q][sb]:
+                        continue
+                    self.cancel(q, a, b)
+                    if free:
+                        self.cancel(q, self.sigma[q - 1][a][0], sb)
+                    found = True
+                    break
+        return found
+
+
+@lru_cache(maxsize=None)
+def morse_reduction(X):
+    """The equivariant Morse reduction of the chains of X (memoized per
+    complex; its invariants are checked with InternalError)."""
+    columns = chain_columns(X)
+    for _, sigma in columns:
+        for c, col in enumerate(sigma):
+            (image, sign), = col
+            if sigma[image][0] != (c, sign):
+                raise InternalError("involution matrix is not an involution")
+    elim = _Elimination(columns)
+    while elim.sweep(True) | elim.sweep(False):
+        pass
+    cells = tuple(tuple(c for c, fc in enumerate(faces) if fc is not None)
+                  for faces in elim.faces)
+    index = [{c: i for i, c in enumerate(level)} for level in cells]
+    red = MorseReduction(
+        cells=cells,
+        boundaries=tuple([sorted((index[q - 1][a], u)
+                                 for a, u in elim.faces[q][c].items())
+                          for c in level]
+                         for q, level in enumerate(cells)),
+        sigmas=tuple([[(index[q][elim.sigma[q][c][0]],
+                        elim.sigma[q][c][1])] for c in level]
+                     for q, level in enumerate(cells)),
+        lifts=tuple([sorted(elim.lift[q][c].items()) for c in level]
+                    for q, level in enumerate(cells)),
+        projections=tuple(
+            transpose([sorted(elim.proj[q][c].items()) for c in level],
+                      len(elim.faces[q]))
+            for q, level in enumerate(cells)))
+    _check_reduction(columns, red)
+    return red
+
+
+def _check_reduction(columns, red):
+    """d'^2 = 0, sigma'^2 = 1, d' sigma' = sigma' d', pi iota = 1, and
+    iota and pi commute with the boundary and the involution."""
+    for q, (boundary, sigma) in enumerate(columns):
+        bnd, sig = red.boundaries[q], red.sigmas[q]
+        lift, proj = red.lifts[q], red.projections[q]
+        for i in range(len(red.cells[q])):
+            if _apply(sig, sig[i]) != {i: 1}:
+                raise InternalError("reduced involution is not an involution")
+            if _apply(proj, lift[i]) != {i: 1}:
+                raise InternalError("pi iota is not the identity")
+            if _apply(sigma, lift[i]) != _apply(lift, sig[i]):
+                raise InternalError("iota does not commute with sigma")
+            if q and _apply(boundary, lift[i]) != _apply(
+                    red.lifts[q - 1], bnd[i]):
+                raise InternalError("iota does not commute with the "
+                                    "boundary")
+            if q and _apply(bnd, sig[i]) != _apply(red.sigmas[q - 1],
+                                                   bnd[i]):
+                raise InternalError("reduced involution does not commute "
+                                    "with the reduced boundary")
+            if q > 1 and _apply(red.boundaries[q - 1], bnd[i]):
+                raise InternalError("reduced boundary squared is nonzero")
+        for j in range(len(boundary)):
+            if _apply(proj, sigma[j]) != _apply(sig, proj[j]):
+                raise InternalError("pi does not commute with sigma")
+            if q and _apply(red.projections[q - 1], boundary[j]) != _apply(
+                    bnd, proj[j]):
+                raise InternalError("pi does not commute with the boundary")
+
+
+@lru_cache(maxsize=None)
+def reduced_chain_complex(X, coeff):
+    """The G-chain complex on the critical cells of morse_reduction(X),
+    with the coefficient twist and modulus applied."""
+    red = morse_reduction(X)
+    levels = simplices_by_dim(X)
+    twist = -1 if coeff.k else 1
+    ranks = [len(level) for level in red.cells]
+    return GChainComplex(
+        X, coeff,
+        tuple(tuple(levels[q][c] for c in level)
+              for q, level in enumerate(red.cells)),
+        tuple(_dense(ranks[q - 1] if q else 0, red.boundaries[q], 1,
+                     coeff.mod) for q in range(len(ranks))),
+        tuple(_dense(ranks[q], red.sigmas[q], twist, coeff.mod)
+              for q in range(len(ranks))))

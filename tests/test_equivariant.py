@@ -294,6 +294,34 @@ class TestLocalization:
         image = localize_homology(X, COEFF_Z1, 2).apply(mu)
         assert image.component(1) == (1,)
 
+    @pytest.mark.parametrize("coords", [(1,), (1, 1, 1), (1, 0, 0, 0, 0)])
+    def test_rejects_coordinates_of_the_wrong_length(self, coords):
+        # the source, H_0 of the torus reflection over Z/2, has 4 generators
+        loc = localize_homology(builtin("torus-reflection"), COEFF_Z2, 0)
+        assert len(loc.gen_images) == 4
+        with pytest.raises(LinAlgError, match="wrong length"):
+            loc.apply(coords)
+        beta = localize_cohomology(builtin("rp2-trivial"), COEFF_Z2, 0)
+        with pytest.raises(LinAlgError, match="wrong length"):
+            beta.apply(coords + (0,) * 5)
+
+    def test_rejects_a_class_of_another_group(self):
+        torus = builtin("torus-reflection")
+        loc = localize_homology(torus, COEFF_Z2, 0)
+        circle = class_from_coords(builtin("circle-reflection"), COEFF_Z2,
+                                   0, (1, 1))
+        own = class_from_coords(torus, COEFF_Z2, 0, (1, 0, 1, 0))
+        for cls in (circle,
+                    class_from_coords(torus, COEFF_Z, 0, (1, 0)),
+                    class_from_coords(torus, COEFF_Z2, 1, (1, 0, 1))):
+            with pytest.raises(LinAlgError, match="source"):
+                loc.apply(cls)
+        assert loc.apply(own) == loc.apply((1, 0, 1, 0))
+        # a cohomology localization has no homology classes in its source
+        beta = localize_cohomology(torus, COEFF_Z2, 0)
+        with pytest.raises(LinAlgError, match="source"):
+            beta.apply(own)
+
 
 class TestRestrictionLocalization:
     def test_trivial_involution_top_component_is_edge_mod2(self):

@@ -15,8 +15,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 FORCED_VIOLATIONS = r"""
 import sys
-from equihom import spectral
-from equihom.complexes import COEFF_Z, GComplex, builtin, chain_complex
+from dataclasses import replace
+from equihom import morse, spectral
+from equihom.complexes import (
+    COEFF_Z, GComplex, builtin, chain_columns, chain_complex)
 from equihom.intlinalg import FGAbelianGroup, InternalError
 
 def raises_internal(fn):
@@ -29,7 +31,18 @@ def raises_internal(fn):
 X = builtin("circle-reflection")
 # an order-three vertex permutation is no involution
 rotation = GComplex(3, ((0,), (1,), (2,)), (1, 2, 0))
-results = [raises_internal(lambda: chain_complex(rotation, COEFF_Z))]
+results = [raises_internal(lambda: chain_complex(rotation, COEFF_Z)),
+           raises_internal(lambda: morse.morse_reduction(rotation))]
+# a Morse reduction with pi or sigma' off by a sign: pi iota = -1, and
+# iota no longer commutes with the involution
+red = morse.morse_reduction(X)
+def negated(by_degree):
+    return tuple([[(i, -x) for i, x in col] for col in cols]
+                 for cols in by_degree)
+for field in ("projections", "sigmas"):
+    bad = replace(red, **{field: negated(getattr(red, field))})
+    results.append(raises_internal(
+        lambda: morse._check_reduction(chain_columns(X), bad)))
 # every right-hand side of the Galois bound forced to zero
 spectral.group_cohomology = lambda module, invol, p: FGAbelianGroup(0)
 results.append(raises_internal(lambda: spectral.gm_bounds(X)))
@@ -51,7 +64,8 @@ def test_forced_violations_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", FORCED_VIOLATIONS],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "[True,", "True,", "True]"]
+    assert proc.stdout.split() == ["1"] + ["[True,"] + ["True,"] * 4 \
+        + ["True]"]
 
 
 def src_nodes():

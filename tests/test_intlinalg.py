@@ -6,19 +6,31 @@ import pytest
 
 from equihom import intlinalg
 from equihom.complexes import (
+    BUILTIN_NAMES,
     COEFF_Z,
     COEFF_Z1,
     COEFF_Z2,
     barycentric_subdivide,
+    builtin,
+    chain_complex,
     dim,
     make_complex,
     simplex_count,
     validate,
 )
-from equihom.equivariant import eq_cohomology, eq_homology, group_cohomology
+from equihom.equivariant import (
+    TotalCochainComplex,
+    TotalComplex,
+    cohomology,
+    eq_cohomology,
+    eq_homology,
+    group_cohomology,
+    homology,
+)
 from equihom.intlinalg import (
     ChainConditionError,
     FGAbelianGroup,
+    GroupHom,
     IntMatrix,
     InternalError,
     LinAlgError,
@@ -30,6 +42,7 @@ from equihom.intlinalg import (
     lattices_equal,
     smith_normal_form,
 )
+from equihom.verify import fuzz_complexes
 
 
 def mat(rows):
@@ -384,12 +397,14 @@ def reference_solve(M, b):
     return dense_solve(smith_normal_form(M), b)
 
 
-def reference_reducer(grp):
+def reference_reducer(grp, d_out, rels_target):
     """reduce by the dense formula, built once per group: solve in the
-    cycle basis, apply the full U_y of the boundary Smith decomposition,
-    keep the rows whose invariant factor is not 1.  The returned function
-    gives None for a non-cycle."""
-    kmat = grp.kmat
+    cycle basis (the kernel of [d_out | R] cut to its top rows), apply the
+    full U_y of the boundary Smith decomposition, keep the rows whose
+    invariant factor is not 1.  The returned function gives None for a
+    non-cycle."""
+    kmat = kernel_basis(IntMatrix.hstack(d_out, rels_target)) \
+        .top_rows(d_out.cols)
     ks = smith_normal_form(kmat)
     lmat = IntMatrix.hstack(grp.d_in, grp.rels_ambient)
     sols = [dense_solve(ks, col) for col in lmat.columns()]
@@ -409,11 +424,9 @@ def reference_reducer(grp):
     return reduce
 
 
-def check_against_reference(grp, rng, rounds=10):
-    """Random cycles (combinations of generators, boundaries and relations)
-    and random noise reduce as the dense reference does, a non-cycle
-    raises, and the lift of every unit vector reduces back to it."""
-    reference = reference_reducer(grp)
+def random_cycles(grp, rng, rounds):
+    """Pairs (random combination of generators, boundaries and relations,
+    random noise) over the ambient of grp."""
     g = grp.ambient_rank
     spanning = list(grp.generators) + grp.d_in.columns() \
         + grp.rels_ambient.columns()
@@ -422,7 +435,15 @@ def check_against_reference(grp, rng, rounds=10):
         for vec in spanning:
             c = rng.randint(-3, 3)
             cycle = [a + c * v for a, v in zip(cycle, vec)]
-        noise = [rng.randint(-2, 2) for _ in range(g)]
+        yield cycle, [rng.randint(-2, 2) for _ in range(g)]
+
+
+def check_against_reference(grp, d_out, rels_target, rng, rounds=10):
+    """Random cycles (combinations of generators, boundaries and relations)
+    and random noise reduce as the dense reference does, a non-cycle
+    raises, and the lift of every unit vector reduces back to it."""
+    reference = reference_reducer(grp, d_out, rels_target)
+    for cycle, noise in random_cycles(grp, rng, rounds):
         for vec in (cycle, noise):
             want = reference(vec)
             if want is None:
@@ -500,7 +521,9 @@ class TestSolverAgainstDenseReference:
     def test_reduce(self, mod, seed):
         rng = random.Random(5000 + 100 * mod + seed)
         d_in, d_out = random_chain_pair(rng, mod)
-        check_against_reference(homology_at(d_in, d_out, mod=mod), rng)
+        check_against_reference(
+            homology_at(d_in, d_out, mod=mod), d_out,
+            intlinalg._mod_relations(d_out.rows, mod), rng)
 
 
 def random_module(rng):
@@ -530,8 +553,11 @@ class TestGroupCohomologyReduce:
     def test_reduce_matches_reference(self, seed):
         rng = random.Random(6000 + seed)
         module, sigma = random_module(rng)
+        ident = IntMatrix.identity(module.ngens)
         for p in range(4):
-            check_against_reference(group_cohomology(module, sigma, p), rng)
+            d_out = ident - sigma.scale(-1 if p % 2 else 1)
+            check_against_reference(group_cohomology(module, sigma, p),
+                                    d_out, module.relation_columns(), rng)
 
 
 class TestTwoSmithForms:
@@ -609,9 +635,69 @@ def random_g_complex(rng):
     return X
 
 
+def unreduced_differentials(X, coeff):
+    """(group, d_in, d_out) for every presentation the package builds on X
+    with these coefficients in degrees -2..dim+1 (ordinary ones in 0..dim),
+    the differentials taken from simplicial staircases built here."""
+    cc = chain_complex(X, coeff)
+    chains = TotalComplex(cc)
+    cochains = TotalCochainComplex(cc)
+    for p in range(-2, dim(X) + 2):
+        yield (eq_homology(X, coeff, p), chains.diff(p + 1), chains.diff(p))
+        yield (eq_cohomology(X, coeff, p), cochains.diff(p - 1),
+               cochains.diff(p))
+    for q in range(dim(X) + 1):
+        yield (homology(X, coeff, q), cc.boundary(q + 1), cc.boundary(q))
+        yield (cohomology(X, coeff, q), cc.boundary(q).transpose(),
+               cc.boundary(q + 1).transpose())
+
+
+def check_against_unreduced(grp, d_in, d_out, mod, rng, rounds=3):
+    """grp, computed on the Morse-reduced complex, against homology_at on
+    the unreduced differentials: the same invariants and ambient; A, whose
+    columns are the reference coordinates of grp's lifted unit vectors, is
+    invertible over the group (its inverse is built the other way round);
+    every random cycle has reference coordinates A times grp's; a
+    non-cycle raises in both.  Returns the reference."""
+    ref = homology_at(d_in, d_out, mod)
+    assert (grp.free_rank, grp.torsion) == (ref.free_rank, ref.torsion)
+    assert grp.ambient_rank == ref.ambient_rank
+    assert grp.d_in == d_in and grp.rels_ambient == ref.rels_ambient
+    n = grp.ngens
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    there = GroupHom(grp, ref, IntMatrix.from_columns(
+        n, [ref.reduce(grp.lift(e)) for e in units]))
+    back = GroupHom(ref, grp, IntMatrix.from_columns(
+        n, [grp.reduce(ref.lift(e)) for e in units]))
+    assert back.compose(there).matrix == IntMatrix.identity(n)
+    assert there.compose(back).matrix == IntMatrix.identity(n)
+    for cycle, noise in random_cycles(ref, rng, rounds):
+        assert ref.reduce(cycle) == there.apply(grp.reduce(cycle))
+        try:
+            want = ref.reduce(noise)
+        except LinAlgError:
+            with pytest.raises(LinAlgError):
+                grp.reduce(noise)
+        else:
+            assert want == there.apply(grp.reduce(noise))
+    return ref
+
+
+def check_reduction(X, rng, dense=False):
+    for coeff in (COEFF_Z2, COEFF_Z, COEFF_Z1):
+        for grp, d_in, d_out in unreduced_differentials(X, coeff):
+            ref = check_against_unreduced(grp, d_in, d_out, coeff.mod, rng)
+            if dense:
+                check_against_reference(
+                    ref, d_out,
+                    intlinalg._mod_relations(d_out.rows, coeff.mod), rng, 3)
+
+
 class TestRandomGComplexOracle:
-    """Every equivariant presentation of a random G-complex reduces and
-    lifts as the dense reference does."""
+    """Every presentation computed on the Morse-reduced complex agrees with
+    the one computed on the simplicial complex, up to an automorphism of
+    the group; on random G-complexes the unreduced presentation is also
+    checked against the dense reference."""
 
     MAX_SIMPLICES = 80
 
@@ -621,10 +707,20 @@ class TestRandomGComplexOracle:
         X = random_g_complex(rng)
         while simplex_count(X) > self.MAX_SIMPLICES:
             X = random_g_complex(rng)
-        for coeff in (COEFF_Z2, COEFF_Z, COEFF_Z1):
-            for p in range(-2, dim(X) + 2):
-                check_against_reference(eq_homology(X, coeff, p), rng, 3)
-                check_against_reference(eq_cohomology(X, coeff, p), rng, 3)
+        check_reduction(X, rng, dense=True)
+
+    @pytest.mark.parametrize("sd", [0, 1])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name, sd):
+        X = builtin(name)
+        for _ in range(sd):
+            X = barycentric_subdivide(X)
+        check_reduction(X, random.Random(name))
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_fuzz_complexes(self, index):
+        _, X = fuzz_complexes(20)[index]
+        check_reduction(X, random.Random(index))
 
 
 def test_matrix_entries_must_be_integers():

@@ -18,6 +18,7 @@ from equihom.spectral import (
     poincare_check,
     rho_surjectivity_criteria,
 )
+from equihom.verify import fuzz_complexes
 
 Z = FGAbelianGroup(1)
 Z2G = FGAbelianGroup(0, (2,))
@@ -81,6 +82,20 @@ class TestGMReport:
         assert rep.is_gm == (rep.gm1[0] == rep.gm1[1])
         assert rep.is_zgm == (rep.gm2[0] == rep.gm2[1]
                               and rep.gm3[0] == rep.gm3[1])
+
+    @pytest.mark.parametrize("index", range(30))
+    def test_fuzz_decision_matches_bounds_and_builtin(self, index):
+        # the edge-based decisions equal the bound equalities on the
+        # subdivided, relabelled builtins of the verify fuzz, and equal
+        # the report of the builtin itself
+        label, X = fuzz_complexes(30)[index]
+        rep = gm_report(X)
+        assert rep.is_gm == (rep.gm1[0] == rep.gm1[1])
+        assert rep.is_zgm == (rep.gm2[0] == rep.gm2[1]
+                              and rep.gm3[0] == rep.gm3[1])
+        want = gm_report(builtin(label.split("/")[0]))
+        assert (rep.is_gm, rep.is_zgm, rep.gm1, rep.gm2, rep.gm3) == (
+            want.is_gm, want.is_zgm, want.gm1, want.gm2, want.gm3)
 
     def test_bounds_hold_on_unions(self):
         gm_bounds(builtin("circle-reflection+free-pair"))
