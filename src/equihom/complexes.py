@@ -284,11 +284,37 @@ class GChainComplex:
         return IntMatrix.zeros(self.rank(q), self.rank(q))
 
 
+def _apply(cols, entries):
+    """sum of c * cols[j] over (j, c) in entries, as a dict of nonzeros."""
+    out = {}
+    for j, c in entries:
+        for i, x in cols[j]:
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+def check_chain_map(name, cols, src, tgt):
+    """InternalError unless the map with sparse columns cols (per degree,
+    one list of (row, entry) per cell) commutes with the boundaries and
+    the involutions of src and tgt, given per degree as the (boundary,
+    sigma) sparse columns of chain_columns."""
+    for q, level in enumerate(cols):
+        for j, col in enumerate(level):
+            # a nonzero column needs a target degree q
+            boundary, sigma = tgt[q] if col else ([], [])
+            if (q and _apply(boundary, col) != _apply(cols[q - 1],
+                                                      src[q][0][j])
+                    or _apply(sigma, col) != _apply(level, src[q][1][j])):
+                raise InternalError("%s does not commute with the boundary "
+                                    "and the involution" % name)
+
+
 @lru_cache(maxsize=None)
 def chain_columns(X):
     """The integral chain data of X with the untwisted involution, as
     sparse columns: per degree q a pair (boundary, sigma) of lists with
-    one list of (row, entry) per q-simplex."""
+    one list of (row, entry) per q-simplex.  That sigma is an involution
+    is checked with InternalError."""
     index = face_index(X)
     out = []
     for q, basis in enumerate(simplices_by_dim(X)):
@@ -301,6 +327,10 @@ def chain_columns(X):
             sigma.append([(index[q][tuple(sorted(image))],
                            _perm_sign(image))])
         out.append((boundary, sigma))
+    for _, sigma in out:
+        for c, ((image, sign),) in enumerate(sigma):
+            if sigma[image][0] != (c, sign):
+                raise InternalError("involution matrix is not an involution")
     return tuple(out)
 
 
@@ -315,34 +345,24 @@ def _dense(rows, columns, scale, mod):
 
 @lru_cache(maxsize=None)
 def chain_complex(X, coeff):
+    """Dense chain complex of X; checks d^2 = 0 and d sigma = sigma d."""
     levels = simplices_by_dim(X)
-    n = dim(X)
     mod = coeff.mod
     twist = 1 if (coeff.k % 2 == 0 or mod) else -1
-
+    columns = chain_columns(X)
+    for q in range(2, len(columns)):
+        if any(_apply(columns[q - 1][0], col) for col in columns[q][0]):
+            raise InternalError("boundary squared is nonzero")
+    check_chain_map("sigma", [s for _, s in columns], columns, columns)
     boundaries = []
     sigmas = []
-    for q, (boundary, sigma) in enumerate(chain_columns(X)):
+    for q, (boundary, sigma) in enumerate(columns):
         boundaries.append(_dense(len(levels[q - 1]) if q else 0, boundary,
                                  1, mod))
         sigmas.append(_dense(len(sigma), sigma, twist, mod))
 
-    cc = GChainComplex(X, coeff, tuple(levels), tuple(boundaries),
-                       tuple(sigmas))
-    for q in range(n + 1):
-        dd = cc.boundary(q - 1) @ cc.boundary(q)
-        ss = cc.sigma(q) @ cc.sigma(q)
-        comm = cc.boundary(q) @ cc.sigma(q) - cc.sigma(q - 1) @ cc.boundary(q)
-        if mod:
-            dd, ss, comm = dd.mod(mod), ss.mod(mod), comm.mod(mod)
-        if not dd.is_zero():
-            raise InternalError("boundary squared is nonzero")
-        if not comm.is_zero():
-            raise InternalError(
-                "involution does not commute with boundary")
-        if ss != IntMatrix.identity(cc.rank(q)):
-            raise InternalError("involution matrix is not an involution")
-    return cc
+    return GChainComplex(X, coeff, tuple(levels), tuple(boundaries),
+                         tuple(sigmas))
 
 
 @dataclass(frozen=True)
@@ -393,27 +413,29 @@ def fixed_inclusion(X):
 
 
 @lru_cache(maxsize=None)
+def gmap_chain_columns(f):
+    """The integral chain map of a simplicial map as sparse columns, per
+    degree one list of (row, entry) per simplex; collapsing simplices
+    contribute zero.  That it commutes with the boundary and the
+    involution is checked with InternalError."""
+    index = face_index(f.target)
+    images = [[[f.vertex_map[v] for v in s] for s in level]
+              for level in simplices_by_dim(f.source)]
+    out = tuple([[(index[q][tuple(sorted(im))], _perm_sign(im))]
+                 if len(set(im)) == len(im) else [] for im in level]
+                for q, level in enumerate(images))
+    check_chain_map("chain map", out, chain_columns(f.source),
+                    chain_columns(f.target))
+    return out
+
+
+@lru_cache(maxsize=None)
 def gmap_chain_matrices(f, coeff):
-    """Per-degree chain matrices of a simplicial map; collapsing simplices
-    contribute zero."""
-    src = chain_complex(f.source, coeff)
-    tgt = chain_complex(f.target, coeff)
-    tgt_index = face_index(f.target)
-    mats = []
-    for q in range(len(src.bases)):
-        rows = tgt.rank(q)
-        data = [[0] * src.rank(q) for _ in range(rows)]
-        for col, s in enumerate(src.bases[q]):
-            image = [f.vertex_map[v] for v in s]
-            if len(set(image)) != len(image):
-                continue
-            target = tuple(sorted(image))
-            sign = _perm_sign(image)
-            if coeff.mod:
-                sign %= coeff.mod
-            data[tgt_index[q][target]][col] = sign
-        mats.append(IntMatrix(rows, src.rank(q), data))
-    return tuple(mats)
+    """Per-degree chain matrices of a simplicial map with coefficients."""
+    ranks = [len(level) for level in simplices_by_dim(f.target)]
+    return tuple(_dense(ranks[q] if q < len(ranks) else 0, cols, 1,
+                        coeff.mod)
+                 for q, cols in enumerate(gmap_chain_columns(f)))
 
 
 def relabel(X, perm):

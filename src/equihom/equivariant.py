@@ -17,8 +17,12 @@ construction reproduces group cohomology of the group of order two.
 Groups are eliminated on the staircase of the Morse-reduced chain complex
 (morse.py), which has the same homology, and are presented in the
 coordinates of the simplicial staircase: generators are lifted through
-iota, and reduce tests a simplicial cycle and maps it through pi.  Every
-map, class and localization below works on the simplicial staircase.
+iota, and reduce tests a simplicial cycle and maps it through pi.  Maps
+between groups act on the reduced chains (grp.chains): a map within one
+complex is built on the reduced staircase, and a simplicial map f between
+two complexes is moved there as pi f iota.  Classes (EqClass), their
+pushforward and cap, and the inputs and outputs of the localizations stay
+in simplicial coordinates.
 
 Everything below: edge morphisms (column-0 projection), the eta cap
 (column shift raising the twist), the two long exact sequences, the
@@ -54,7 +58,6 @@ from .intlinalg import (
     LinAlgError,
     LinearSolver,
     _canonical_matrix,
-    _mod_relations,
     _subquotient,
     exact_at,
     hom_from_images,
@@ -63,7 +66,12 @@ from .intlinalg import (
     induced_hom,
     reduced_presentation,
 )
-from .morse import morse_reduction, reduced_chain_complex, transpose
+from .morse import (
+    morse_reduction,
+    reduced_chain_complex,
+    reduced_gmap_matrices,
+    transpose,
+)
 
 
 class ExactnessError(InternalError):
@@ -103,12 +111,12 @@ class _Staircase:
         if p not in self._blocks:
             out = []
             offset = 0
-            # a block needs 0 <= q <= n, so c never exceeds |p| + n
-            for c in range(abs(p) + self.n + 1):
+            # the columns c >= 0 with 0 <= p + STEP * c <= n
+            lo, hi = (-p, self.n - p) if self.STEP == 1 else (p - self.n, p)
+            for c in range(max(0, lo), hi + 1):
                 q = p + self.STEP * c
-                if 0 <= q <= self.n:
-                    out.append((q, c, offset))
-                    offset += self.cc.rank(q)
+                out.append((q, c, offset))
+                offset += self.cc.rank(q)
             self._blocks[p] = tuple(out)
         return self._blocks[p]
 
@@ -190,11 +198,6 @@ def total_complex_of(X, coeff):
 
 
 @lru_cache(maxsize=None)
-def total_cochain_complex_of(X, coeff):
-    return TotalCochainComplex(chain_complex(X, coeff))
-
-
-@lru_cache(maxsize=None)
 def reduced_total_complex_of(X, coeff):
     """The staircase on the critical cells of the Morse reduction of X."""
     return TotalComplex(reduced_chain_complex(X, coeff))
@@ -216,11 +219,11 @@ def total_complex(X, coeff, p_min, p_max):
 # Groups
 # ---------------------------------------------------------------------------
 
-def _on_simplices(X, coeff, blocks, cochains, inner, d_out, d_in):
+def _on_simplices(X, coeff, blocks, cochains, inner, d_out):
     """The presentation inner, computed on reduced chains (cochains when
     cochains is true) laid out in blocks of (chain degree, offset), in the
     coordinates of the simplicial chains laid out in the same blocks;
-    d_out() and d_in() give the simplicial differentials.  The maps are
+    d_out() gives the simplicial differential out of them.  The maps are
     iota and pi of the Morse reduction, block by block; on cochains they
     are the transposes of pi and iota."""
     red = morse_reduction(X)
@@ -233,7 +236,7 @@ def _on_simplices(X, coeff, blocks, cochains, inner, d_out, d_in):
         lift += [[(full + j, x) for j, x in col] for col in iota]
         proj += [[(off + i, x) for i, x in col] for col in pi]
         full += len(levels[q])
-    return reduced_presentation(inner, lift, proj, d_out, d_in, coeff.mod)
+    return reduced_presentation(inner, lift, proj, d_out, coeff.mod)
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +245,7 @@ def eq_homology(X, coeff, p):
     return _on_simplices(
         X, coeff, [(q, off) for q, _, off in tc.blocks(p)], False,
         homology_at(tc.diff(p + 1), tc.diff(p), coeff.mod),
-        lambda: total_complex_of(X, coeff).diff(p),
-        lambda: total_complex_of(X, coeff).diff(p + 1))
+        lambda: total_complex_of(X, coeff).diff(p))
 
 
 @lru_cache(maxsize=None)
@@ -252,8 +254,7 @@ def eq_cohomology(X, coeff, p):
     return _on_simplices(
         X, coeff, [(q, off) for q, _, off in tc.blocks(p)], True,
         homology_at(tc.diff(p - 1), tc.diff(p), coeff.mod),
-        lambda: total_cochain_complex_of(X, coeff).diff(p),
-        lambda: total_cochain_complex_of(X, coeff).diff(p - 1))
+        lambda: TotalCochainComplex(chain_complex(X, coeff)).diff(p))
 
 
 def _ordinary_blocks(X, q):
@@ -266,8 +267,7 @@ def homology(X, coeff, q):
     return _on_simplices(
         X, coeff, _ordinary_blocks(X, q), False,
         homology_at(cc.boundary(q + 1), cc.boundary(q), coeff.mod),
-        lambda: chain_complex(X, coeff).boundary(q),
-        lambda: chain_complex(X, coeff).boundary(q + 1))
+        lambda: chain_complex(X, coeff).boundary(q))
 
 
 @lru_cache(maxsize=None)
@@ -277,16 +277,14 @@ def cohomology(X, coeff, q):
         X, coeff, _ordinary_blocks(X, q), True,
         homology_at(cc.boundary(q).transpose(),
                     cc.boundary(q + 1).transpose(), coeff.mod),
-        lambda: chain_complex(X, coeff).boundary(q + 1).transpose(),
-        lambda: chain_complex(X, coeff).boundary(q).transpose())
+        lambda: chain_complex(X, coeff).boundary(q + 1).transpose())
 
 
 @lru_cache(maxsize=None)
 def homology_involution(X, coeff, q):
     """The involution acting on ordinary homology (twist included)."""
     spot = homology(X, coeff, q)
-    cc = chain_complex(X, coeff)
-    return induced_hom(cc.sigma(q), spot, spot)
+    return induced_hom(reduced_chain_complex(X, coeff).sigma(q), spot, spot)
 
 
 def group_cohomology(module, invol, p):
@@ -436,7 +434,7 @@ def edge_morphism(X, coeff, p):
     (checked)."""
     src = eq_homology(X, coeff, p)
     tgt = homology(X, coeff, p)
-    proj = _column_projection(total_complex_of(X, coeff), p)
+    proj = _column_projection(reduced_total_complex_of(X, coeff), p)
     hom = induced_hom(proj, src, tgt)
     if tgt.ngens:
         sigma_star = homology_involution(X, coeff, p)
@@ -450,16 +448,16 @@ def edge_morphism_cohomology(X, coeff, p):
     """e^p : H^p(X; G, A(k)) -> H^p(X, A(k)), the column-0 component."""
     src = eq_cohomology(X, coeff, p)
     tgt = cohomology(X, coeff, p)
-    proj = _column_projection(total_cochain_complex_of(X, coeff), p)
+    proj = _column_projection(reduced_total_cochain_complex_of(X, coeff), p)
     return induced_hom(proj, src, tgt)
 
 
 @lru_cache(maxsize=None)
-def _shift_matrix(X, p, steps=1):
-    """Ambient matrix of the column shift T_p -> T_{p-steps}, block (q, j)
-    -> (q, j + steps).  The block layout depends on X only, so the shift
-    serves every coefficient system (the twist rises by steps)."""
-    tc = total_complex_of(X, COEFF_Z2)
+def _shift_matrix(tc, p, steps=1):
+    """Ambient matrix of the column shift T_p -> T_{p-steps} of the
+    staircase tc, block (q, j) -> (q, j + steps).  The block layout does
+    not depend on the coefficients, so the shift serves every coefficient
+    system (the twist rises by steps)."""
     tgt_off = {j: off for _, j, off in tc.blocks(p - steps)}
     return IntMatrix.from_blocks(
         tc.rank(p - steps), tc.rank(p),
@@ -473,19 +471,19 @@ def eta_cap(X, coeff, p):
     realized by the column shift."""
     src = eq_homology(X, coeff, p)
     tgt = eq_homology(X, coeff.shift(), p - 1)
-    shift = _shift_matrix(X, p)
+    shift = _shift_matrix(reduced_total_complex_of(X, COEFF_Z2), p)
     return induced_hom(shift, src, tgt)
 
 
 def cap_with_eta(cls, power=1):
     """Cap an explicit class with a power of the twist class."""
     coeff, p, vec = cls.coeff, cls.p, cls.vector
-    X = cls.X
+    tc = total_complex_of(cls.X, COEFF_Z2)
     for _ in range(power):
-        shift = _shift_matrix(X, p)
+        shift = _shift_matrix(tc, p)
         vec = shift.mul_vector(vec)
         coeff, p = coeff.shift(), p - 1
-    return make_eq_class(X, coeff, p, vec)
+    return make_eq_class(cls.X, coeff, p, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +530,8 @@ def _edge_connecting(X, coeff, p):
     prev = coeff.shift()
     src = homology(X, coeff, p)
     tgt = eq_homology(X, prev, p)
-    cc = chain_complex(X, coeff)
-    tc_prev = total_complex_of(X, prev)
+    cc = reduced_chain_complex(X, coeff)
+    tc_prev = reduced_total_complex_of(X, prev)
     one_minus_sigma = IntMatrix.identity(cc.rank(p)) - cc.sigma(p)
     sign = -1 if p % 2 else 1
     chain_map = IntMatrix.from_blocks(
@@ -569,38 +567,39 @@ def les_edge(X, coeff, p_min, p_max):
 
 def _times_two(X, coeff, p):
     spot = eq_homology(X, coeff, p)
-    amb = IntMatrix.identity(spot.ambient_rank).scale(2)
+    amb = IntMatrix.identity(spot.chains.ambient_rank).scale(2)
     return induced_hom(amb, spot, spot)
 
 
 def _mod2_reduction(X, coeff, p):
     src = eq_homology(X, coeff, p)
     tgt = eq_homology(X, COEFF_Z2, p)
-    if src.ambient_rank != tgt.ambient_rank:
+    if src.chains.ambient_rank != tgt.chains.ambient_rank:
         raise InternalError("mod-2 reduction changes the ambient rank")
-    return induced_hom(IntMatrix.identity(src.ambient_rank), src, tgt)
+    return induced_hom(IntMatrix.identity(src.chains.ambient_rank), src, tgt)
 
 
 def _halved_boundary_hom(d, src, tgt):
     """Connecting map of a coefficient sequence whose kernel is
-    multiplication by two: lift each mod-2 cycle of src integrally, apply
-    the integral differential d, halve, and reduce in tgt.  Mod-2
-    boundaries must halve to boundaries."""
+    multiplication by two: lift each mod-2 cycle of src.chains integrally,
+    apply the integral differential d of those chains, halve, and reduce
+    in tgt.  Mod-2 boundaries must halve to boundaries."""
     def halved(vec):
         w = d.mul_vector(vec)
         if any(x % 2 for x in w):
             raise InternalError("mod-2 cycle has odd boundary")
         return [x // 2 for x in w]
 
-    return hom_from_images(src, tgt, [halved(g) for g in src.generators],
-                           [halved(z) for z in src.d_in.columns()])
+    chains = src.chains
+    return hom_from_images(src, tgt, [halved(g) for g in chains.generators],
+                           [halved(z) for z in chains.d_in.columns()])
 
 
 @lru_cache(maxsize=None)
 def _coefficient_bockstein(X, coeff, p):
     """Connecting map H_p(X;G,Z/2) -> H_{p-1}(X;G,Z(k)) of the sequence
     0 -> Z(k) --2--> Z(k) -> Z/2 -> 0."""
-    return _halved_boundary_hom(total_complex_of(X, coeff).diff(p),
+    return _halved_boundary_hom(reduced_total_complex_of(X, coeff).diff(p),
                                 eq_homology(X, COEFF_Z2, p),
                                 eq_homology(X, coeff, p - 1))
 
@@ -628,7 +627,7 @@ def ordinary_bockstein(F, p):
     """Bockstein H_{p+1}(F, Z/2) -> H_p(F, Z/2) of 0->Z/2->Z/4->Z/2->0 on
     an ordinary complex, computed as (boundary of an integer lift)/2
     reduced mod 2."""
-    bnd = chain_complex(F, Coeff("Z", 0)).boundary(p + 1)
+    bnd = reduced_chain_complex(F, Coeff("Z", 0)).boundary(p + 1)
     return _halved_boundary_hom(bnd, homology(F, COEFF_Z2, p + 1),
                                 homology(F, COEFF_Z2, p))
 
@@ -636,20 +635,6 @@ def ordinary_bockstein(F, p):
 # ---------------------------------------------------------------------------
 # Localization to the fixed set
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _localization_solver(X, p):
-    """Solver for inverting the inclusion of the fixed set on mod-2
-    equivariant classes in (negative) total degree p: solve
-
-        incl . y = w  modulo  im(diff) + 2 . ambient."""
-    incl = total_chain_map(fixed_inclusion(X), COEFF_Z2, p)
-    tcx = total_complex_of(X, COEFF_Z2)
-    system = IntMatrix.hstack(incl, tcx.diff(p + 1),
-                              _mod_relations(incl.rows, 2))
-    return (LinearSolver(system), incl.cols,
-            total_complex_of(fixed_subcomplex(X), COEFF_Z2))
-
 
 @dataclass(frozen=True)
 class Localization:
@@ -691,10 +676,10 @@ class Localization:
 def _graded_fixed_class(tcf, p, y, group):
     """The graded mod-2 class of the fixed set whose degree-q part is the
     class in group(F, Z/2, q) of the chain-degree-q block of y, a vector
-    of the staircase tcf of F in total degree p."""
+    of the reduced staircase tcf of F in total degree p."""
     graded = {}
     for q, _, off in tcf.blocks(p):
-        spot = group(tcf.X, COEFF_Z2, q)
+        spot = group(tcf.X, COEFF_Z2, q).chains
         graded[q] = spot.reduce(y[off:off + spot.ambient_rank])
     return GradedClassVector.from_dict(graded)
 
@@ -709,16 +694,20 @@ def localize_homology(X, coeff, n):
             X, coeff, n, tuple(GRADED_ZERO for _ in src.generators))
     steps = dim(X) + 1
     p_low = n - steps
-    solver, ycols, tcf = _localization_solver(X, p_low)
-    shift = _shift_matrix(X, n, steps)
+    # below degree zero the inclusion of the fixed set is an isomorphism
+    incl = pushforward_hom(fixed_inclusion(X), COEFF_Z2, p_low)
+    solver = LinearSolver(image_lattice(incl))
+    shift = _shift_matrix(reduced_total_complex_of(X, COEFF_Z2), n, steps)
+    tcf = reduced_total_complex_of(F, COEFF_Z2)
     images = []
-    for gen in src.generators:
-        w = shift.mul_vector(gen)
-        sol = solver.solve_vector(w)
+    for gen in src.chains.generators:
+        sol = solver.solve_vector(
+            incl.target.chains.reduce(shift.mul_vector(gen)))
         if sol is None:
             raise InternalError(
                 "inclusion of the fixed set could not be inverted")
-        images.append(_graded_fixed_class(tcf, p_low, sol[:ycols], homology))
+        y = incl.source.chains.lift(sol[:incl.source.ngens])
+        images.append(_graded_fixed_class(tcf, p_low, y, homology))
     return Localization(X, coeff, n, tuple(images))
 
 
@@ -731,11 +720,11 @@ def localize_cohomology(X, coeff, n):
     if F.vertex_count == 0:
         return Localization(
             X, coeff, n, tuple(GRADED_ZERO for _ in src.generators), True)
-    restrict = total_cochain_map(fixed_inclusion(X), COEFF_Z2, n)
-    tcf = total_cochain_complex_of(F, COEFF_Z2)
+    restrict = _pullback_matrix(fixed_inclusion(X), COEFF_Z2, n)
+    tcf = reduced_total_cochain_complex_of(F, COEFF_Z2)
     images = [_graded_fixed_class(tcf, n, restrict.mul_vector(gen),
                                   cohomology)
-              for gen in src.generators]
+              for gen in src.chains.generators]
     return Localization(X, coeff, n, tuple(images), True)
 
 
@@ -753,45 +742,40 @@ def _blockwise(tc_src, tc_tgt, p, mats):
          if j in tgt_off and q < len(mats)])
 
 
-@lru_cache(maxsize=None)
-def total_chain_map(f, coeff, p):
-    """The map of total complexes T_p(source) -> T_p(target) induced by an
-    equivariant simplicial map, acting block by block."""
-    return _blockwise(total_complex_of(f.source, coeff),
-                      total_complex_of(f.target, coeff), p,
-                      gmap_chain_matrices(f, coeff))
-
-
 def pushforward_hom(f, coeff, p):
     """Functoriality on equivariant homology as a homomorphism."""
     src = eq_homology(f.source, coeff, p)
     tgt = eq_homology(f.target, coeff, p)
-    return induced_hom(total_chain_map(f, coeff, p), src, tgt)
+    return induced_hom(_blockwise(reduced_total_complex_of(f.source, coeff),
+                                  reduced_total_complex_of(f.target, coeff),
+                                  p, reduced_gmap_matrices(f, coeff)),
+                       src, tgt)
 
 
 @lru_cache(maxsize=None)
 def ordinary_pushforward_hom(f, coeff, q):
     src = homology(f.source, coeff, q)
     tgt = homology(f.target, coeff, q)
-    mats = gmap_chain_matrices(f, coeff)
+    mats = reduced_gmap_matrices(f, coeff)
     mat = mats[q] if q < len(mats) else IntMatrix.zeros(
-        tgt.ambient_rank, src.ambient_rank)
+        tgt.chains.ambient_rank, src.chains.ambient_rank)
     return induced_hom(mat, src, tgt)
 
 
 @lru_cache(maxsize=None)
-def total_cochain_map(f, coeff, p):
-    """Pullback of total cochain complexes T^p(target) -> T^p(source)."""
-    return _blockwise(total_cochain_complex_of(f.target, coeff),
-                      total_cochain_complex_of(f.source, coeff), p,
-                      [m.transpose() for m in gmap_chain_matrices(f, coeff)])
+def _pullback_matrix(f, coeff, p):
+    """Pullback of reduced total cochain complexes T^p(target) ->
+    T^p(source), the transpose of pi f iota block by block."""
+    return _blockwise(reduced_total_cochain_complex_of(f.target, coeff),
+                      reduced_total_cochain_complex_of(f.source, coeff), p,
+                      [m.transpose() for m in reduced_gmap_matrices(f, coeff)])
 
 
 def pullback_hom(f, coeff, p):
     """Contravariant functoriality on equivariant cohomology."""
     src = eq_cohomology(f.target, coeff, p)
     tgt = eq_cohomology(f.source, coeff, p)
-    return induced_hom(total_cochain_map(f, coeff, p), src, tgt)
+    return induced_hom(_pullback_matrix(f, coeff, p), src, tgt)
 
 
 def fixed_map(f):
@@ -815,13 +799,13 @@ def graded_pushforward(f, gcv):
 def graded_pullback(f, gcv):
     """Pull a graded fixed-set cohomology class back along the restriction."""
     fg = fixed_map(f)
-    mats = gmap_chain_matrices(fg, COEFF_Z2)
+    mats = reduced_gmap_matrices(fg, COEFF_Z2)
     out = {}
     for p, coords in gcv.entries:
         src = cohomology(fg.target, COEFF_Z2, p)
         tgt = cohomology(fg.source, COEFF_Z2, p)
-        mat = (mats[p].transpose() if p < len(mats)
-               else IntMatrix.zeros(tgt.ambient_rank, src.ambient_rank))
+        mat = (mats[p].transpose() if p < len(mats) else IntMatrix.zeros(
+            tgt.chains.ambient_rank, src.chains.ambient_rank))
         out[p] = induced_hom(mat, src, tgt).apply(coords)
     return GradedClassVector.from_dict(out)
 
@@ -841,7 +825,10 @@ def pushforward(f, cls):
     if cls.X != f.source:
         raise LinAlgError("class does not live on the source of the map")
     coeff = cls.coeff
-    out = total_chain_map(f, coeff, cls.p).mul_vector(cls.vector)
+    chain_map = _blockwise(total_complex_of(f.source, coeff),
+                           total_complex_of(f.target, coeff), cls.p,
+                           gmap_chain_matrices(f, coeff))
+    out = chain_map.mul_vector(cls.vector)
     if coeff.mod:
         out = [x % coeff.mod for x in out]
     return make_eq_class(f.target, coeff, cls.p, out)

@@ -482,21 +482,16 @@ class PresentedGroup(FGAbelianGroup):
     Z^ambient_rank, remembering enough structure to reduce arbitrary cycles
     to canonical generator coordinates and to lift coordinates back.
 
-    A presentation computed on a reduced complex (reduced_presentation)
-    keeps the coordinates of the complex it was reduced from: generators,
-    reduce, d_in and rels_ambient all speak that complex's ambient.
+    chains is the presentation on the chains the group was eliminated
+    on, and maps act there; d_in and rels_ambient are its boundaries and
+    relations.  For a subquotient, chains is the group itself.  A
+    presentation computed on a reduced complex (reduced_presentation) has
+    the reduced presentation as its chains, while its generators, reduce
+    and lift keep the coordinates of the complex it was reduced from.
     """
 
     __slots__ = ("ambient_rank", "_cycles", "_coord_cols", "_projection",
-                 "_boundaries")
-
-    @property
-    def d_in(self):
-        return self._boundaries()[0]
-
-    @property
-    def rels_ambient(self):
-        return self._boundaries()[1]
+                 "chains", "d_in", "rels_ambient")
 
     def reduce(self, vec):
         """Coordinates of an ambient cycle in the chosen generators.
@@ -588,7 +583,7 @@ def _subquotient(d_out, d_in, rels_ambient, rels_target):
     # the rows of U_y at the kept generators, as columns
     grp._coord_cols = _column_entries([sy.U.data[i] for i in kept], t)
     grp._projection = None
-    grp._boundaries = lambda: (d_in, rels_ambient)
+    grp.chains, grp.d_in, grp.rels_ambient = grp, d_in, rels_ambient
     return grp
 
 
@@ -604,16 +599,16 @@ def _project(cols, rank, d_out, mod, vec):
     return _combine(cols, vec, rank)
 
 
-def reduced_presentation(inner, lift_cols, proj_cols, d_out, d_in, mod):
+def reduced_presentation(inner, lift_cols, proj_cols, d_out, mod):
     """The presentation inner of a reduced complex, in the coordinates of
-    the complex it was reduced from.
+    the complex it was reduced from; its chains are inner.
 
     lift_cols and proj_cols are the sparse columns of the chain maps iota
     (reduced -> ambient) and pi (ambient -> reduced), with pi iota = 1 and
-    iota pi chain homotopic to 1.  d_out() and d_in() give the ambient
-    differentials out of and into the degree; each is read on first use.
-    The generators are iota of inner's; reduce tests a cycle against d_out
-    and reduces pi of it in inner.
+    iota pi chain homotopic to 1.  d_out() gives the ambient differential
+    out of the degree, read on first use.  The generators are iota of
+    inner's; reduce tests a cycle against d_out and reduces pi of it in
+    inner.
     """
     rank = len(proj_cols)
     grp = PresentedGroup(
@@ -622,6 +617,7 @@ def reduced_presentation(inner, lift_cols, proj_cols, d_out, d_in, mod):
     grp.ambient_rank = rank
     grp._cycles = inner._cycles
     grp._coord_cols = inner._coord_cols
+    grp.chains = inner
 
     @cache
     def outgoing():
@@ -629,7 +625,6 @@ def reduced_presentation(inner, lift_cols, proj_cols, d_out, d_in, mod):
         return _column_entries(d.data, rank), d.rows
 
     grp._projection = (proj_cols, inner.ambient_rank, outgoing, mod)
-    grp._boundaries = cache(lambda: (d_in(), _mod_relations(rank, mod)))
     return grp
 
 
@@ -697,15 +692,16 @@ class GroupHom:
 
 def hom_from_images(src, tgt, images, boundary_images):
     """The homomorphism sending the i-th generator of src to the class in
-    tgt of the i-th ambient vector of images.
+    tgt of the i-th vector of images, a chain of tgt.chains.
 
     boundary_images are the images of the boundaries (and relations) of
-    src; each must be a boundary of tgt.  That is exactly
+    src.chains; each must be a boundary of tgt.chains.  That is exactly
     well-definedness and independence of the chosen generator lifts.
     """
+    chains = tgt.chains
     for img in boundary_images:
         try:
-            preserved = not any(tgt.reduce(img))
+            preserved = not any(chains.reduce(img))
         except LinAlgError:
             preserved = False
         if not preserved:
@@ -714,7 +710,7 @@ def hom_from_images(src, tgt, images, boundary_images):
     cols = []
     for img in images:
         try:
-            cols.append(tgt.reduce(img))
+            cols.append(chains.reduce(img))
         except LinAlgError:
             raise LinAlgError("generator image fails membership in the "
                               "target cycle lattice") from None
@@ -722,13 +718,17 @@ def hom_from_images(src, tgt, images, boundary_images):
 
 
 def induced_hom(chain_map, src, tgt):
-    """The map on homology induced by a chain-level matrix, which must
-    send cycles to cycles and boundaries to boundaries."""
-    if chain_map.cols != src.ambient_rank or chain_map.rows != tgt.ambient_rank:
+    """The map on homology induced by a matrix from src.chains to
+    tgt.chains (the chains the groups were eliminated on), which must send
+    cycles to cycles and boundaries to boundaries."""
+    chains = src.chains
+    if (chain_map.rows, chain_map.cols) != (tgt.chains.ambient_rank,
+                                            chains.ambient_rank):
         raise LinAlgError("chain map has wrong shape for these presentations")
-    boundary_img = chain_map @ IntMatrix.hstack(src.d_in, src.rels_ambient)
+    boundary_img = chain_map @ IntMatrix.hstack(chains.d_in,
+                                                chains.rels_ambient)
     return hom_from_images(
-        src, tgt, [chain_map.mul_vector(gen) for gen in src.generators],
+        src, tgt, [chain_map.mul_vector(gen) for gen in chains.generators],
         boundary_img.columns())
 
 

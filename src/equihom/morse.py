@@ -29,7 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import GChainComplex, _dense, chain_columns, simplices_by_dim
+from .complexes import (
+    GChainComplex,
+    _apply,
+    _dense,
+    chain_columns,
+    check_chain_map,
+    gmap_chain_columns,
+    simplices_by_dim,
+)
 from .intlinalg import InternalError
 
 
@@ -49,15 +57,6 @@ class MorseReduction:
     sigmas: tuple
     lifts: tuple
     projections: tuple
-
-
-def _apply(cols, entries):
-    """sum of c * cols[j] over (j, c) in entries, as a dict of nonzeros."""
-    out = {}
-    for j, c in entries:
-        for i, x in cols[j]:
-            out[i] = out.get(i, 0) + c * x
-    return {i: x for i, x in out.items() if x}
 
 
 def transpose(cols, n):
@@ -162,11 +161,6 @@ def morse_reduction(X):
     """The equivariant Morse reduction of the chains of X (memoized per
     complex; its invariants are checked with InternalError)."""
     columns = chain_columns(X)
-    for _, sigma in columns:
-        for c, col in enumerate(sigma):
-            (image, sign), = col
-            if sigma[image][0] != (c, sign):
-                raise InternalError("involution matrix is not an involution")
     elim = _Elimination(columns)
     while elim.sweep(True) | elim.sweep(False):
         pass
@@ -193,34 +187,20 @@ def morse_reduction(X):
 
 
 def _check_reduction(columns, red):
-    """d'^2 = 0, sigma'^2 = 1, d' sigma' = sigma' d', pi iota = 1, and
-    iota and pi commute with the boundary and the involution."""
-    for q, (boundary, sigma) in enumerate(columns):
-        bnd, sig = red.boundaries[q], red.sigmas[q]
-        lift, proj = red.lifts[q], red.projections[q]
+    """d'^2 = 0, sigma'^2 = 1, pi iota = 1, and iota, pi and sigma' are
+    chain maps that commute with the involutions."""
+    reduced = tuple(zip(red.boundaries, red.sigmas))
+    check_chain_map("iota", red.lifts, reduced, columns)
+    check_chain_map("pi", red.projections, columns, reduced)
+    check_chain_map("the reduced involution", red.sigmas, reduced, reduced)
+    for q, (bnd, sig) in enumerate(reduced):
         for i in range(len(red.cells[q])):
             if _apply(sig, sig[i]) != {i: 1}:
                 raise InternalError("reduced involution is not an involution")
-            if _apply(proj, lift[i]) != {i: 1}:
+            if _apply(red.projections[q], red.lifts[q][i]) != {i: 1}:
                 raise InternalError("pi iota is not the identity")
-            if _apply(sigma, lift[i]) != _apply(lift, sig[i]):
-                raise InternalError("iota does not commute with sigma")
-            if q and _apply(boundary, lift[i]) != _apply(
-                    red.lifts[q - 1], bnd[i]):
-                raise InternalError("iota does not commute with the "
-                                    "boundary")
-            if q and _apply(bnd, sig[i]) != _apply(red.sigmas[q - 1],
-                                                   bnd[i]):
-                raise InternalError("reduced involution does not commute "
-                                    "with the reduced boundary")
             if q > 1 and _apply(red.boundaries[q - 1], bnd[i]):
                 raise InternalError("reduced boundary squared is nonzero")
-        for j in range(len(boundary)):
-            if _apply(proj, sigma[j]) != _apply(sig, proj[j]):
-                raise InternalError("pi does not commute with sigma")
-            if q and _apply(red.projections[q - 1], boundary[j]) != _apply(
-                    bnd, proj[j]):
-                raise InternalError("pi does not commute with the boundary")
 
 
 @lru_cache(maxsize=None)
@@ -239,3 +219,18 @@ def reduced_chain_complex(X, coeff):
                      coeff.mod) for q in range(len(ranks))),
         tuple(_dense(ranks[q], red.sigmas[q], twist, coeff.mod)
               for q in range(len(ranks))))
+
+
+@lru_cache(maxsize=None)
+def reduced_gmap_matrices(f, coeff):
+    """The chain map of an equivariant simplicial map moved onto the
+    reduced complexes, pi f iota per degree, with coefficients."""
+    src, tgt = morse_reduction(f.source), morse_reduction(f.target)
+    out = []
+    for q, cols in enumerate(gmap_chain_columns(f)):
+        # the map is zero in degrees the target does not have
+        proj = tgt.projections[q] if q < len(tgt.cells) else []
+        out.append(_dense(len(tgt.cells[q]) if proj else 0,
+                          [_apply(proj, _apply(cols, lift).items()).items()
+                           for lift in src.lifts[q]], 1, coeff.mod))
+    return tuple(out)

@@ -20,7 +20,6 @@ from .complexes import (
     COEFF_Z1,
     COEFF_Z2,
     Coeff,
-    chain_complex,
     connected_components,
     dim,
     fixed_subcomplex,
@@ -47,6 +46,7 @@ from .intlinalg import (
     induced_hom,
     lattices_equal,
 )
+from .morse import reduced_chain_complex
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +138,7 @@ class E2Page:
     table: tuple  # tuple of ((p, q), FGAbelianGroup)
 
     def entry(self, p, q):
-        for key, grp in self.table:
-            if key == (p, q):
-                return grp
-        raise KeyError((p, q))
+        return dict(self.table)[p, q]
 
 
 def e2_page(X, coeff, depth=None):
@@ -152,21 +149,19 @@ def e2_page(X, coeff, depth=None):
         depth = dim(X) + 2
     if depth < 0:
         raise LinAlgError("depth must be nonnegative, got %d" % depth)
-    entries = []
+    entries = {}
     for q in range(dim(X) + 1):
         hq = homology(X, coeff, q)
         sigma = homology_involution(X, coeff, q)
         for p in range(0, -depth - 1, -1):
-            grp = group_cohomology(hq, sigma.matrix, -p)
-            entries.append(((p, q), grp))
-    page = E2Page(coeff, -depth, dim(X), tuple(entries))
+            entries[p, q] = group_cohomology(hq, sigma.matrix, -p)
     period = 1 if coeff.mod else 2
-    for (p, q), grp in page.table:
+    for (p, q), grp in entries.items():
         if p <= -1 and p - period >= -depth \
-                and page.entry(p - period, q) != grp:
+                and entries[p - period, q] != grp:
             raise InternalError("period-%d periodicity broken at (%d, %d)"
                                 % (period, p, q))
-    return page
+    return E2Page(coeff, -depth, dim(X), tuple(entries.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +188,8 @@ def edge_surjective(X, coeff, p):
 
 def cohomology_involution(X, coeff, q):
     spot = cohomology(X, coeff, q)
-    cc = chain_complex(X, coeff)
-    return induced_hom(cc.sigma(q).transpose(), spot, spot)
+    sigma = reduced_chain_complex(X, coeff).sigma(q)
+    return induced_hom(sigma.transpose(), spot, spot)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 import pytest
 
 from equihom.complexes import (
+    BUILTIN_NAMES,
     COEFF_Z,
     COEFF_Z1,
     COEFF_Z2,
     builtin,
+    chain_complex,
     constant_map,
     dim,
     fixed_inclusion,
@@ -13,6 +15,8 @@ from equihom.complexes import (
 )
 from equihom.equivariant import (
     EqClass,
+    TotalCochainComplex,
+    TotalComplex,
     cap_with_eta,
     class_from_coords,
     edge_morphism,
@@ -36,6 +40,7 @@ from equihom.equivariant import (
     total_complex_of,
 )
 from equihom.intlinalg import FGAbelianGroup, IntMatrix, LinAlgError
+from equihom.morse import reduced_chain_complex
 
 Z = FGAbelianGroup(1)
 Z2G = FGAbelianGroup(0, (2,))
@@ -103,6 +108,22 @@ class TestTotalComplex:
         large = total_complex(X, COEFF_Z, -3, 2)
         for p in (-1, 0, 1):
             assert small[p] == large[p]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("empty",))
+    def test_block_layout_matches_a_scan_of_every_column(self, name):
+        X = (fixed_subcomplex(builtin("free-pair")) if name == "empty"
+             else builtin(name))
+        for cc in (chain_complex(X, COEFF_Z),
+                   reduced_chain_complex(X, COEFF_Z)):
+            for tc in (TotalComplex(cc), TotalCochainComplex(cc)):
+                for p in range(-50, dim(X) + 51):
+                    out, offset = [], 0
+                    for c in range(abs(p) + tc.n + 1):
+                        q = p + tc.STEP * c
+                        if 0 <= q <= tc.n:
+                            out.append((q, c, offset))
+                            offset += cc.rank(q)
+                    assert tc.blocks(p) == tuple(out), (tc, p)
 
     def test_differential_squares_to_zero(self):
         for name in ("circle-antipodal", "sphere-octahedron-reflection",

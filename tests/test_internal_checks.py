@@ -16,7 +16,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 FORCED_VIOLATIONS = r"""
 import sys
 from dataclasses import replace
-from equihom import morse, spectral
+from equihom import complexes, morse, spectral
 from equihom.complexes import (
     COEFF_Z, GComplex, builtin, chain_columns, chain_complex)
 from equihom.intlinalg import FGAbelianGroup, InternalError
@@ -50,6 +50,13 @@ results.append(raises_internal(lambda: spectral.gm_bounds(X)))
 spectral.group_cohomology = (
     lambda module, invol, p: FGAbelianGroup(0, (2,) * p))
 results.append(raises_internal(lambda: spectral.e2_page(X, COEFF_Z)))
+# a simplicial map whose chain matrices lost their orientation signs: the
+# reflection of the circle sends the edge (1, 2) to -(2, 3)
+chain_columns(X)
+complexes._perm_sign = lambda seq: 1
+flip = complexes.make_gmap(X, X, X.involution)
+results.append(raises_internal(
+    lambda: complexes.gmap_chain_matrices(flip, COEFF_Z)))
 print(sys.flags.optimize, results)
 """
 
@@ -64,7 +71,7 @@ def test_forced_violations_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", FORCED_VIOLATIONS],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] + ["[True,"] + ["True,"] * 4 \
+    assert proc.stdout.split() == ["1"] + ["[True,"] + ["True,"] * 5 \
         + ["True]"]
 
 

@@ -10,22 +10,48 @@ from equihom.complexes import (
     COEFF_Z,
     COEFF_Z1,
     COEFF_Z2,
+    _dense,
     barycentric_subdivide,
     builtin,
     chain_complex,
+    constant_map,
     dim,
+    fixed_inclusion,
+    fixed_subcomplex,
+    gmap_chain_matrices,
+    identity_map,
     make_complex,
+    make_gmap,
     simplex_count,
+    simplices_by_dim,
     validate,
 )
 from equihom.equivariant import (
+    GradedClassVector,
     TotalCochainComplex,
     TotalComplex,
+    _blockwise,
+    _coefficient_bockstein,
+    _column_projection,
+    _edge_connecting,
+    _mod2_reduction,
+    _shift_matrix,
+    _times_two,
     cohomology,
+    edge_morphism,
+    edge_morphism_cohomology,
     eq_cohomology,
     eq_homology,
+    eta_cap,
     group_cohomology,
     homology,
+    homology_involution,
+    localize_cohomology,
+    localize_homology,
+    ordinary_bockstein,
+    ordinary_pushforward_hom,
+    pullback_hom,
+    pushforward_hom,
 )
 from equihom.intlinalg import (
     ChainConditionError,
@@ -42,6 +68,8 @@ from equihom.intlinalg import (
     lattices_equal,
     smith_normal_form,
 )
+from equihom.morse import morse_reduction, reduced_chain_complex
+from equihom.spectral import cohomology_involution
 from equihom.verify import fuzz_complexes
 
 
@@ -635,34 +663,70 @@ def random_g_complex(rng):
     return X
 
 
+def lift_matrix(X, degrees, cochains):
+    """iota from the reduced chains to the simplicial ones (the transpose
+    of pi on cochains), block-diagonal over blocks of these chain degrees,
+    as a dense matrix."""
+    red = morse_reduction(X)
+    levels = simplices_by_dim(X)
+    blocks, rows, cols = [], 0, 0
+    for q in degrees:
+        if cochains:
+            block = _dense(len(red.cells[q]), red.projections[q], 1,
+                           0).transpose()
+        else:
+            block = _dense(len(levels[q]), red.lifts[q], 1, 0)
+        blocks.append((rows, cols, block, 1))
+        rows, cols = rows + block.rows, cols + block.cols
+    return IntMatrix.from_blocks(rows, cols, blocks)
+
+
 def unreduced_differentials(X, coeff):
-    """(group, d_in, d_out) for every presentation the package builds on X
-    with these coefficients in degrees -2..dim+1 (ordinary ones in 0..dim),
-    the differentials taken from simplicial staircases built here."""
-    cc = chain_complex(X, coeff)
-    chains = TotalComplex(cc)
-    cochains = TotalCochainComplex(cc)
+    """(group, d_in, d_out, reduced d_in, reduced d_out, iota) for every
+    presentation the package builds on X with these coefficients in
+    degrees -2..dim+1 (ordinary ones in 0..dim), the differentials taken
+    from simplicial and reduced staircases built here."""
+    cc, rc = chain_complex(X, coeff), reduced_chain_complex(X, coeff)
+    chains, cochains = TotalComplex(cc), TotalCochainComplex(cc)
+    rchains, rcochains = TotalComplex(rc), TotalCochainComplex(rc)
     for p in range(-2, dim(X) + 2):
-        yield (eq_homology(X, coeff, p), chains.diff(p + 1), chains.diff(p))
+        yield (eq_homology(X, coeff, p), chains.diff(p + 1), chains.diff(p),
+               rchains.diff(p + 1), rchains.diff(p),
+               lift_matrix(X, [q for q, _, _ in chains.blocks(p)], False))
         yield (eq_cohomology(X, coeff, p), cochains.diff(p - 1),
-               cochains.diff(p))
+               cochains.diff(p), rcochains.diff(p - 1), rcochains.diff(p),
+               lift_matrix(X, [q for q, _, _ in cochains.blocks(p)], True))
     for q in range(dim(X) + 1):
-        yield (homology(X, coeff, q), cc.boundary(q + 1), cc.boundary(q))
+        yield (homology(X, coeff, q), cc.boundary(q + 1), cc.boundary(q),
+               rc.boundary(q + 1), rc.boundary(q), lift_matrix(X, [q], False))
         yield (cohomology(X, coeff, q), cc.boundary(q).transpose(),
-               cc.boundary(q + 1).transpose())
+               cc.boundary(q + 1).transpose(), rc.boundary(q).transpose(),
+               rc.boundary(q + 1).transpose(), lift_matrix(X, [q], True))
 
 
-def check_against_unreduced(grp, d_in, d_out, mod, rng, rounds=3):
+def check_against_unreduced(grp, d_in, d_out, reduced, iota, mod, rng,
+                            rounds=3):
     """grp, computed on the Morse-reduced complex, against homology_at on
-    the unreduced differentials: the same invariants and ambient; A, whose
-    columns are the reference coordinates of grp's lifted unit vectors, is
+    the unreduced differentials: the same invariants and ambient; grp's
+    chains are homology_at on the reduced differentials (d_in, d_out),
+    its generators are theirs lifted through iota, and their boundaries
+    and relations lift to boundaries of the reference; A, whose columns
+    are the reference coordinates of grp's lifted unit vectors, is
     invertible over the group (its inverse is built the other way round);
     every random cycle has reference coordinates A times grp's; a
     non-cycle raises in both.  Returns the reference."""
     ref = homology_at(d_in, d_out, mod)
     assert (grp.free_rank, grp.torsion) == (ref.free_rank, ref.torsion)
     assert grp.ambient_rank == ref.ambient_rank
-    assert grp.d_in == d_in and grp.rels_ambient == ref.rels_ambient
+    chains, want = grp.chains, homology_at(*reduced, mod)
+    assert (chains.free_rank, chains.torsion, chains.ambient_rank,
+            chains.generators, chains.d_in, chains.rels_ambient) == (
+        want.free_rank, want.torsion, want.ambient_rank, want.generators,
+        want.d_in, want.rels_ambient)
+    assert [tuple(iota.mul_vector(g)) for g in chains.generators] \
+        == list(grp.generators)
+    for col in IntMatrix.hstack(chains.d_in, chains.rels_ambient).columns():
+        assert not any(ref.reduce(iota.mul_vector(col)))
     n = grp.ngens
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     there = GroupHom(grp, ref, IntMatrix.from_columns(
@@ -685,12 +749,23 @@ def check_against_unreduced(grp, d_in, d_out, mod, rng, rounds=3):
 
 def check_reduction(X, rng, dense=False):
     for coeff in (COEFF_Z2, COEFF_Z, COEFF_Z1):
-        for grp, d_in, d_out in unreduced_differentials(X, coeff):
-            ref = check_against_unreduced(grp, d_in, d_out, coeff.mod, rng)
+        for grp, d_in, d_out, r_in, r_out, iota in unreduced_differentials(
+                X, coeff):
+            ref = check_against_unreduced(grp, d_in, d_out, (r_in, r_out),
+                                          iota, coeff.mod, rng)
             if dense:
                 check_against_reference(
                     ref, d_out,
                     intlinalg._mod_relations(d_out.rows, coeff.mod), rng, 3)
+
+
+def oracle_complex(seed, max_simplices=80):
+    """The random G-complex of the oracle with this seed."""
+    rng = random.Random(7000 + seed)
+    X = random_g_complex(rng)
+    while simplex_count(X) > max_simplices:
+        X = random_g_complex(rng)
+    return X, rng
 
 
 class TestRandomGComplexOracle:
@@ -699,14 +774,9 @@ class TestRandomGComplexOracle:
     the group; on random G-complexes the unreduced presentation is also
     checked against the dense reference."""
 
-    MAX_SIMPLICES = 80
-
     @pytest.mark.parametrize("seed", range(24))
     def test_presentations(self, seed):
-        rng = random.Random(7000 + seed)
-        X = random_g_complex(rng)
-        while simplex_count(X) > self.MAX_SIMPLICES:
-            X = random_g_complex(rng)
+        X, rng = oracle_complex(seed)
         check_reduction(X, rng, dense=True)
 
     @pytest.mark.parametrize("sd", [0, 1])
@@ -721,6 +791,163 @@ class TestRandomGComplexOracle:
     def test_fuzz_complexes(self, index):
         _, X = fuzz_complexes(20)[index]
         check_reduction(X, random.Random(index))
+
+
+def simplicial_hom(chain_map, src, tgt, d_in, mod):
+    """The matrix of the map chain_map induces from src to tgt, computed
+    on the simplicial chains: every simplicial boundary and relation of
+    src goes to a boundary of tgt, and the columns are
+    tgt.reduce(chain_map . gen) over the generators of src."""
+    rels = intlinalg._mod_relations(d_in.rows, mod)
+    for col in (chain_map @ IntMatrix.hstack(d_in, rels)).columns():
+        assert not any(tgt.reduce(col))
+    return IntMatrix.from_columns(
+        tgt.ngens, [tgt.reduce(chain_map.mul_vector(g))
+                    for g in src.generators])
+
+
+def simplicial_halved(d, src, tgt, d_in):
+    """The matrix of a Bockstein on the simplicial chains: each mod-2
+    cycle of src goes to half its integral boundary d, reduced in tgt;
+    the simplicial boundaries of src must halve to boundaries."""
+    def halved(vec):
+        w = d.mul_vector(vec)
+        assert not any(x % 2 for x in w)
+        return [x // 2 for x in w]
+    for col in d_in.columns():
+        assert not any(tgt.reduce(halved(col)))
+    return IntMatrix.from_columns(
+        tgt.ngens, [tgt.reduce(halved(g)) for g in src.generators])
+
+
+def simplicial_localizations(X, coeff, n):
+    """The images of the generators of H_n(X; G, coeff) and H^n under the
+    localizations, computed on the simplicial staircases: on homology by
+    solving incl . y = shifted generator modulo im(diff) + 2 . ambient,
+    on cohomology by restricting each generator to the fixed set."""
+    F = fixed_subcomplex(X)
+    src, cosrc = eq_homology(X, coeff, n), eq_cohomology(X, coeff, n)
+    if F.vertex_count == 0:
+        return ((GradedClassVector(()),) * src.ngens,
+                (GradedClassVector(()),) * cosrc.ngens)
+    mats = gmap_chain_matrices(fixed_inclusion(X), COEFF_Z2)
+    ccx, ccf = chain_complex(X, COEFF_Z2), chain_complex(F, COEFF_Z2)
+    tcx, tcf = TotalComplex(ccx), TotalComplex(ccf)
+    steps = dim(X) + 1
+    p = n - steps
+    incl = _blockwise(tcf, tcx, p, mats)
+    solver = LinearSolver(IntMatrix.hstack(
+        incl, tcx.diff(p + 1), intlinalg._mod_relations(incl.rows, 2)))
+    shift = _shift_matrix(tcx, n, steps)
+
+    def graded(tc, degree, y, group):
+        return GradedClassVector.from_dict(
+            {q: group(F, COEFF_Z2, q).reduce(y[off:off + tc.cc.rank(q)])
+             for q, _, off in tc.blocks(degree)})
+    images = []
+    for gen in src.generators:
+        sol = solver.solve_vector(shift.mul_vector(gen))
+        assert sol is not None
+        images.append(graded(tcf, p, sol[:incl.cols], homology))
+    cotcx, cotcf = TotalCochainComplex(ccx), TotalCochainComplex(ccf)
+    restrict = _blockwise(cotcx, cotcf, n, [m.transpose() for m in mats])
+    return tuple(images), tuple(
+        graded(cotcf, n, restrict.mul_vector(gen), cohomology)
+        for gen in cosrc.generators)
+
+
+def check_maps_against_simplicial(X):
+    """Every map within X, along its fixed-set inclusion, identity,
+    constant map and involution (which reverses orientations), and every
+    localization, against the same computation on the simplicial
+    chains."""
+    n = dim(X)
+    cc = {c: chain_complex(X, c) for c in (COEFF_Z2, COEFF_Z, COEFF_Z1)}
+    for coeff, c in cc.items():
+        ch, co, mod = TotalComplex(c), TotalCochainComplex(c), coeff.mod
+        prev = TotalComplex(cc[coeff.shift()])
+        for p in range(-2, n + 2):
+            one_minus_sigma = IntMatrix.identity(c.rank(p)) - c.sigma(p)
+            connecting = IntMatrix.from_blocks(
+                prev.rank(p), c.rank(p),
+                [(off, 0, one_minus_sigma, -1 if p % 2 else 1)
+                 for _, j, off in prev.blocks(p) if j == 0])
+            ident = IntMatrix.identity(ch.rank(p))
+            cases = [
+                (edge_morphism(X, coeff, p), _column_projection(ch, p),
+                 ch.diff(p + 1)),
+                (edge_morphism_cohomology(X, coeff, p),
+                 _column_projection(co, p), co.diff(p - 1)),
+                (eta_cap(X, coeff, p),
+                 _shift_matrix(TotalComplex(cc[COEFF_Z2]), p),
+                 ch.diff(p + 1)),
+                (_edge_connecting(X, coeff, p), connecting,
+                 c.boundary(p + 1)),
+                (_times_two(X, coeff, p), ident.scale(2), ch.diff(p + 1)),
+                (_mod2_reduction(X, coeff, p), ident, ch.diff(p + 1))]
+            if 0 <= p <= n:
+                cases += [
+                    (homology_involution(X, coeff, p), c.sigma(p),
+                     c.boundary(p + 1)),
+                    (cohomology_involution(X, coeff, p),
+                     c.sigma(p).transpose(), c.boundary(p).transpose())]
+            for hom, chain_map, d_in in cases:
+                assert hom.matrix == simplicial_hom(
+                    chain_map, hom.source, hom.target, d_in, mod)
+            if not mod:
+                hom = _coefficient_bockstein(X, coeff, p)
+                assert hom.matrix == simplicial_halved(
+                    ch.diff(p), hom.source, hom.target,
+                    TotalComplex(cc[COEFF_Z2]).diff(p + 1))
+            gen_images = localize_homology(X, coeff, p).gen_images, \
+                localize_cohomology(X, coeff, p).gen_images
+            assert gen_images == simplicial_localizations(X, coeff, p)
+    for q in range(n):
+        hom = ordinary_bockstein(X, q)
+        assert hom.matrix == simplicial_halved(
+            cc[COEFF_Z].boundary(q + 1), hom.source, hom.target,
+            cc[COEFF_Z2].boundary(q + 2))
+    for f in (fixed_inclusion(X), identity_map(X), constant_map(X),
+              make_gmap(X, X, X.involution)):
+        for coeff in cc:
+            mats = gmap_chain_matrices(f, coeff)
+            src = chain_complex(f.source, coeff)
+            tgt = chain_complex(f.target, coeff)
+            ch_src, ch_tgt = TotalComplex(src), TotalComplex(tgt)
+            co_src, co_tgt = TotalCochainComplex(src), TotalCochainComplex(tgt)
+            for p in range(-2, n + 2):
+                hom = pushforward_hom(f, coeff, p)
+                assert hom.matrix == simplicial_hom(
+                    _blockwise(ch_src, ch_tgt, p, mats), hom.source,
+                    hom.target, ch_src.diff(p + 1), coeff.mod)
+                hom = pullback_hom(f, coeff, p)
+                assert hom.matrix == simplicial_hom(
+                    _blockwise(co_tgt, co_src, p,
+                               [m.transpose() for m in mats]),
+                    hom.source, hom.target, co_tgt.diff(p - 1), coeff.mod)
+            for q in range(dim(f.source) + 1):
+                hom = ordinary_pushforward_hom(f, coeff, q)
+                assert hom.matrix == simplicial_hom(
+                    mats[q], hom.source, hom.target, src.boundary(q + 1),
+                    coeff.mod)
+
+
+class TestMapsAgainstSimplicialReference:
+    """Maps act on the chains their groups were eliminated on; their
+    matrices, and the localizations, equal those computed on the
+    simplicial chains."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        check_maps_against_simplicial(builtin(name))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_g_complexes(self, seed):
+        check_maps_against_simplicial(oracle_complex(seed)[0])
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_fuzz_complexes(self, index):
+        check_maps_against_simplicial(fuzz_complexes(20)[index][1])
 
 
 def test_matrix_entries_must_be_integers():

@@ -18,7 +18,7 @@ import sys
 import equihom
 import equihom.cli  # the tracer also wraps cli._emit and verify.suite_*
 from equihom import equivariant
-from equihom.complexes import COEFF_Z2, builtin
+from equihom.complexes import COEFF_Z2, builtin, identity_map
 
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
 tracer_module = importlib.util.module_from_spec(spec)
@@ -32,6 +32,8 @@ try:
     equivariant.edge_morphism(X, COEFF_Z2, 0)  # solves and reduces
     equivariant.les_edge(X, COEFF_Z2, -1, 1)  # exactness: lattice tests
     equivariant.fundamental_class(X, "Z2")
+    equivariant.localize_homology(X, COEFF_Z2, 1)  # calls pushforward_hom
+    equivariant.pushforward_hom(identity_map(X), COEFF_Z2, 0)
 finally:
     tracer.uninstall()
 print(json.dumps(tracer.metrics()))
@@ -50,5 +52,6 @@ def test_tracer_wraps_the_package():
     for key in ("equivariant.total_diff_calls", "intlinalg.snf_calls",
                 "intlinalg.subquotient_calls", "intlinalg.solve_columns",
                 "intlinalg.reduce_calls", "equivariant.maps_calls",
-                "intlinalg.lattice_calls", "equivariant.les_calls"):
+                "intlinalg.lattice_calls", "equivariant.les_calls",
+                "equivariant.localize_calls"):
         assert metrics[key] > 0, key
