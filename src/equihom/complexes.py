@@ -313,8 +313,9 @@ def check_chain_map(name, cols, src, tgt):
 def chain_columns(X):
     """The integral chain data of X with the untwisted involution, as
     sparse columns: per degree q a pair (boundary, sigma) of lists with
-    one list of (row, entry) per q-simplex.  That sigma is an involution
-    is checked with InternalError."""
+    one list of (row, entry) per q-simplex.  That sigma is an involution,
+    that the boundary squares to zero and that it commutes with sigma
+    are checked with InternalError, once per complex."""
     index = face_index(X)
     out = []
     for q, basis in enumerate(simplices_by_dim(X)):
@@ -331,7 +332,26 @@ def chain_columns(X):
         for c, ((image, sign),) in enumerate(sigma):
             if sigma[image][0] != (c, sign):
                 raise InternalError("involution matrix is not an involution")
+    _check_chain_columns(out)
     return tuple(out)
+
+
+def _check_chain_columns(columns):
+    """InternalError unless d^2 = 0 and d sigma = sigma d.  sigma is a
+    signed permutation, so sigma(d b) lists each face a of b moved to
+    sigma a with its sign, and is compared with d(sigma b) as a sorted
+    list, without summing."""
+    for q in range(1, len(columns)):
+        (boundary, sigma), (lower, lower_sigma) = columns[q], columns[q - 1]
+        for b, faces in enumerate(boundary):
+            if q > 1 and _apply(lower, faces):
+                raise InternalError("boundary squared is nonzero")
+            (image, sign), = sigma[b]
+            moved = sorted((c, s * u) for a, u in faces
+                           for c, s in lower_sigma[a])
+            if moved != sorted((c, sign * u) for c, u in boundary[image]):
+                raise InternalError("sigma does not commute with the "
+                                    "boundary")
 
 
 def _dense(rows, columns, scale, mod):
@@ -345,15 +365,11 @@ def _dense(rows, columns, scale, mod):
 
 @lru_cache(maxsize=None)
 def chain_complex(X, coeff):
-    """Dense chain complex of X; checks d^2 = 0 and d sigma = sigma d."""
+    """Dense chain complex of X, on the checked columns of chain_columns."""
     levels = simplices_by_dim(X)
     mod = coeff.mod
     twist = 1 if (coeff.k % 2 == 0 or mod) else -1
     columns = chain_columns(X)
-    for q in range(2, len(columns)):
-        if any(_apply(columns[q - 1][0], col) for col in columns[q][0]):
-            raise InternalError("boundary squared is nonzero")
-    check_chain_map("sigma", [s for _, s in columns], columns, columns)
     boundaries = []
     sigmas = []
     for q, (boundary, sigma) in enumerate(columns):
@@ -427,15 +443,6 @@ def gmap_chain_columns(f):
     check_chain_map("chain map", out, chain_columns(f.source),
                     chain_columns(f.target))
     return out
-
-
-@lru_cache(maxsize=None)
-def gmap_chain_matrices(f, coeff):
-    """Per-degree chain matrices of a simplicial map with coefficients."""
-    ranks = [len(level) for level in simplices_by_dim(f.target)]
-    return tuple(_dense(ranks[q] if q < len(ranks) else 0, cols, 1,
-                        coeff.mod)
-                 for q, cols in enumerate(gmap_chain_columns(f)))
 
 
 def relabel(X, perm):

@@ -14,15 +14,13 @@ the boundary, and the horizontal map out of column j is 1 - (-1)^j sigma
 D squares to zero exactly.  Degrees may be negative; for a point the
 construction reproduces group cohomology of the group of order two.
 
-Groups are eliminated on the staircase of the Morse-reduced chain complex
-(morse.py), which has the same homology, and are presented in the
-coordinates of the simplicial staircase: generators are lifted through
-iota, and reduce tests a simplicial cycle and maps it through pi.  Maps
-between groups act on the reduced chains (grp.chains): a map within one
-complex is built on the reduced staircase, and a simplicial map f between
-two complexes is moved there as pi f iota.  Classes (EqClass), their
-pushforward and cap, and the inputs and outputs of the localizations stay
-in simplicial coordinates.
+Groups are eliminated and presented on the staircase of the Morse-reduced
+chain complex (morse.py), which has the same homology: generators, classes
+(EqClass) and the inputs and outputs of the localizations are vectors of
+that staircase.  A map within one complex is built on the reduced
+staircase, and a simplicial map f between two complexes is moved there as
+pi f iota.  The simplicial staircase (total_complex_of) is kept only as a
+public reference.
 
 Everything below: edge morphisms (column-0 projection), the eta cap
 (column shift raising the twist), the two long exact sequences, the
@@ -48,8 +46,6 @@ from .complexes import (
     dim,
     fixed_inclusion,
     fixed_subcomplex,
-    gmap_chain_matrices,
-    simplices_by_dim,
 )
 from .intlinalg import (
     FGAbelianGroup,
@@ -64,14 +60,8 @@ from .intlinalg import (
     homology_at,
     image_lattice,
     induced_hom,
-    reduced_presentation,
 )
-from .morse import (
-    morse_reduction,
-    reduced_chain_complex,
-    reduced_gmap_matrices,
-    transpose,
-)
+from .morse import reduced_chain_complex, reduced_gmap_matrices
 
 
 class ExactnessError(InternalError):
@@ -219,65 +209,29 @@ def total_complex(X, coeff, p_min, p_max):
 # Groups
 # ---------------------------------------------------------------------------
 
-def _on_simplices(X, coeff, blocks, cochains, inner, d_out):
-    """The presentation inner, computed on reduced chains (cochains when
-    cochains is true) laid out in blocks of (chain degree, offset), in the
-    coordinates of the simplicial chains laid out in the same blocks;
-    d_out() gives the simplicial differential out of them.  The maps are
-    iota and pi of the Morse reduction, block by block; on cochains they
-    are the transposes of pi and iota."""
-    red = morse_reduction(X)
-    levels = simplices_by_dim(X)
-    lift, proj, full = [], [], 0
-    for q, off in blocks:
-        iota, pi = red.lifts[q], red.projections[q]
-        if cochains:
-            iota, pi = transpose(pi, len(iota)), transpose(iota, len(pi))
-        lift += [[(full + j, x) for j, x in col] for col in iota]
-        proj += [[(off + i, x) for i, x in col] for col in pi]
-        full += len(levels[q])
-    return reduced_presentation(inner, lift, proj, d_out, coeff.mod)
-
-
 @lru_cache(maxsize=None)
 def eq_homology(X, coeff, p):
     tc = reduced_total_complex_of(X, coeff)
-    return _on_simplices(
-        X, coeff, [(q, off) for q, _, off in tc.blocks(p)], False,
-        homology_at(tc.diff(p + 1), tc.diff(p), coeff.mod),
-        lambda: total_complex_of(X, coeff).diff(p))
+    return homology_at(tc.diff(p + 1), tc.diff(p), coeff.mod)
 
 
 @lru_cache(maxsize=None)
 def eq_cohomology(X, coeff, p):
     tc = reduced_total_cochain_complex_of(X, coeff)
-    return _on_simplices(
-        X, coeff, [(q, off) for q, _, off in tc.blocks(p)], True,
-        homology_at(tc.diff(p - 1), tc.diff(p), coeff.mod),
-        lambda: TotalCochainComplex(chain_complex(X, coeff)).diff(p))
-
-
-def _ordinary_blocks(X, q):
-    return [(q, 0)] if 0 <= q <= dim(X) else []
+    return homology_at(tc.diff(p - 1), tc.diff(p), coeff.mod)
 
 
 @lru_cache(maxsize=None)
 def homology(X, coeff, q):
     cc = reduced_chain_complex(X, coeff)
-    return _on_simplices(
-        X, coeff, _ordinary_blocks(X, q), False,
-        homology_at(cc.boundary(q + 1), cc.boundary(q), coeff.mod),
-        lambda: chain_complex(X, coeff).boundary(q))
+    return homology_at(cc.boundary(q + 1), cc.boundary(q), coeff.mod)
 
 
 @lru_cache(maxsize=None)
 def cohomology(X, coeff, q):
     cc = reduced_chain_complex(X, coeff)
-    return _on_simplices(
-        X, coeff, _ordinary_blocks(X, q), True,
-        homology_at(cc.boundary(q).transpose(),
-                    cc.boundary(q + 1).transpose(), coeff.mod),
-        lambda: chain_complex(X, coeff).boundary(q + 1).transpose())
+    return homology_at(cc.boundary(q).transpose(),
+                       cc.boundary(q + 1).transpose(), coeff.mod)
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +276,8 @@ def group_cohomology(module, invol, p):
 
 @dataclass(frozen=True)
 class EqClass:
-    """A cycle of the total complex, i.e. an element of H_p(X; G, A(k))."""
+    """A cycle of the reduced staircase reduced_total_complex_of(X, coeff)
+    in total degree p, i.e. an element of H_p(X; G, A(k))."""
 
     X: object
     coeff: Coeff
@@ -347,7 +302,7 @@ class EqClass:
 
 def make_eq_class(X, coeff, p, vector):
     vector = tuple(vector)
-    tc = total_complex_of(X, coeff)
+    tc = reduced_total_complex_of(X, coeff)
     if len(vector) != tc.rank(p):
         raise LinAlgError("vector length does not match the total degree")
     image = tc.diff(p).mul_vector(vector)
@@ -478,7 +433,7 @@ def eta_cap(X, coeff, p):
 def cap_with_eta(cls, power=1):
     """Cap an explicit class with a power of the twist class."""
     coeff, p, vec = cls.coeff, cls.p, cls.vector
-    tc = total_complex_of(cls.X, COEFF_Z2)
+    tc = reduced_total_complex_of(cls.X, COEFF_Z2)
     for _ in range(power):
         shift = _shift_matrix(tc, p)
         vec = shift.mul_vector(vec)
@@ -567,32 +522,31 @@ def les_edge(X, coeff, p_min, p_max):
 
 def _times_two(X, coeff, p):
     spot = eq_homology(X, coeff, p)
-    amb = IntMatrix.identity(spot.chains.ambient_rank).scale(2)
+    amb = IntMatrix.identity(spot.ambient_rank).scale(2)
     return induced_hom(amb, spot, spot)
 
 
 def _mod2_reduction(X, coeff, p):
     src = eq_homology(X, coeff, p)
     tgt = eq_homology(X, COEFF_Z2, p)
-    if src.chains.ambient_rank != tgt.chains.ambient_rank:
+    if src.ambient_rank != tgt.ambient_rank:
         raise InternalError("mod-2 reduction changes the ambient rank")
-    return induced_hom(IntMatrix.identity(src.chains.ambient_rank), src, tgt)
+    return induced_hom(IntMatrix.identity(src.ambient_rank), src, tgt)
 
 
 def _halved_boundary_hom(d, src, tgt):
     """Connecting map of a coefficient sequence whose kernel is
-    multiplication by two: lift each mod-2 cycle of src.chains integrally,
-    apply the integral differential d of those chains, halve, and reduce
-    in tgt.  Mod-2 boundaries must halve to boundaries."""
+    multiplication by two: lift each mod-2 cycle of src integrally, apply
+    the integral differential d of its chains, halve, and reduce in tgt.
+    Mod-2 boundaries must halve to boundaries."""
     def halved(vec):
         w = d.mul_vector(vec)
         if any(x % 2 for x in w):
             raise InternalError("mod-2 cycle has odd boundary")
         return [x // 2 for x in w]
 
-    chains = src.chains
-    return hom_from_images(src, tgt, [halved(g) for g in chains.generators],
-                           [halved(z) for z in chains.d_in.columns()])
+    return hom_from_images(src, tgt, [halved(g) for g in src.generators],
+                           [halved(z) for z in src.d_in.columns()])
 
 
 @lru_cache(maxsize=None)
@@ -679,7 +633,7 @@ def _graded_fixed_class(tcf, p, y, group):
     of the reduced staircase tcf of F in total degree p."""
     graded = {}
     for q, _, off in tcf.blocks(p):
-        spot = group(tcf.X, COEFF_Z2, q).chains
+        spot = group(tcf.X, COEFF_Z2, q)
         graded[q] = spot.reduce(y[off:off + spot.ambient_rank])
     return GradedClassVector.from_dict(graded)
 
@@ -700,13 +654,12 @@ def localize_homology(X, coeff, n):
     shift = _shift_matrix(reduced_total_complex_of(X, COEFF_Z2), n, steps)
     tcf = reduced_total_complex_of(F, COEFF_Z2)
     images = []
-    for gen in src.chains.generators:
-        sol = solver.solve_vector(
-            incl.target.chains.reduce(shift.mul_vector(gen)))
+    for gen in src.generators:
+        sol = solver.solve_vector(incl.target.reduce(shift.mul_vector(gen)))
         if sol is None:
             raise InternalError(
                 "inclusion of the fixed set could not be inverted")
-        y = incl.source.chains.lift(sol[:incl.source.ngens])
+        y = incl.source.lift(sol[:incl.source.ngens])
         images.append(_graded_fixed_class(tcf, p_low, y, homology))
     return Localization(X, coeff, n, tuple(images))
 
@@ -724,7 +677,7 @@ def localize_cohomology(X, coeff, n):
     tcf = reduced_total_cochain_complex_of(F, COEFF_Z2)
     images = [_graded_fixed_class(tcf, n, restrict.mul_vector(gen),
                                   cohomology)
-              for gen in src.chains.generators]
+              for gen in src.generators]
     return Localization(X, coeff, n, tuple(images), True)
 
 
@@ -742,14 +695,20 @@ def _blockwise(tc_src, tc_tgt, p, mats):
          if j in tgt_off and q < len(mats)])
 
 
+@lru_cache(maxsize=None)
+def _pushforward_matrix(f, coeff, p):
+    """Pushforward of reduced total complexes T_p(source) -> T_p(target),
+    pi f iota block by block."""
+    return _blockwise(reduced_total_complex_of(f.source, coeff),
+                      reduced_total_complex_of(f.target, coeff), p,
+                      reduced_gmap_matrices(f, coeff))
+
+
 def pushforward_hom(f, coeff, p):
     """Functoriality on equivariant homology as a homomorphism."""
     src = eq_homology(f.source, coeff, p)
     tgt = eq_homology(f.target, coeff, p)
-    return induced_hom(_blockwise(reduced_total_complex_of(f.source, coeff),
-                                  reduced_total_complex_of(f.target, coeff),
-                                  p, reduced_gmap_matrices(f, coeff)),
-                       src, tgt)
+    return induced_hom(_pushforward_matrix(f, coeff, p), src, tgt)
 
 
 @lru_cache(maxsize=None)
@@ -758,7 +717,7 @@ def ordinary_pushforward_hom(f, coeff, q):
     tgt = homology(f.target, coeff, q)
     mats = reduced_gmap_matrices(f, coeff)
     mat = mats[q] if q < len(mats) else IntMatrix.zeros(
-        tgt.chains.ambient_rank, src.chains.ambient_rank)
+        tgt.ambient_rank, src.ambient_rank)
     return induced_hom(mat, src, tgt)
 
 
@@ -805,7 +764,7 @@ def graded_pullback(f, gcv):
         src = cohomology(fg.target, COEFF_Z2, p)
         tgt = cohomology(fg.source, COEFF_Z2, p)
         mat = (mats[p].transpose() if p < len(mats) else IntMatrix.zeros(
-            tgt.chains.ambient_rank, src.chains.ambient_rank))
+            tgt.ambient_rank, src.ambient_rank))
         out[p] = induced_hom(mat, src, tgt).apply(coords)
     return GradedClassVector.from_dict(out)
 
@@ -825,10 +784,7 @@ def pushforward(f, cls):
     if cls.X != f.source:
         raise LinAlgError("class does not live on the source of the map")
     coeff = cls.coeff
-    chain_map = _blockwise(total_complex_of(f.source, coeff),
-                           total_complex_of(f.target, coeff), cls.p,
-                           gmap_chain_matrices(f, coeff))
-    out = chain_map.mul_vector(cls.vector)
+    out = _pushforward_matrix(f, coeff, cls.p).mul_vector(cls.vector)
     if coeff.mod:
         out = [x % coeff.mod for x in out]
     return make_eq_class(f.target, coeff, cls.p, out)
@@ -848,7 +804,9 @@ def equivariant_degree(cls):
 
 
 def ordinary_degree(X, coeff, chain0):
-    """Degree of an ordinary 0-cycle: the sum of its coefficients."""
+    """Degree of an ordinary 0-cycle of the reduced chains: the sum of its
+    coefficients (iota_0 is the inclusion of the critical vertices, so
+    the sum is that of its simplicial lift)."""
     total = sum(chain0)
     return total % 2 if coeff.mod else total
 

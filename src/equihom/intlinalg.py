@@ -9,7 +9,6 @@ integers; no floating point is used anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, compress
 
 
@@ -482,16 +481,12 @@ class PresentedGroup(FGAbelianGroup):
     Z^ambient_rank, remembering enough structure to reduce arbitrary cycles
     to canonical generator coordinates and to lift coordinates back.
 
-    chains is the presentation on the chains the group was eliminated
-    on, and maps act there; d_in and rels_ambient are its boundaries and
-    relations.  For a subquotient, chains is the group itself.  A
-    presentation computed on a reduced complex (reduced_presentation) has
-    the reduced presentation as its chains, while its generators, reduce
-    and lift keep the coordinates of the complex it was reduced from.
+    d_in and rels_ambient are its boundaries and relations, the columns
+    a map out of the group must send to boundaries.
     """
 
-    __slots__ = ("ambient_rank", "_cycles", "_coord_cols", "_projection",
-                 "chains", "d_in", "rels_ambient")
+    __slots__ = ("ambient_rank", "_cycles", "_coord_cols", "d_in",
+                 "rels_ambient")
 
     def reduce(self, vec):
         """Coordinates of an ambient cycle in the chosen generators.
@@ -499,8 +494,6 @@ class PresentedGroup(FGAbelianGroup):
         Raises if vec is not a cycle of the presentation.  Torsion
         coordinates are returned in [0, d).
         """
-        if self._projection is not None:
-            vec = _project(*self._projection, vec)
         y = _cycle_coordinates(*self._cycles, vec)
         if y is None:
             raise LinAlgError("vector is not a cycle of this presentation")
@@ -582,49 +575,7 @@ def _subquotient(d_out, d_in, rels_ambient, rels_target):
     grp._cycles = cycles
     # the rows of U_y at the kept generators, as columns
     grp._coord_cols = _column_entries([sy.U.data[i] for i in kept], t)
-    grp._projection = None
-    grp.chains, grp.d_in, grp.rels_ambient = grp, d_in, rels_ambient
-    return grp
-
-
-def _project(cols, rank, d_out, mod, vec):
-    """pi . vec for the sparse columns cols of pi (rank rows), after
-    testing that vec is a cycle of the ambient differential d_out() (mod
-    mod), given as (sparse columns, rows)."""
-    if len(vec) != len(cols):
-        raise LinAlgError("vector has wrong length for this presentation")
-    dcols, rows = d_out()
-    if any(x % mod if mod else x for x in _combine(dcols, vec, rows)):
-        raise LinAlgError("vector is not a cycle of this presentation")
-    return _combine(cols, vec, rank)
-
-
-def reduced_presentation(inner, lift_cols, proj_cols, d_out, mod):
-    """The presentation inner of a reduced complex, in the coordinates of
-    the complex it was reduced from; its chains are inner.
-
-    lift_cols and proj_cols are the sparse columns of the chain maps iota
-    (reduced -> ambient) and pi (ambient -> reduced), with pi iota = 1 and
-    iota pi chain homotopic to 1.  d_out() gives the ambient differential
-    out of the degree, read on first use.  The generators are iota of
-    inner's; reduce tests a cycle against d_out and reduces pi of it in
-    inner.
-    """
-    rank = len(proj_cols)
-    grp = PresentedGroup(
-        inner.free_rank, inner.torsion,
-        generators=[_combine(lift_cols, g, rank) for g in inner.generators])
-    grp.ambient_rank = rank
-    grp._cycles = inner._cycles
-    grp._coord_cols = inner._coord_cols
-    grp.chains = inner
-
-    @cache
-    def outgoing():
-        d = d_out()
-        return _column_entries(d.data, rank), d.rows
-
-    grp._projection = (proj_cols, inner.ambient_rank, outgoing, mod)
+    grp.d_in, grp.rels_ambient = d_in, rels_ambient
     return grp
 
 
@@ -692,16 +643,15 @@ class GroupHom:
 
 def hom_from_images(src, tgt, images, boundary_images):
     """The homomorphism sending the i-th generator of src to the class in
-    tgt of the i-th vector of images, a chain of tgt.chains.
+    tgt of the i-th vector of images, an ambient chain of tgt.
 
     boundary_images are the images of the boundaries (and relations) of
-    src.chains; each must be a boundary of tgt.chains.  That is exactly
-    well-definedness and independence of the chosen generator lifts.
+    src; each must be a boundary of tgt.  That is exactly well-definedness
+    and independence of the chosen generator lifts.
     """
-    chains = tgt.chains
     for img in boundary_images:
         try:
-            preserved = not any(chains.reduce(img))
+            preserved = not any(tgt.reduce(img))
         except LinAlgError:
             preserved = False
         if not preserved:
@@ -710,7 +660,7 @@ def hom_from_images(src, tgt, images, boundary_images):
     cols = []
     for img in images:
         try:
-            cols.append(chains.reduce(img))
+            cols.append(tgt.reduce(img))
         except LinAlgError:
             raise LinAlgError("generator image fails membership in the "
                               "target cycle lattice") from None
@@ -718,17 +668,15 @@ def hom_from_images(src, tgt, images, boundary_images):
 
 
 def induced_hom(chain_map, src, tgt):
-    """The map on homology induced by a matrix from src.chains to
-    tgt.chains (the chains the groups were eliminated on), which must send
-    cycles to cycles and boundaries to boundaries."""
-    chains = src.chains
-    if (chain_map.rows, chain_map.cols) != (tgt.chains.ambient_rank,
-                                            chains.ambient_rank):
+    """The map on homology induced by a matrix from the ambient chains of
+    src to those of tgt, which must send cycles to cycles and boundaries
+    to boundaries."""
+    if (chain_map.rows, chain_map.cols) != (tgt.ambient_rank,
+                                            src.ambient_rank):
         raise LinAlgError("chain map has wrong shape for these presentations")
-    boundary_img = chain_map @ IntMatrix.hstack(chains.d_in,
-                                                chains.rels_ambient)
+    boundary_img = chain_map @ IntMatrix.hstack(src.d_in, src.rels_ambient)
     return hom_from_images(
-        src, tgt, [chain_map.mul_vector(gen) for gen in chains.generators],
+        src, tgt, [chain_map.mul_vector(gen) for gen in src.generators],
         boundary_img.columns())
 
 

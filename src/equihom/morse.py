@@ -187,8 +187,14 @@ def morse_reduction(X):
 
 
 def _check_reduction(columns, red):
-    """d'^2 = 0, sigma'^2 = 1, pi iota = 1, and iota, pi and sigma' are
-    chain maps that commute with the involutions."""
+    """iota_0 is the inclusion of the critical vertices (so a reduced
+    0-chain has the degree of its lift), d'^2 = 0, sigma'^2 = 1,
+    pi iota = 1, and iota, pi and sigma' are chain maps that commute with
+    the involutions."""
+    if red.lifts and any(col != [(c, 1)] for c, col
+                         in zip(red.cells[0], red.lifts[0])):
+        raise InternalError("iota_0 is not the inclusion of the critical "
+                            "vertices")
     reduced = tuple(zip(red.boundaries, red.sigmas))
     check_chain_map("iota", red.lifts, reduced, columns)
     check_chain_map("pi", red.projections, columns, reduced)

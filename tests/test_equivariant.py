@@ -33,8 +33,10 @@ from equihom.equivariant import (
     les_edge,
     localize_cohomology,
     localize_homology,
+    make_eq_class,
     ordinary_degree,
     pushforward,
+    reduced_total_complex_of,
     represented_class,
     total_complex,
     total_complex_of,
@@ -419,6 +421,39 @@ class TestFundamentalClass:
     def test_disconnected_rejected(self):
         with pytest.raises(LinAlgError):
             fundamental_class(builtin("free-pair"), "Z", expect_dim=0)
+
+
+class TestClassVectors:
+    """A class is a cycle of the reduced staircase."""
+
+    def test_a_vector_of_simplicial_length_is_rejected(self):
+        X = builtin("sphere-octahedron-reflection")
+        mu = fundamental_class(X, "Z")
+        length = total_complex_of(X, mu.coeff).rank(mu.p)
+        assert length != len(mu.vector)
+        with pytest.raises(LinAlgError, match="wrong length"):
+            EqClass(X, mu.coeff, mu.p, (0,) * length).coords()
+        with pytest.raises(LinAlgError, match="does not match"):
+            make_eq_class(X, mu.coeff, mu.p, (0,) * length)
+
+    def test_make_eq_class_rejects_a_reduced_non_cycle(self):
+        X = builtin("circle-antipodal")
+        rejected = 0
+        for coeff in ALL_COEFFS:
+            tc = reduced_total_complex_of(X, coeff)
+            for p in range(-1, 2):
+                n = tc.rank(p)
+                for unit in (tuple(int(i == k) for i in range(n))
+                             for k in range(n)):
+                    image = tc.diff(p).mul_vector(unit)
+                    if any(x % 2 if coeff.mod else x for x in image):
+                        rejected += 1
+                        with pytest.raises(LinAlgError, match="not a cycle"):
+                            make_eq_class(X, coeff, p, unit)
+                    else:
+                        assert make_eq_class(X, coeff, p, unit).vector \
+                            == unit
+        assert rejected
 
 
 class TestPushforward:

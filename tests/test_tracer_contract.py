@@ -18,7 +18,8 @@ import sys
 import equihom
 import equihom.cli  # the tracer also wraps cli._emit and verify.suite_*
 from equihom import equivariant
-from equihom.complexes import COEFF_Z2, builtin, identity_map
+from equihom.complexes import (
+    COEFF_Z2, builtin, fixed_inclusion, identity_map)
 
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
 tracer_module = importlib.util.module_from_spec(spec)
@@ -31,7 +32,11 @@ try:
     equivariant.eq_cohomology(X, COEFF_Z2, 1)
     equivariant.edge_morphism(X, COEFF_Z2, 0)  # solves and reduces
     equivariant.les_edge(X, COEFF_Z2, -1, 1)  # exactness: lattice tests
-    equivariant.fundamental_class(X, "Z2")
+    equivariant.cap_with_eta(equivariant.fundamental_class(X, "Z2"))
+    equivariant.equivariant_degree(
+        equivariant.class_from_coords(X, COEFF_Z2, 0, (1, 0)))
+    equivariant.represented_class(
+        fixed_inclusion(builtin("sphere-octahedron-reflection")), "Z2")
     equivariant.localize_homology(X, COEFF_Z2, 1)  # calls pushforward_hom
     equivariant.pushforward_hom(identity_map(X), COEFF_Z2, 0)
 finally:
@@ -55,3 +60,6 @@ def test_tracer_wraps_the_package():
                 "intlinalg.lattice_calls", "equivariant.les_calls",
                 "equivariant.localize_calls"):
         assert metrics[key] > 0, key
+    # classes are cycles of the reduced staircase, so nothing builds the
+    # simplicial chain complex
+    assert metrics["complexes.chain_complex_calls"] == 0
