@@ -33,7 +33,6 @@ from .enriques import (
 )
 from .equivariant import (
     EqClass,
-    GradedClassVector,
     cap_with_eta,
     edge_morphism,
     edge_morphism_cohomology,

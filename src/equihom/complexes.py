@@ -120,13 +120,16 @@ def make_complex(vertex_count, simplices, involution, auto_subdivided=False):
         raise ComplexFormatError(
             "simplices: vertex %d appears in no simplex" % missing[0])
 
-    # drop duplicates and non-maximal faces
+    # drop duplicates and non-maximal faces: longest first, a simplex is
+    # maximal unless it is a proper face of one kept before it
     cleaned = sorted(set(cleaned), key=lambda s: (-len(s), s))
     maximal = []
+    faces = set()
     for s in cleaned:
-        sset = set(s)
-        if not any(sset < set(t) for t in maximal):
+        if s not in faces:
             maximal.append(s)
+            for q in range(1, len(s)):
+                faces.update(itertools.combinations(s, q))
     maximal.sort(key=lambda s: (len(s), s))
     return GComplex(vertex_count, tuple(maximal), involution, auto_subdivided)
 

@@ -15,12 +15,19 @@ D squares to zero exactly.  Degrees may be negative; for a point the
 construction reproduces group cohomology of the group of order two.
 
 Groups are eliminated and presented on the staircase of the Morse-reduced
-chain complex (morse.py), which has the same homology: generators, classes
-(EqClass) and the inputs and outputs of the localizations are vectors of
-that staircase.  A map within one complex is built on the reduced
-staircase, and a simplicial map f between two complexes is moved there as
-pi f iota.  The simplicial staircase (total_complex_of) is kept only as a
-public reference.
+chain complex (morse.py), which has the same homology; generator lifts
+are vectors of that staircase.  A map within one complex is built on the
+reduced staircase, and a simplicial map f between two complexes is moved
+there as pi f iota.  The simplicial staircase (total_complex_of) is kept
+only as a public reference.
+
+An element of a group has one representation, its canonical generator
+coordinates (a class, EqClass, is such coordinates); a cycle enters only
+through the group's reduce.  A map has one representation, a GroupHom.
+The mod-2 homology (or cohomology) of the fixed set, summed over degrees,
+is one group (Z/2)^N laid out by fixed_offsets: the localizations land
+there, and the graded pushforward, pullback, Bockstein and parity
+projections are block GroupHoms on it.
 
 Everything below: edge morphisms (column-0 projection), the eta cap
 (column shift raising the twist), the two long exact sequences, the
@@ -49,6 +56,7 @@ from .complexes import (
 )
 from .intlinalg import (
     FGAbelianGroup,
+    GroupHom,
     IntMatrix,
     InternalError,
     LinAlgError,
@@ -271,101 +279,28 @@ def group_cohomology(module, invol, p):
 
 
 # ---------------------------------------------------------------------------
-# Classes and graded vectors
+# Classes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EqClass:
-    """A cycle of the reduced staircase reduced_total_complex_of(X, coeff)
-    in total degree p, i.e. an element of H_p(X; G, A(k))."""
+    """An element of H_p(X; G, A(k)): its coordinates in the generators of
+    eq_homology(X, coeff, p), torsion entries in [0, d), so that equal
+    classes are equal values."""
 
     X: object
     coeff: Coeff
     p: int
-    vector: tuple
+    coords: tuple
 
     def spot(self):
         return eq_homology(self.X, self.coeff, self.p)
 
-    def coords(self):
-        return self.spot().reduce(self.vector)
-
-    def same_class(self, other):
-        if (self.X, self.coeff, self.p) != (other.X, other.coeff, other.p):
-            return False
-        diff = tuple(a - b for a, b in zip(self.vector, other.vector))
-        return all(c == 0 for c in self.spot().reduce(diff))
-
-    def is_zero_class(self):
-        return all(c == 0 for c in self.coords())
-
-
-def make_eq_class(X, coeff, p, vector):
-    vector = tuple(vector)
-    tc = reduced_total_complex_of(X, coeff)
-    if len(vector) != tc.rank(p):
-        raise LinAlgError("vector length does not match the total degree")
-    image = tc.diff(p).mul_vector(vector)
-    if coeff.mod:
-        image = [x % coeff.mod for x in image]
-    if any(image):
-        raise LinAlgError("vector is not a cycle of the total complex")
-    return EqClass(X, coeff, p, vector)
-
 
 def class_from_coords(X, coeff, p, coords):
+    """The class with the given generator coordinates, in canonical form."""
     spot = eq_homology(X, coeff, p)
-    return EqClass(X, coeff, p, spot.lift(coords))
-
-
-@dataclass(frozen=True)
-class GradedClassVector:
-    """Element of the direct sum over p of H_p of the fixed set with mod-2
-    coefficients, stored as coordinates per degree."""
-
-    entries: tuple  # sorted tuple of (degree, coords); zero coords dropped
-
-    @classmethod
-    def from_dict(cls, mapping):
-        entries = []
-        for p in sorted(mapping):
-            coords = tuple(c % 2 for c in mapping[p])
-            if any(coords):
-                entries.append((p, coords))
-        return cls(tuple(entries))
-
-    def component(self, p):
-        for degree, coords in self.entries:
-            if degree == p:
-                return coords
-        return ()
-
-    def __add__(self, other):
-        out = {}
-        for p, coords in list(self.entries) + list(other.entries):
-            if p in out:
-                a = out[p]
-                length = max(len(a), len(coords))
-                a = tuple((a[i] if i < len(a) else 0)
-                          + (coords[i] if i < len(coords) else 0)
-                          for i in range(length))
-                out[p] = a
-            else:
-                out[p] = coords
-        return GradedClassVector.from_dict(out)
-
-    def parity_part(self, parity):
-        return GradedClassVector(tuple(
-            (p, coords) for p, coords in self.entries if p % 2 == parity))
-
-    def is_zero(self):
-        return not self.entries
-
-    def scale_mod2(self, c):
-        return GradedClassVector(()) if c % 2 == 0 else self
-
-
-GRADED_ZERO = GradedClassVector(())
+    return EqClass(X, coeff, p, spot.reduce(spot.lift(coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +367,11 @@ def eta_cap(X, coeff, p):
 
 def cap_with_eta(cls, power=1):
     """Cap an explicit class with a power of the twist class."""
-    coeff, p, vec = cls.coeff, cls.p, cls.vector
-    tc = reduced_total_complex_of(cls.X, COEFF_Z2)
+    coeff, p, coords = cls.coeff, cls.p, cls.coords
     for _ in range(power):
-        shift = _shift_matrix(tc, p)
-        vec = shift.mul_vector(vec)
+        coords = eta_cap(cls.X, coeff, p).apply(coords)
         coeff, p = coeff.shift(), p - 1
-    return make_eq_class(cls.X, coeff, p, vec)
+    return EqClass(cls.X, coeff, p, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -587,98 +520,113 @@ def ordinary_bockstein(F, p):
 
 
 # ---------------------------------------------------------------------------
-# Localization to the fixed set
+# Localizations to the fixed set
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Localization:
-    """A localization map in degree n, given by the graded mod-2 class of
-    the fixed set that each source generator maps to.
-
-    On homology (rho): reduce mod two, cap with a high power of the twist
-    class, invert the inclusion of the fixed set (an isomorphism in
-    negative degrees), and project away the twist columns.  On cohomology
-    (beta): restrict to the fixed set, reduce mod two, split off the twist
-    columns."""
-
-    X: object
-    coeff: Coeff
-    n: int
-    gen_images: tuple
-    cohomology: bool = False
-
-    def apply(self, cls):
-        """The image of an EqClass or of generator coordinates of the
-        source; a class of another group, or coordinates of the wrong
-        length, raise LinAlgError."""
-        if isinstance(cls, EqClass):
-            if self.cohomology or (cls.X, cls.coeff, cls.p) != (
-                    self.X, self.coeff, self.n):
-                raise LinAlgError(
-                    "class does not lie in the source of the localization")
-            coords = cls.coords()
-        else:
-            coords = tuple(cls)
-        if len(coords) != len(self.gen_images):
-            raise LinAlgError("coordinate vector has wrong length")
-        out = GRADED_ZERO
-        for c, img in zip(coords, self.gen_images):
-            out = out + img.scale_mod2(c)
-        return out
+@lru_cache(maxsize=None)
+def fixed_offsets(F, group):
+    """Layout of the graded mod-2 group of F, the direct sum over q of
+    group(F, Z/2, q) for group homology or cohomology, as one (Z/2)^N:
+    degree q holds the coordinates offsets[q]:offsets[q + 1], and N is
+    offsets[-1]."""
+    offsets = [0]
+    for q in range(dim(F) + 1):
+        offsets.append(offsets[-1] + group(F, COEFF_Z2, q).ngens)
+    return tuple(offsets)
 
 
-def _graded_fixed_class(tcf, p, y, group):
-    """The graded mod-2 class of the fixed set whose degree-q part is the
-    class in group(F, Z/2, q) of the chain-degree-q block of y, a vector
-    of the reduced staircase tcf of F in total degree p."""
-    graded = {}
-    for q, _, off in tcf.blocks(p):
-        spot = group(tcf.X, COEFF_Z2, q)
-        graded[q] = spot.reduce(y[off:off + spot.ambient_rank])
-    return GradedClassVector.from_dict(graded)
+def _graded_group(offsets):
+    return FGAbelianGroup(0, (2,) * offsets[-1])
+
+
+def _fixed_classes(src, tcf, p, chains, group):
+    """The GroupHom from src to the graded mod-2 group(F) of F = tcf.X
+    sending the i-th generator to the class whose degree-q part is that of
+    the chain-degree-q block of chains[i], a vector of the reduced
+    staircase tcf of F in total degree p."""
+    F = tcf.X
+    offsets = fixed_offsets(F, group)
+    cols = []
+    for y in chains:
+        col = [0] * offsets[-1]
+        for q, _, off in tcf.blocks(p):
+            spot = group(F, COEFF_Z2, q)
+            col[offsets[q]:offsets[q + 1]] = spot.reduce(
+                y[off:off + spot.ambient_rank])
+        cols.append(col)
+    return GroupHom(src, _graded_group(offsets),
+                    IntMatrix.from_columns(offsets[-1], cols))
 
 
 @lru_cache(maxsize=None)
 def localize_homology(X, coeff, n):
-    """rho in degree n: H_n(X; G, A(k)) -> direct sum of H_p(X^G, Z/2)."""
+    """rho in degree n: H_n(X; G, A(k)) -> the graded mod-2 homology of
+    the fixed set, laid out by fixed_offsets: reduce mod two, cap with a
+    high power of the twist class, invert the inclusion of the fixed set
+    (an isomorphism in negative degrees), and project away the twist
+    columns.  The zero map when the fixed set is empty."""
     src = eq_homology(X, coeff, n)
     F = fixed_subcomplex(X)
     if F.vertex_count == 0:
-        return Localization(
-            X, coeff, n, tuple(GRADED_ZERO for _ in src.generators))
+        return GroupHom(src, FGAbelianGroup(0), IntMatrix.zeros(0, src.ngens))
     steps = dim(X) + 1
     p_low = n - steps
     # below degree zero the inclusion of the fixed set is an isomorphism
     incl = pushforward_hom(fixed_inclusion(X), COEFF_Z2, p_low)
     solver = LinearSolver(image_lattice(incl))
     shift = _shift_matrix(reduced_total_complex_of(X, COEFF_Z2), n, steps)
-    tcf = reduced_total_complex_of(F, COEFF_Z2)
-    images = []
+    chains = []
     for gen in src.generators:
         sol = solver.solve_vector(incl.target.reduce(shift.mul_vector(gen)))
         if sol is None:
             raise InternalError(
                 "inclusion of the fixed set could not be inverted")
-        y = incl.source.lift(sol[:incl.source.ngens])
-        images.append(_graded_fixed_class(tcf, p_low, y, homology))
-    return Localization(X, coeff, n, tuple(images))
+        chains.append(incl.source.lift(sol[:incl.source.ngens]))
+    return _fixed_classes(src, reduced_total_complex_of(F, COEFF_Z2), p_low,
+                          chains, homology)
 
 
 @lru_cache(maxsize=None)
 def localize_cohomology(X, coeff, n):
-    """beta in degree n: H^n(X; G, A(k)) -> direct sum of H^p(X^G, Z/2);
-    the zero map when the fixed set is empty."""
+    """beta in degree n: H^n(X; G, A(k)) -> the graded mod-2 cohomology of
+    the fixed set: restrict to the fixed set, reduce mod two, split off
+    the twist columns.  The zero map when the fixed set is empty."""
     src = eq_cohomology(X, coeff, n)
     F = fixed_subcomplex(X)
     if F.vertex_count == 0:
-        return Localization(
-            X, coeff, n, tuple(GRADED_ZERO for _ in src.generators), True)
+        return GroupHom(src, FGAbelianGroup(0), IntMatrix.zeros(0, src.ngens))
     restrict = _pullback_matrix(fixed_inclusion(X), COEFF_Z2, n)
-    tcf = reduced_total_cochain_complex_of(F, COEFF_Z2)
-    images = [_graded_fixed_class(tcf, n, restrict.mul_vector(gen),
-                                  cohomology)
-              for gen in src.generators]
-    return Localization(X, coeff, n, tuple(images), True)
+    return _fixed_classes(
+        src, reduced_total_cochain_complex_of(F, COEFF_Z2), n,
+        [restrict.mul_vector(gen) for gen in src.generators], cohomology)
+
+
+def _graded_hom(src, tgt, blocks):
+    """The GroupHom between the graded mod-2 groups with layouts src and
+    tgt that acts by the matrix m from the degree-q block of the source to
+    the degree-r block of the target, for each (r, q, m) in blocks."""
+    return GroupHom(_graded_group(src), _graded_group(tgt),
+                    IntMatrix.from_blocks(
+                        tgt[-1], src[-1],
+                        [(tgt[r], src[q], m, 1) for r, q, m in blocks]))
+
+
+def parity_projection(F, group, parity):
+    """The projection of the graded mod-2 group(F) onto its degrees of the
+    given parity."""
+    offsets = fixed_offsets(F, group)
+    return _graded_hom(offsets, offsets, [
+        (q, q, IntMatrix.identity(offsets[q + 1] - offsets[q]))
+        for q in range(parity, len(offsets) - 1, 2)])
+
+
+def graded_bockstein(F):
+    """The ordinary mod-2 Bockstein of F on its graded mod-2 homology,
+    degree q + 1 to degree q."""
+    offsets = fixed_offsets(F, homology)
+    return _graded_hom(offsets, offsets, [
+        (q, q + 1, ordinary_bockstein(F, q).matrix)
+        for q in range(len(offsets) - 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -696,19 +644,15 @@ def _blockwise(tc_src, tc_tgt, p, mats):
 
 
 @lru_cache(maxsize=None)
-def _pushforward_matrix(f, coeff, p):
-    """Pushforward of reduced total complexes T_p(source) -> T_p(target),
-    pi f iota block by block."""
-    return _blockwise(reduced_total_complex_of(f.source, coeff),
-                      reduced_total_complex_of(f.target, coeff), p,
-                      reduced_gmap_matrices(f, coeff))
-
-
 def pushforward_hom(f, coeff, p):
-    """Functoriality on equivariant homology as a homomorphism."""
+    """Functoriality on equivariant homology as a homomorphism, induced by
+    pi f iota block by block on the reduced staircases."""
     src = eq_homology(f.source, coeff, p)
     tgt = eq_homology(f.target, coeff, p)
-    return induced_hom(_pushforward_matrix(f, coeff, p), src, tgt)
+    mat = _blockwise(reduced_total_complex_of(f.source, coeff),
+                     reduced_total_complex_of(f.target, coeff), p,
+                     reduced_gmap_matrices(f, coeff))
+    return induced_hom(mat, src, tgt)
 
 
 @lru_cache(maxsize=None)
@@ -747,47 +691,35 @@ def fixed_map(f):
     return make_gmap(FX, FY, [tgt_index[f.vertex_map[v]] for v in src_verts])
 
 
-def graded_pushforward(f, gcv):
-    """Push a graded fixed-set class along the restriction of a map."""
+def graded_pushforward(f):
+    """The restriction of f to the fixed sets on graded mod-2 homology."""
     fg = fixed_map(f)
-    return GradedClassVector.from_dict(
-        {p: ordinary_pushforward_hom(fg, COEFF_Z2, p).apply(coords)
-         for p, coords in gcv.entries})
+    src = fixed_offsets(fg.source, homology)
+    tgt = fixed_offsets(fg.target, homology)
+    return _graded_hom(src, tgt, [
+        (q, q, ordinary_pushforward_hom(fg, COEFF_Z2, q).matrix)
+        for q in range(min(len(src), len(tgt)) - 1)])
 
 
-def graded_pullback(f, gcv):
-    """Pull a graded fixed-set cohomology class back along the restriction."""
+def graded_pullback(f):
+    """The restriction of f to the fixed sets on graded mod-2 cohomology."""
     fg = fixed_map(f)
+    src = fixed_offsets(fg.target, cohomology)
+    tgt = fixed_offsets(fg.source, cohomology)
     mats = reduced_gmap_matrices(fg, COEFF_Z2)
-    out = {}
-    for p, coords in gcv.entries:
-        src = cohomology(fg.target, COEFF_Z2, p)
-        tgt = cohomology(fg.source, COEFF_Z2, p)
-        mat = (mats[p].transpose() if p < len(mats) else IntMatrix.zeros(
-            tgt.ambient_rank, src.ambient_rank))
-        out[p] = induced_hom(mat, src, tgt).apply(coords)
-    return GradedClassVector.from_dict(out)
-
-
-def graded_bockstein(F, gcv):
-    """Apply the ordinary mod-2 Bockstein of the fixed set degreewise
-    (each degree p component lands in degree p - 1)."""
-    out = {}
-    for p, coords in gcv.entries:
-        if p:
-            out[p - 1] = ordinary_bockstein(F, p - 1).apply(coords)
-    return GradedClassVector.from_dict(out)
+    return _graded_hom(src, tgt, [
+        (q, q, induced_hom(mats[q].transpose(),
+                           cohomology(fg.target, COEFF_Z2, q),
+                           cohomology(fg.source, COEFF_Z2, q)).matrix)
+        for q in range(min(len(src), len(tgt)) - 1)])
 
 
 def pushforward(f, cls):
     """Covariant functoriality along an equivariant simplicial map."""
     if cls.X != f.source:
         raise LinAlgError("class does not live on the source of the map")
-    coeff = cls.coeff
-    out = _pushforward_matrix(f, coeff, cls.p).mul_vector(cls.vector)
-    if coeff.mod:
-        out = [x % coeff.mod for x in out]
-    return make_eq_class(f.target, coeff, cls.p, out)
+    return EqClass(f.target, cls.coeff, cls.p,
+                   pushforward_hom(f, cls.coeff, cls.p).apply(cls.coords))
 
 
 def equivariant_degree(cls):
@@ -798,8 +730,7 @@ def equivariant_degree(cls):
     if cls.coeff.ring == "Z" and cls.coeff.k % 2:
         raise LinAlgError("degree needs an untwisted coefficient system")
     point = builtin("point")
-    pushed = pushforward(constant_map(cls.X, point), cls)
-    coords = pushed.coords()
+    coords = pushforward(constant_map(cls.X, point), cls).coords
     return coords[0] if coords else 0
 
 
@@ -811,14 +742,14 @@ def ordinary_degree(X, coeff, chain0):
     return total % 2 if coeff.mod else total
 
 
-def graded_degree_mod2(F, gcv):
-    """The mod-2 degree of the degree-0 part of a graded class vector on
-    the fixed set, the other degrees counting zero."""
-    coords = gcv.component(0)
-    if not coords:
+def graded_degree_mod2(F, coords):
+    """The mod-2 degree of the H_0 block of coordinates of the graded
+    mod-2 homology of F, the other degrees counting zero."""
+    if F.vertex_count == 0:
         return 0
     spot = homology(F, COEFF_Z2, 0)
-    return ordinary_degree(F, COEFF_Z2, spot.lift(coords))
+    return ordinary_degree(
+        F, COEFF_Z2, spot.lift(coords[:fixed_offsets(F, homology)[1]]))
 
 
 def fundamental_class(X, ring, expect_dim=None):
@@ -859,7 +790,7 @@ def fundamental_class(X, ring, expect_dim=None):
         raise InternalError("edge morphism misses the fundamental cycle "
                             "(wrong twist parity?)")
     cls = class_from_coords(X, coeff, d, sol[:edge.source.ngens])
-    if edge.apply(cls.coords()) != top:
+    if edge.apply(cls.coords) != top:
         raise InternalError("edge image mismatch")
     return cls
 

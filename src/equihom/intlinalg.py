@@ -625,6 +625,8 @@ class GroupHom:
             raise LinAlgError("homomorphism matrix has wrong shape")
 
     def apply(self, coords):
+        if len(coords) != self.matrix.cols:
+            raise LinAlgError("coordinate vector has wrong length")
         out = self.matrix.mul_vector(coords)
         return tuple(x % d if d else x
                      for x, d in zip(out, self.target.orders))

@@ -7,6 +7,11 @@ homology of the space; Z-GM is the integral analogue (one bound for the
 even part, one for the odd part).  Both decisions are made exactly through
 edge-morphism surjectivity onto invariants; the dimension counts are
 computed as an independent cross-check.
+
+The localizations are GroupHoms into the graded mod-2 group of the fixed
+set (equivariant.fixed_offsets), so every span and rank question about
+them is a lattice test of intlinalg, the integer kernel used everywhere
+else; the mod-2 relations 2e_i are columns of every image lattice.
 """
 
 from __future__ import annotations
@@ -30,100 +35,27 @@ from .equivariant import (
     edge_morphism_cohomology,
     eq_cohomology,
     eq_homology,
+    fixed_offsets,
     fundamental_class,
+    graded_degree_mod2,
     homology,
     homology_involution,
     group_cohomology,
     localize_cohomology,
     localize_homology,
+    parity_projection,
 )
 from .intlinalg import (
     FGAbelianGroup,
     IntMatrix,
     InternalError,
     LinAlgError,
+    LinearSolver,
     image_lattice,
     induced_hom,
     lattices_equal,
 )
 from .morse import reduced_chain_complex
-
-
-# ---------------------------------------------------------------------------
-# Mod-2 span helpers (flattened graded vectors as bitmasks)
-# ---------------------------------------------------------------------------
-
-def _f2_rank(masks):
-    basis = []
-    for m in masks:
-        for b in basis:
-            low = b & -b
-            if m & low:
-                m ^= b
-        if m:
-            basis.append(m)
-    return len(basis)
-
-
-def _f2_spans(span_masks, targets):
-    """Whether every target mask lies in the span of span_masks."""
-    r = _f2_rank(list(span_masks))
-    return _f2_rank(list(span_masks) + list(targets)) == r
-
-
-class _FixedFlattener:
-    """Flatten graded class vectors on the fixed set into bitmasks."""
-
-    def __init__(self, F):
-        self.F = F
-        self.offsets = {}
-        off = 0
-        self.dims = {}
-        for q in range(dim(F) + 1):
-            d = homology(F, COEFF_Z2, q).ngens
-            self.offsets[q] = off
-            self.dims[q] = d
-            off += d
-
-    def mask(self, gcv):
-        m = 0
-        for p, coords in gcv.entries:
-            off = self.offsets.get(p)
-            if off is None:
-                continue
-            for i, c in enumerate(coords):
-                if c % 2:
-                    m |= 1 << (off + i)
-        return m
-
-    def degree_functional(self):
-        """Bit positions of H_0 generators weighted by their mod-2 degree."""
-        weights = {}
-        if 0 in self.dims and self.dims[0]:
-            spot = homology(self.F, COEFF_Z2, 0)
-            for i, gen in enumerate(spot.generators):
-                weights[self.offsets[0] + i] = sum(gen) % 2
-        return weights
-
-    def subspace_masks(self, parity=None, degree_zero=False):
-        """A basis of the subspace cut out by a parity condition and/or the
-        vanishing of the extended degree."""
-        positions = []
-        for q in range(dim(self.F) + 1):
-            if parity is not None and q % 2 != parity:
-                continue
-            for i in range(self.dims[q]):
-                positions.append((self.offsets[q] + i, q))
-        if not degree_zero:
-            return [1 << pos for pos, _ in positions]
-        weights = self.degree_functional()
-        zero_deg = [1 << pos for pos, _ in positions
-                    if not weights.get(pos, 0)]
-        odd_deg = [pos for pos, _ in positions if weights.get(pos, 0)]
-        masks = zero_deg
-        for a, b in zip(odd_deg, odd_deg[1:]):
-            masks.append((1 << a) | (1 << b))
-        return masks
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +252,26 @@ def rho_surjectivity_criteria(X, variant):
     criterion_zero = not any(any(h2g.reduce(img))
                              for img in e1.matrix.columns())
 
-    # side two: image of the localization against the target subspace
-    flat = _FixedFlattener(F)
+    # side two: the image of the localization, projected to the parity
+    # part, against the target subspace spanned by unit vectors of that
+    # part (of degree zero, and sums of two of odd degree, for the
+    # degree-zero targets)
     loc = localize_homology(X, coeff2, 2)
-    span = []
-    for img in loc.gen_images:
-        part = img if parity is None else img.parity_part(parity)
-        span.append(flat.mask(part))
-    targets = flat.subspace_masks(parity=parity, degree_zero=degree_zero)
-    rho_surjective = _f2_spans(span, targets)
+    offsets = fixed_offsets(F, homology)
+    n = offsets[-1]
+    positions = range(n)
+    if parity is not None:
+        loc = parity_projection(F, homology, parity).compose(loc)
+        positions = [i for q in range(parity, len(offsets) - 1, 2)
+                     for i in range(offsets[q], offsets[q + 1])]
+    units = [[int(i == j) for j in range(n)] for i in positions]
+    targets = units
+    if degree_zero:
+        odd = [u for u in units if graded_degree_mod2(F, u)]
+        targets = [u for u in units if u not in odd] + [
+            [a + b for a, b in zip(u, v)] for u, v in zip(odd, odd[1:])]
+    rho_surjective = LinearSolver(image_lattice(loc)).contains(
+        IntMatrix.from_columns(n, targets))
     return criterion_zero, rho_surjective
 
 
@@ -350,7 +293,7 @@ def edge_defect_witness(X):
     for coords in itertools.product((0, 1), repeat=src.ngens):
         if not any(coords):
             continue
-        if any(e1.apply(coords)) and beta.apply(coords).is_zero():
+        if any(e1.apply(coords)) and not any(beta.apply(coords)):
             return coords
     raise InternalError("no witness found although the degree-2 edge map "
                         "is not surjective")

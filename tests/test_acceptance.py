@@ -20,12 +20,20 @@ from equihom.complexes import (
 from equihom.enriques import enumerate_types
 from equihom.equivariant import (
     eq_homology,
+    fixed_offsets,
     fundamental_class,
     group_cohomology,
     homology,
     localize_homology,
+    parity_projection,
 )
-from equihom.intlinalg import FGAbelianGroup, IntMatrix
+from equihom.intlinalg import (
+    FGAbelianGroup,
+    IntMatrix,
+    LinearSolver,
+    image_lattice,
+    kernel_lattice,
+)
 from equihom.spectral import (
     RHO_VARIANTS,
     coedge_surjective,
@@ -170,26 +178,27 @@ class TestCriterion3Exactness:
 
 class TestCriterion4NegativeDegreeLocalization:
     def test_parity_isomorphisms(self):
-        from equihom.spectral import _FixedFlattener, _f2_rank, _f2_spans
         ok = True
         for name in FIXED_POINT_BUILTINS:
             X = builtin(name)
-            flat = _FixedFlattener(fixed_subcomplex(X))
+            F = fixed_subcomplex(X)
+            off = fixed_offsets(F, homology)
             for n in (-1, -2, -3, -4):
                 for k in (0, 1):
                     parity = (n + k) % 2
-                    want_dim = sum(d for q, d in flat.dims.items()
+                    want_dim = sum(off[q + 1] - off[q]
+                                   for q in range(len(off) - 1)
                                    if q % 2 == parity)
                     src = eq_homology(X, Coeff("Z", k), n)
-                    loc = localize_homology(X, Coeff("Z", k), n)
-                    masks = [flat.mask(img.parity_part(parity))
-                             for img in loc.gen_images]
+                    proj = parity_projection(F, homology, parity)
+                    loc = proj.compose(localize_homology(X, Coeff("Z", k), n))
                     if src != FGAbelianGroup(0, (2,) * want_dim):
                         ok = False
-                    if _f2_rank(masks) != src.ngens:
+                    if not LinearSolver(src.relation_columns()).contains(
+                            kernel_lattice(loc)):
                         ok = False  # injectivity
-                    if not _f2_spans(masks,
-                                     flat.subspace_masks(parity)):
+                    if not LinearSolver(image_lattice(loc)).contains(
+                            image_lattice(proj)):
                         ok = False  # surjectivity onto the parity part
         report(4, "negative-degree localization parity isomorphisms", ok)
 
@@ -235,13 +244,14 @@ class TestCriterion7FundamentalRestriction:
     def test_equator_restriction(self):
         X = builtin("sphere-octahedron-reflection")
         mu = fundamental_class(X, "Z", expect_dim=2)
-        image = localize_homology(X, mu.coeff, 2).apply(mu)
+        image = localize_homology(X, mu.coeff, 2).apply(mu.coords)
         F = fixed_subcomplex(X)
+        off = fixed_offsets(F, homology)
         equator = homology(F, COEFF_Z2, 1)
         ok = (mu.coeff == COEFF_Z1
               and equator == FGAbelianGroup(0, (2,))
-              and image.component(1) == (1,)
-              and image.component(0) == ())
+              and image[off[1]:off[2]] == (1,)
+              and not any(image[off[0]:off[1]]))
         report(7, "localized fundamental class = equator class, exact "
                   "coordinates", ok)
 

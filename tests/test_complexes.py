@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from equihom.complexes import (
@@ -115,6 +117,43 @@ class TestSubdivision:
             for q in range(2):
                 assert ordinary_homology(fixed_subcomplex(X), COEFF_Z2, q) \
                     == ordinary_homology(fixed_subcomplex(Y), COEFF_Z2, q)
+
+
+def pairwise_maximal(simplices):
+    """The maximal simplices of a face list by testing every simplex
+    against every longer one kept: the quadratic reference filter."""
+    cleaned = sorted({tuple(sorted(s)) for s in simplices},
+                     key=lambda s: (-len(s), s))
+    maximal = []
+    for s in cleaned:
+        if not any(set(s) < set(t) for t in maximal):
+            maximal.append(s)
+    return tuple(sorted(maximal, key=lambda s: (len(s), s)))
+
+
+class TestMaximalFaces:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_pairwise_filter(self, seed):
+        # random simplices, faces of them and duplicates of both, shuffled
+        # and with their vertices in either order
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        faces = [tuple(rng.sample(range(n), rng.randint(1, min(n, 5))))
+                 for _ in range(rng.randint(1, 12))]
+        faces += [tuple(rng.sample(s, rng.randint(1, len(s))))
+                  for s in rng.choices(faces, k=rng.randint(0, 10))]
+        faces += rng.choices(faces, k=rng.randint(0, 5))
+        # every vertex in some simplex, as make_complex requires
+        faces += [(v,) for v in range(n)]
+        rng.shuffle(faces)
+        faces = [list(reversed(s)) if rng.random() < 0.5 else list(s)
+                 for s in faces]
+        X = make_complex(n, faces, list(range(n)))
+        assert X.maximal_simplices == pairwise_maximal(faces)
+
+    def test_subdivision_keeps_the_facets(self):
+        X = barycentric_subdivide(builtin("torus-reflection"))
+        assert X.maximal_simplices == pairwise_maximal(X.maximal_simplices)
 
 
 class TestFixedSubcomplex:

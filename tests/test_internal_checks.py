@@ -115,18 +115,26 @@ def test_src_imports_only_the_standard_library():
 
 
 def test_every_top_level_definition_is_used():
-    # no dead code: each module-level def and class is named somewhere in
+    # no dead code: each module-level def and class, and each method or
+    # property of those classes other than a dunder, is named somewhere in
     # the package, as a name, an attribute or an import
     defined, used = [], set()
     for name, node in src_nodes():
         if isinstance(node, ast.Module):
-            defined += [(name, d.name) for d in node.body
-                        if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+            for d in node.body:
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((name, d.name, d.name))
+                if isinstance(d, ast.ClassDef):
+                    defined += [(name, "%s.%s" % (d.name, m.name), m.name)
+                                for m in d.body
+                                if isinstance(m, ast.FunctionDef)
+                                and not (m.name.startswith("__")
+                                         and m.name.endswith("__"))]
         elif isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-    dead = ["%s:%s" % d for d in defined if d[1] not in used]
+    dead = ["%s:%s" % d[:2] for d in defined if d[2] not in used]
     assert dead == [], "definitions nothing in src/ refers to: %s" % dead

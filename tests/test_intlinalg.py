@@ -27,7 +27,6 @@ from equihom.complexes import (
     validate,
 )
 from equihom.equivariant import (
-    GradedClassVector,
     TotalCochainComplex,
     TotalComplex,
     _blockwise,
@@ -860,17 +859,19 @@ def simplicial_halved(d, hom, d_in, iota, pi):
 
 
 def simplicial_localizations(X, coeff, n):
-    """The images of the generators of H_n(X; G, coeff) and H^n under the
-    localizations, computed on the simplicial staircases: on homology by
-    solving incl . y = shifted generator modulo im(diff) + 2 . ambient,
-    on cohomology by restricting each generator to the fixed set.  The
+    """The matrices of the localizations of H_n(X; G, coeff) and H^n,
+    computed on the simplicial staircases: on homology by solving
+    incl . y = shifted generator modulo im(diff) + 2 . ambient, on
+    cohomology by restricting each generator to the fixed set.  The
     generators are lifted through iota, and each block of the fixed-set
-    chains is projected through pi before it is reduced."""
+    chains is projected through pi before it is reduced.  Column i holds
+    the mod-2 coordinates of the image of generator i, degree by degree
+    of the fixed set."""
     F = fixed_subcomplex(X)
     src, cosrc = eq_homology(X, coeff, n), eq_cohomology(X, coeff, n)
     if F.vertex_count == 0:
-        return ((GradedClassVector(()),) * src.ngens,
-                (GradedClassVector(()),) * cosrc.ngens)
+        return (IntMatrix.zeros(0, src.ngens),
+                IntMatrix.zeros(0, cosrc.ngens))
     mats = gmap_chain_matrices(fixed_inclusion(X), COEFF_Z2)
     ccx, ccf = chain_complex(X, COEFF_Z2), chain_complex(F, COEFF_Z2)
     tcx, tcf = TotalComplex(ccx), TotalComplex(ccf)
@@ -882,11 +883,16 @@ def simplicial_localizations(X, coeff, n):
     shift = _shift_matrix(tcx, n, steps)
 
     def graded(tc, degree, y, group, cochains):
-        return GradedClassVector.from_dict(
-            {q: group(F, COEFF_Z2, q).reduce(
-                projection_matrix(F, [q], cochains).mul_vector(
-                    y[off:off + tc.cc.rank(q)]))
-             for q, _, off in tc.blocks(degree)})
+        coords = {q: group(F, COEFF_Z2, q).reduce(
+            projection_matrix(F, [q], cochains).mul_vector(
+                y[off:off + tc.cc.rank(q)]))
+            for q, _, off in tc.blocks(degree)}
+        return [c for q in range(dim(F) + 1)
+                for c in coords.get(q, (0,) * group(F, COEFF_Z2, q).ngens)]
+
+    def columns(group, cols):
+        rows = sum(group(F, COEFF_Z2, q).ngens for q in range(dim(F) + 1))
+        return IntMatrix.from_columns(rows, cols)
     iota = lift_matrix(X, degrees(tcx, n), False)
     images = []
     for gen in src.generators:
@@ -896,10 +902,10 @@ def simplicial_localizations(X, coeff, n):
     cotcx, cotcf = TotalCochainComplex(ccx), TotalCochainComplex(ccf)
     restrict = _blockwise(cotcx, cotcf, n, [m.transpose() for m in mats])
     iota = lift_matrix(X, degrees(cotcx, n), True)
-    return tuple(images), tuple(
+    return columns(homology, images), columns(cohomology, [
         graded(cotcf, n, restrict.mul_vector(iota.mul_vector(gen)),
                cohomology, True)
-        for gen in cosrc.generators)
+        for gen in cosrc.generators])
 
 
 def check_maps_against_simplicial(X):
@@ -954,9 +960,9 @@ def check_maps_against_simplicial(X):
                 assert hom.matrix == simplicial_halved(
                     ch.diff(p), hom, TotalComplex(cc[COEFF_Z2]).diff(p + 1),
                     iota, projection_matrix(X, degrees(ch, p - 1), False))
-            gen_images = localize_homology(X, coeff, p).gen_images, \
-                localize_cohomology(X, coeff, p).gen_images
-            assert gen_images == simplicial_localizations(X, coeff, p)
+            matrices = localize_homology(X, coeff, p).matrix, \
+                localize_cohomology(X, coeff, p).matrix
+            assert matrices == simplicial_localizations(X, coeff, p)
     for q in range(n):
         hom = ordinary_bockstein(X, q)
         assert hom.matrix == simplicial_halved(
