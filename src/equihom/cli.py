@@ -111,12 +111,13 @@ def cmd_compute(args):
         reps = [("edge", les_edge(X, coeff, lo, hi))]
         if coeff.ring == "Z":
             reps.append(("coefficient", les_coeff(X, coeff.k, lo, hi)))
+        # a sequence that is not exact raises ExactnessError instead
         report["sequences"] = [
-            {"sequence": kind, "exact": rep.ok,
-             "nodes": [{"degree": n.degree, "at": n.label,
-                        "group": str(n.group), "exact": n.exact}
-                       for n in rep.nodes]}
-            for kind, rep in reps]
+            {"sequence": kind, "exact": True,
+             "nodes": [{"degree": p, "at": at, "group": str(group),
+                        "exact": True}
+                       for p, at, group in nodes]}
+            for kind, nodes in reps]
 
     def render(rep):
         yield "space: %s   coefficients: %s   (%s)" % (

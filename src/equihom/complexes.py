@@ -2,9 +2,11 @@
 
 A complex is stored by its maximal simplices plus a vertex permutation of
 order two.  Regularity (every simplex fixed setwise is fixed vertexwise) is
-enforced; one barycentric subdivision always restores it.  Chain complexes
-carry the involution as a signed permutation matrix per degree, with the
-coefficient twist folded in.
+enforced; one barycentric subdivision always restores it.  Simplicial
+and Morse-reduced chains (morse.py) share one sparse layout, per degree the
+boundary and the untwisted involution (a signed permutation) as columns of
+(row, entry) pairs, one checker (check_chain_columns) and one densifier
+(dense_chain_complex, which applies the coefficient twist and modulus).
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _is_vertex_id(v, vertex_count):
     return _is_integer(v) and 0 <= v < vertex_count
 
 
-def make_complex(vertex_count, simplices, involution, auto_subdivided=False):
+def make_complex(vertex_count, simplices, involution):
     """Canonicalize and face-close the input; structural errors raise."""
     if vertex_count < 0:
         raise ComplexFormatError("vertices: must be nonnegative")
@@ -131,7 +133,7 @@ def make_complex(vertex_count, simplices, involution, auto_subdivided=False):
             for q in range(1, len(s)):
                 faces.update(itertools.combinations(s, q))
     maximal.sort(key=lambda s: (len(s), s))
-    return GComplex(vertex_count, tuple(maximal), involution, auto_subdivided)
+    return GComplex(vertex_count, tuple(maximal), involution)
 
 
 @lru_cache(maxsize=None)
@@ -210,14 +212,16 @@ def barycentric_subdivide(X):
     for s in all_faces:
         if _sigma_simplex(X, s) not in bary_id:
             raise ComplexError("involution is not simplicial")
-    new_inv = [bary_id[_sigma_simplex(X, s)] for s in all_faces]
-    new_simplices = []
-    for s in X.maximal_simplices:
-        for perm in itertools.permutations(s):
-            flag = [tuple(sorted(perm[:i + 1])) for i in range(len(perm))]
-            new_simplices.append(tuple(sorted(bary_id[f] for f in flag)))
-    return make_complex(len(all_faces), new_simplices, new_inv,
-                        auto_subdivided=X.auto_subdivided)
+    new_inv = tuple(bary_id[_sigma_simplex(X, s)] for s in all_faces)
+    # the full flags of distinct maximal simplices are distinct, maximal
+    # and cover every barycenter, so no face filter is needed
+    new_simplices = sorted(
+        (tuple(sorted(bary_id[tuple(sorted(perm[:i + 1]))]
+                      for i in range(len(perm))))
+         for s in X.maximal_simplices for perm in itertools.permutations(s)),
+        key=lambda s: (len(s), s))
+    return GComplex(len(all_faces), tuple(new_simplices), new_inv,
+                    X.auto_subdivided)
 
 
 @lru_cache(maxsize=None)
@@ -226,15 +230,8 @@ def fixed_subcomplex(X):
     involution; by regularity this is the topological fixed set."""
     fixed = [v for v in range(X.vertex_count) if X.involution[v] == v]
     renum = {v: i for i, v in enumerate(fixed)}
-    fixed_set = set(fixed)
-    kept = []
-    for s in X.maximal_simplices:
-        for q in range(1, len(s) + 1):
-            for face in itertools.combinations(s, q):
-                if set(face) <= fixed_set:
-                    kept.append(tuple(renum[v] for v in face))
-    if not fixed:
-        return GComplex(0, (), ())
+    kept = [tuple(renum[v] for v in s) for level in simplices_by_dim(X)
+            for s in level if all(v in renum for v in s)]
     return make_complex(len(fixed), kept, list(range(len(fixed))))
 
 
@@ -257,7 +254,7 @@ def _perm_sign(seq):
 
 @dataclass(frozen=True)
 class GChainComplex:
-    """Oriented chain complex of a G-complex with coefficients.
+    """Dense chain complex of a G-complex with coefficients.
 
     boundaries[q] : C_q -> C_{q-1}; sigmas[q] is the involution action on
     C_q including the orientation sign and the twist sign (-1)^k.  Over
@@ -266,14 +263,11 @@ class GChainComplex:
 
     X: GComplex
     coeff: Coeff
-    bases: tuple
     boundaries: tuple
     sigmas: tuple
 
     def rank(self, q):
-        if 0 <= q < len(self.bases):
-            return len(self.bases[q])
-        return 0
+        return self.sigma(q).rows
 
     def boundary(self, q):
         """The boundary C_q -> C_{q-1}, with empty fallbacks off range."""
@@ -284,7 +278,7 @@ class GChainComplex:
     def sigma(self, q):
         if 0 <= q < len(self.sigmas):
             return self.sigmas[q]
-        return IntMatrix.zeros(self.rank(q), self.rank(q))
+        return IntMatrix.zeros(0, 0)
 
 
 def _apply(cols, entries):
@@ -314,11 +308,10 @@ def check_chain_map(name, cols, src, tgt):
 
 @lru_cache(maxsize=None)
 def chain_columns(X):
-    """The integral chain data of X with the untwisted involution, as
-    sparse columns: per degree q a pair (boundary, sigma) of lists with
-    one list of (row, entry) per q-simplex.  That sigma is an involution,
-    that the boundary squares to zero and that it commutes with sigma
-    are checked with InternalError, once per complex."""
+    """The integral chain data of X with the untwisted involution, in the
+    sparse chain layout: per degree q a pair (boundary, sigma) of lists
+    with one list of (row, entry) per q-simplex.  Checked with
+    check_chain_columns, once per complex."""
     index = face_index(X)
     out = []
     for q, basis in enumerate(simplices_by_dim(X)):
@@ -331,19 +324,23 @@ def chain_columns(X):
             sigma.append([(index[q][tuple(sorted(image))],
                            _perm_sign(image))])
         out.append((boundary, sigma))
-    for _, sigma in out:
-        for c, ((image, sign),) in enumerate(sigma):
-            if sigma[image][0] != (c, sign):
-                raise InternalError("involution matrix is not an involution")
-    _check_chain_columns(out)
+    check_chain_columns(out)
     return tuple(out)
 
 
-def _check_chain_columns(columns):
-    """InternalError unless d^2 = 0 and d sigma = sigma d.  sigma is a
-    signed permutation, so sigma(d b) lists each face a of b moved to
-    sigma a with its sign, and is compared with d(sigma b) as a sorted
-    list, without summing."""
+def check_chain_columns(columns):
+    """InternalError unless the sparse chain layout columns is a based
+    G-chain complex: each sigma column is one entry +-1 and sigma^2 = 1,
+    d^2 = 0 and d sigma = sigma d.  sigma is a signed permutation, so
+    sigma(d b) lists each face a of b moved to sigma a with its sign, and
+    is compared with d(sigma b) as a sorted list, without summing."""
+    for _, sigma in columns:
+        for c, col in enumerate(sigma):
+            if len(col) != 1 or col[0][1] not in (1, -1):
+                raise InternalError("involution column %d is not one signed "
+                                    "entry" % c)
+            if sigma[col[0][0]] != [(c, col[0][1])]:
+                raise InternalError("involution matrix is not an involution")
     for q in range(1, len(columns)):
         (boundary, sigma), (lower, lower_sigma) = columns[q], columns[q - 1]
         for b, faces in enumerate(boundary):
@@ -366,22 +363,23 @@ def _dense(rows, columns, scale, mod):
     return IntMatrix(rows, len(columns), data)
 
 
+def dense_chain_complex(X, coeff, columns):
+    """The GChainComplex of the checked sparse chain layout columns on X,
+    with the twist sign (-1)^k on sigma and the modulus of coeff."""
+    twist = -1 if coeff.k else 1
+    ranks = [len(sigma) for _, sigma in columns]
+    return GChainComplex(
+        X, coeff,
+        tuple(_dense(ranks[q - 1] if q else 0, boundary, 1, coeff.mod)
+              for q, (boundary, _) in enumerate(columns)),
+        tuple(_dense(ranks[q], sigma, twist, coeff.mod)
+              for q, (_, sigma) in enumerate(columns)))
+
+
 @lru_cache(maxsize=None)
 def chain_complex(X, coeff):
     """Dense chain complex of X, on the checked columns of chain_columns."""
-    levels = simplices_by_dim(X)
-    mod = coeff.mod
-    twist = 1 if (coeff.k % 2 == 0 or mod) else -1
-    columns = chain_columns(X)
-    boundaries = []
-    sigmas = []
-    for q, (boundary, sigma) in enumerate(columns):
-        boundaries.append(_dense(len(levels[q - 1]) if q else 0, boundary,
-                                 1, mod))
-        sigmas.append(_dense(len(sigma), sigma, twist, mod))
-
-    return GChainComplex(X, coeff, tuple(levels), tuple(boundaries),
-                         tuple(sigmas))
+    return dense_chain_complex(X, coeff, chain_columns(X))
 
 
 @dataclass(frozen=True)
@@ -418,12 +416,10 @@ def identity_map(X):
     return make_gmap(X, X, range(X.vertex_count))
 
 
-def constant_map(X, target=None):
-    """The equivariant collapse onto a point (target defaults to builtin
-    point; its involution is trivial, so any source works)."""
-    if target is None:
-        target = builtin("point")
-    return make_gmap(X, target, [0] * X.vertex_count)
+def constant_map(X):
+    """The equivariant collapse onto the builtin point (its involution is
+    trivial, so any source works)."""
+    return make_gmap(X, builtin("point"), [0] * X.vertex_count)
 
 
 def fixed_inclusion(X):

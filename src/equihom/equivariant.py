@@ -47,7 +47,6 @@ from functools import lru_cache
 from .complexes import (
     COEFF_Z2,
     Coeff,
-    builtin,
     chain_complex,
     constant_map,
     dim,
@@ -378,35 +377,16 @@ def cap_with_eta(cls, power=1):
 # Long exact sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LesNode:
-    degree: int
-    label: str
-    group: FGAbelianGroup
-    exact: bool
-
-
-@dataclass(frozen=True)
-class LesReport:
-    kind: str
-    description: str
-    nodes: tuple
-
-    @property
-    def ok(self):
-        return all(node.exact for node in self.nodes)
-
-
 def _exact_nodes(sequence, p, maps):
-    """One node per (label, incoming, outgoing) in maps, at the group
-    between the two maps; a node where the sequence is not exact raises
-    ExactnessError."""
+    """One node (p, label, group) per (label, incoming, outgoing) in maps,
+    at the group between the two maps; a node where the sequence is not
+    exact raises ExactnessError."""
     nodes = []
     for label, incoming, outgoing in maps:
         if not exact_at(incoming, outgoing):
             raise ExactnessError(
                 "%s sequence not exact at %s" % (sequence, label))
-        nodes.append(LesNode(p, label, outgoing.source, True))
+        nodes.append((p, label, outgoing.source))
     return nodes
 
 
@@ -435,7 +415,8 @@ def les_edge(X, coeff, p_min, p_max):
       ... -> H_{p+1}(A(k-1)) --cap--> H_p(A(k)) --edge--> H_p(X, A(k))
           --conn--> H_p(A(k-1)) --cap--> H_{p-1}(A(k)) -> ...
 
-    verified node by node over the requested degree range.  Any failure
+    verified node by node over the requested degree range: the tuple of
+    its nodes (degree, label, group), top degree first.  Any failure
     raises ExactnessError naming the node.
     """
     prev = coeff.shift()
@@ -449,8 +430,7 @@ def les_edge(X, coeff, p_min, p_max):
             ("H_%d(X;G,%s)" % (p, coeff), cap_in, edge),
             ("H_%d(X,%s)" % (p, coeff), edge, conn),
             ("H_%d(X;G,%s)" % (p, prev), conn, cap_out)))
-    return LesReport("edge", "edge/cap sequence for %s" % coeff,
-                     tuple(nodes))
+    return tuple(nodes)
 
 
 def _times_two(X, coeff, p):
@@ -493,7 +473,8 @@ def _coefficient_bockstein(X, coeff, p):
 
 def les_coeff(X, k, p_min, p_max):
     """The long exact sequence of 0 -> Z(k) --x2--> Z(k) -> Z/2 -> 0,
-    verified node by node; failures raise ExactnessError."""
+    verified node by node: the tuple of its nodes (degree, label, group),
+    as for les_edge; failures raise ExactnessError."""
     coeff = Coeff("Z", k)
     nodes = []
     for p in range(p_max, p_min - 1, -1):
@@ -505,8 +486,7 @@ def les_coeff(X, k, p_min, p_max):
             ("H_%d(X;G,%s) [x2 source]" % (p, coeff), bock_in, two),
             ("H_%d(X;G,%s) [x2 target]" % (p, coeff), two, red),
             ("H_%d(X;G,Z/2)" % p, red, bock)))
-    return LesReport("coeff", "coefficient sequence for %s" % coeff,
-                     tuple(nodes))
+    return tuple(nodes)
 
 
 @lru_cache(maxsize=None)
@@ -729,8 +709,7 @@ def equivariant_degree(cls):
         raise LinAlgError("degree is defined only in degree zero")
     if cls.coeff.ring == "Z" and cls.coeff.k % 2:
         raise LinAlgError("degree needs an untwisted coefficient system")
-    point = builtin("point")
-    coords = pushforward(constant_map(cls.X, point), cls).coords
+    coords = pushforward(constant_map(cls.X), cls).coords
     return coords[0] if coords else 0
 
 
@@ -752,13 +731,13 @@ def graded_degree_mod2(F, coords):
         F, COEFF_Z2, spot.lift(coords[:fixed_offsets(F, homology)[1]]))
 
 
-def fundamental_class(X, ring, expect_dim=None):
-    """The fundamental class of a closed A-oriented G-manifold, lifted
-    through the edge isomorphism; the twist parity is detected from the
-    involution action on the top homology.  The lift is unique: T_{d+1}
-    has no blocks, so by the edge/cap sequence the top edge map is
-    injective."""
-    d = dim(X) if expect_dim is None else expect_dim
+def fundamental_class(X, ring):
+    """The fundamental class of a closed A-oriented G-manifold in degree
+    d = dim X, lifted through the edge isomorphism; the twist parity is
+    detected from the involution action on the top homology.  The lift is
+    unique: T_{d+1} has no blocks, so by the edge/cap sequence the top
+    edge map is injective."""
+    d = dim(X)
     ord_spot = homology(X, Coeff(ring, 0), d)
     if ring == "Z":
         if ord_spot != FGAbelianGroup(1):

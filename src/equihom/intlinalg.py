@@ -590,12 +590,9 @@ def homology_at(d_in, d_out, mod=0):
 
     d_in : Z^s -> Z^g and d_out : Z^g -> Z^h must satisfy d_out.d_in = 0
     (mod `mod` when it is nonzero), else ChainConditionError is raised.
-    mod=0 works over Z, mod=2 over Z/2.  Pass d_in=None for no incoming
-    differential.
+    mod=0 works over Z, mod=2 over Z/2.
     """
     g = d_out.cols
-    if d_in is None:
-        d_in = IntMatrix.zeros(g, 0)
     return _subquotient(d_out, d_in,
                         _mod_relations(g, mod), _mod_relations(d_out.rows, mod))
 

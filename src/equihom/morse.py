@@ -22,6 +22,11 @@ left (the critical cells).  The pairing and both maps are computed once per
 complex over Z with the untwisted involution: the twist only flips the sign
 of sigma, and Z/2 is the same data mod 2, so one reduction serves every
 coefficient system.
+
+A MorseReduction holds the critical cells, the reduced complex C' as its
+columns (d', sigma') in the sparse chain layout of simplicial chains, and
+iota and pi as sparse columns.  So C' is checked by the same
+check_chain_columns and densified by the same dense_chain_complex as C.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import (
-    GChainComplex,
     _apply,
     _dense,
     chain_columns,
+    check_chain_columns,
     check_chain_map,
+    dense_chain_complex,
     gmap_chain_columns,
-    simplices_by_dim,
 )
 from .intlinalg import InternalError
 
@@ -47,14 +52,14 @@ class MorseReduction:
     from the simplicial chains.  Sparse columns are lists of (row, entry).
 
     cells[q]: the simplex indices of the critical cells of degree q;
-    boundaries[q], sigmas[q]: d'_q and sigma'_q as sparse columns;
+    columns[q]: the pair (d'_q, sigma'_q) of sparse columns, in the chain
+      layout of complexes.chain_columns;
     lifts[q]: iota_q, one column over the q-simplices per critical cell;
     projections[q]: pi_q, one column over the critical cells per q-simplex.
     """
 
     cells: tuple
-    boundaries: tuple
-    sigmas: tuple
+    columns: tuple
     lifts: tuple
     projections: tuple
 
@@ -169,13 +174,12 @@ def morse_reduction(X):
     index = [{c: i for i, c in enumerate(level)} for level in cells]
     red = MorseReduction(
         cells=cells,
-        boundaries=tuple([sorted((index[q - 1][a], u)
-                                 for a, u in elim.faces[q][c].items())
-                          for c in level]
-                         for q, level in enumerate(cells)),
-        sigmas=tuple([[(index[q][elim.sigma[q][c][0]],
-                        elim.sigma[q][c][1])] for c in level]
-                     for q, level in enumerate(cells)),
+        columns=tuple(
+            ([sorted((index[q - 1][a], u)
+                     for a, u in elim.faces[q][c].items()) for c in level],
+             [[(index[q][elim.sigma[q][c][0]], elim.sigma[q][c][1])]
+              for c in level])
+            for q, level in enumerate(cells)),
         lifts=tuple([sorted(elim.lift[q][c].items()) for c in level]
                     for q, level in enumerate(cells)),
         projections=tuple(
@@ -187,44 +191,28 @@ def morse_reduction(X):
 
 
 def _check_reduction(columns, red):
-    """iota_0 is the inclusion of the critical vertices (so a reduced
-    0-chain has the degree of its lift), d'^2 = 0, sigma'^2 = 1,
-    pi iota = 1, and iota, pi and sigma' are chain maps that commute with
-    the involutions."""
+    """The reduced columns pass check_chain_columns, iota_0 is the
+    inclusion of the critical vertices (so a reduced 0-chain has the
+    degree of its lift), iota and pi are chain maps that commute with the
+    involutions, and pi iota = 1."""
+    check_chain_columns(red.columns)
     if red.lifts and any(col != [(c, 1)] for c, col
                          in zip(red.cells[0], red.lifts[0])):
         raise InternalError("iota_0 is not the inclusion of the critical "
                             "vertices")
-    reduced = tuple(zip(red.boundaries, red.sigmas))
-    check_chain_map("iota", red.lifts, reduced, columns)
-    check_chain_map("pi", red.projections, columns, reduced)
-    check_chain_map("the reduced involution", red.sigmas, reduced, reduced)
-    for q, (bnd, sig) in enumerate(reduced):
-        for i in range(len(red.cells[q])):
-            if _apply(sig, sig[i]) != {i: 1}:
-                raise InternalError("reduced involution is not an involution")
-            if _apply(red.projections[q], red.lifts[q][i]) != {i: 1}:
+    check_chain_map("iota", red.lifts, red.columns, columns)
+    check_chain_map("pi", red.projections, columns, red.columns)
+    for proj, lifts in zip(red.projections, red.lifts):
+        for i, lift in enumerate(lifts):
+            if _apply(proj, lift) != {i: 1}:
                 raise InternalError("pi iota is not the identity")
-            if q > 1 and _apply(red.boundaries[q - 1], bnd[i]):
-                raise InternalError("reduced boundary squared is nonzero")
 
 
 @lru_cache(maxsize=None)
 def reduced_chain_complex(X, coeff):
     """The G-chain complex on the critical cells of morse_reduction(X),
     with the coefficient twist and modulus applied."""
-    red = morse_reduction(X)
-    levels = simplices_by_dim(X)
-    twist = -1 if coeff.k else 1
-    ranks = [len(level) for level in red.cells]
-    return GChainComplex(
-        X, coeff,
-        tuple(tuple(levels[q][c] for c in level)
-              for q, level in enumerate(red.cells)),
-        tuple(_dense(ranks[q - 1] if q else 0, red.boundaries[q], 1,
-                     coeff.mod) for q in range(len(ranks))),
-        tuple(_dense(ranks[q], red.sigmas[q], twist, coeff.mod)
-              for q in range(len(ranks))))
+    return dense_chain_complex(X, coeff, morse_reduction(X).columns)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,6 @@ else; the mod-2 relations 2e_i are columns of every image lattice.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +52,7 @@ from .intlinalg import (
     LinearSolver,
     image_lattice,
     induced_hom,
+    kernel_lattice,
     lattices_equal,
 )
 from .morse import reduced_chain_complex
@@ -277,24 +277,23 @@ def rho_surjectivity_criteria(X, variant):
 
 def edge_defect_witness(X):
     """When the degree-2 cohomology edge map fails to hit all invariants
-    (mod-2 coefficients), exhaustively find a degree-1 class with nonzero
-    edge image that localizes to zero on the fixed set; None when the edge
-    map is surjective."""
+    (mod-2 coefficients), a generator of the kernel of the degree-1
+    localization with nonzero edge image; None when the edge map is
+    surjective.  Needs a nonempty fixed set, and a connected X when the
+    edge map fails on a component without fixed points."""
     F = fixed_subcomplex(X)
     if F.vertex_count == 0:
         raise LinAlgError("witness search needs a nonempty fixed set")
     if coedge_surjective(X, COEFF_Z2, 2):
         return None
-    src = eq_cohomology(X, COEFF_Z2, 1)
-    if src.ngens > 16:
-        raise LinAlgError("search space too large")
     e1 = edge_morphism_cohomology(X, COEFF_Z2, 1)
-    beta = localize_cohomology(X, COEFF_Z2, 1)
-    for coords in itertools.product((0, 1), repeat=src.ngens):
-        if not any(coords):
-            continue
-        if any(e1.apply(coords)) and not any(beta.apply(coords)):
+    kernel = kernel_lattice(localize_cohomology(X, COEFF_Z2, 1))
+    for col in kernel.columns():
+        coords = tuple(x % 2 for x in col)
+        if any(e1.apply(coords)):
             return coords
+    if connected_components(X) != 1:
+        raise LinAlgError("witness search needs a connected complex")
     raise InternalError("no witness found although the degree-2 edge map "
                         "is not surjective")
 
@@ -325,20 +324,20 @@ class DualityReport:
         return all(e.equal for e in self.entries)
 
 
-def poincare_check(X, d, rings=("Z", "Z2"), i_range=None):
+def poincare_check(X, rings=("Z", "Z2")):
     """Isomorphism-type comparison H^i(X;G,A(l)) vs H_{d-i}(X;G,A(k-l))
-    for every twist l, where k is the detected parity of the fundamental
-    class.  The cap map itself is not constructed."""
-    if i_range is None:
-        i_range = range(-2, d + 4)
+    for d = dim X, -2 <= i <= d + 3 and every twist l, where k is the
+    detected parity of the fundamental class.  The cap map itself is not
+    constructed."""
+    d = dim(X)
     entries = []
     twists = []
     for ring in rings:
-        mu = fundamental_class(X, ring, expect_dim=d)
+        mu = fundamental_class(X, ring)
         k = mu.coeff.k
         twists.append((ring, k))
         lvals = (0, 1) if ring == "Z" else (0,)
-        for i in i_range:
+        for i in range(-2, d + 4):
             for l in lvals:
                 co = eq_cohomology(X, Coeff(ring, l), i)
                 ho = eq_homology(X, Coeff(ring, (k - l) % 2), d - i)

@@ -84,16 +84,16 @@ FIXED_POINT_BUILTINS = tuple(
     name for name in BUILTIN_NAMES if BUILTIN_FIXED_COUNTS[name])
 
 MANIFOLD_BUILTINS = (
-    # name, dimension, rings admitting a fundamental class
-    ("point", 0, ("Z", "Z2")),
-    ("circle-antipodal", 1, ("Z", "Z2")),
-    ("circle-reflection", 1, ("Z", "Z2")),
-    ("sphere-octahedron-antipodal", 2, ("Z", "Z2")),
-    ("sphere-octahedron-reflection", 2, ("Z", "Z2")),
-    ("torus-reflection", 2, ("Z", "Z2")),
-    ("torus-free", 2, ("Z", "Z2")),
-    ("klein-bottle-trivial", 2, ("Z2",)),
-    ("rp2-trivial", 2, ("Z2",)),
+    # name, rings admitting a fundamental class
+    ("point", ("Z", "Z2")),
+    ("circle-antipodal", ("Z", "Z2")),
+    ("circle-reflection", ("Z", "Z2")),
+    ("sphere-octahedron-antipodal", ("Z", "Z2")),
+    ("sphere-octahedron-reflection", ("Z", "Z2")),
+    ("torus-reflection", ("Z", "Z2")),
+    ("torus-free", ("Z", "Z2")),
+    ("klein-bottle-trivial", ("Z2",)),
+    ("rp2-trivial", ("Z2",)),
 )
 
 FUZZ_SEED = 774711
@@ -310,11 +310,11 @@ def _beta_naturality_checks(results):
 
 def _fundamental_class_checks(results):
     from .spectral import edge_surjective
-    for name, d, rings in MANIFOLD_BUILTINS:
+    for name, rings in MANIFOLD_BUILTINS:
         X = builtin(name)
         for ring in rings:
-            mu = fundamental_class(X, ring, expect_dim=d)
-            edge = edge_morphism(X, mu.coeff, d)
+            mu = fundamental_class(X, ring)
+            edge = edge_morphism(X, mu.coeff, mu.p)
             img = edge.apply(mu.coords)
             # with the orientation-compatible twist the top edge map is an
             # isomorphism onto the invariants: same isomorphism type on
@@ -322,14 +322,14 @@ def _fundamental_class_checks(results):
             expected = FGAbelianGroup(1) if ring == "Z" \
                 else FGAbelianGroup(0, (2,))
             iso = (edge.source == expected
-                   and edge_surjective(X, mu.coeff, d))
+                   and edge_surjective(X, mu.coeff, mu.p))
             _check(results, "fundamental-class[%s,%s]" % (name, ring),
                    any(img) and iso,
                    "edge image %s, twist %d" % (img, mu.coeff.k))
     # the restriction property: on the reflection sphere the localized
     # fundamental class restricts to the fundamental class of the equator
     X = builtin("sphere-octahedron-reflection")
-    mu = fundamental_class(X, "Z", expect_dim=2)
+    mu = fundamental_class(X, "Z")
     img = localize_homology(X, mu.coeff, 2).apply(mu.coords)
     F = fixed_subcomplex(X)
     off = fixed_offsets(F, homology)
@@ -341,7 +341,7 @@ def _fundamental_class_checks(results):
                if any(img[a:b])),))
     # pushforward of the equator class into the sphere, recorded exactly
     j = fixed_inclusion(X)
-    nu = fundamental_class(F, "Z", expect_dim=1)
+    nu = fundamental_class(F, "Z")
     pushed = pushforward(j, nu)
     _check(results, "represented-class[equator-in-sphere]",
            pushed.coords == (1,),
@@ -411,22 +411,17 @@ def suite_exactness():
     for name in BUILTIN_NAMES:
         X = builtin(name)
         hi = dim(X) + 1
-        for coeff in ALL_COEFFS:
+        runs = [("les-edge[%s,%s]" % (name, coeff), les_edge, coeff)
+                for coeff in ALL_COEFFS]
+        runs += [("les-coeff[%s,k=%d]" % (name, k), les_coeff, k)
+                 for k in (0, 1)]
+        for check, les, coefficients in runs:
+            # a sequence that is not exact raises ExactnessError
             try:
-                report = les_edge(X, coeff, -4, hi)
-                _check(results, "les-edge[%s,%s]" % (name, coeff), report.ok,
-                       "%d nodes" % len(report.nodes))
+                _check(results, check, True,
+                       "%d nodes" % len(les(X, coefficients, -4, hi)))
             except ExactnessError as exc:
-                _check(results, "les-edge[%s,%s]" % (name, coeff), False,
-                       str(exc))
-        for k in (0, 1):
-            try:
-                report = les_coeff(X, k, -4, hi)
-                _check(results, "les-coeff[%s,k=%d]" % (name, k), report.ok,
-                       "%d nodes" % len(report.nodes))
-            except ExactnessError as exc:
-                _check(results, "les-coeff[%s,k=%d]" % (name, k), False,
-                       str(exc))
+                _check(results, check, False, str(exc))
     return results
 
 
@@ -465,7 +460,7 @@ def fuzz_complexes(count=100, seed=FUZZ_SEED):
     return out
 
 
-def suite_gm(fuzz_count=100):
+def suite_gm():
     results = []
     reports = {}
     for name in BUILTIN_NAMES:
@@ -489,7 +484,7 @@ def suite_gm(fuzz_count=100):
     for name, want in golden.items():
         _check(results, "gm-golden[%s]" % name,
                reports[name].is_gm == want)
-    for label, X in fuzz_complexes(fuzz_count):
+    for label, X in fuzz_complexes():
         try:
             bounds = gm_bounds(X)
             _check(results, "gm-fuzz[%s]" % label, True,
@@ -522,9 +517,9 @@ def suite_gm(fuzz_count=100):
 
 def suite_duality():
     results = []
-    for name, d, rings in MANIFOLD_BUILTINS:
+    for name, rings in MANIFOLD_BUILTINS:
         X = builtin(name)
-        report = poincare_check(X, d, rings)
+        report = poincare_check(X, rings)
         bad = ["%s:i=%d,l=%d" % (e.ring, e.i, e.twist)
                for e in report.entries if not e.equal]
         _check(results, "poincare[%s]" % name, report.ok,

@@ -243,12 +243,12 @@ class TestCriterion6Duality:
 class TestCriterion7FundamentalRestriction:
     def test_equator_restriction(self):
         X = builtin("sphere-octahedron-reflection")
-        mu = fundamental_class(X, "Z", expect_dim=2)
+        mu = fundamental_class(X, "Z")
         image = localize_homology(X, mu.coeff, 2).apply(mu.coords)
         F = fixed_subcomplex(X)
         off = fixed_offsets(F, homology)
         equator = homology(F, COEFF_Z2, 1)
-        ok = (mu.coeff == COEFF_Z1
+        ok = (mu.coeff == COEFF_Z1 and mu.p == 2
               and equator == FGAbelianGroup(0, (2,))
               and image[off[1]:off[2]] == (1,)
               and not any(image[off[0]:off[1]]))

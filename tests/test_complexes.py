@@ -30,6 +30,7 @@ from equihom.complexes import (
     validate,
 )
 from equihom.intlinalg import IntMatrix, homology_at
+from equihom.verify import fuzz_complexes
 
 ALL_COEFFS = [COEFF_Z2, COEFF_Z, COEFF_Z1]
 
@@ -119,6 +120,46 @@ class TestSubdivision:
                     == ordinary_homology(fixed_subcomplex(Y), COEFF_Z2, q)
 
 
+def assert_subdivision_is_canonical(X):
+    # barycentric_subdivide builds its complex directly; make_complex of
+    # its output, the reference, sorts, deduplicates and drops faces, and
+    # must give the same complex back
+    Y = barycentric_subdivide(X)
+    simplices = list(Y.maximal_simplices)
+    random.Random(len(simplices)).shuffle(simplices)
+    assert make_complex(Y.vertex_count, simplices, Y.involution) == Y
+
+
+class TestSubdivisionIsCanonical:
+    @pytest.mark.parametrize("sd", [0, 1, 2])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name, sd):
+        X = builtin(name)
+        for _ in range(sd):
+            X = barycentric_subdivide(X)
+        assert_subdivision_is_canonical(X)
+
+    def test_fuzz_complexes(self):
+        for _, X in fuzz_complexes(30):
+            assert_subdivision_is_canonical(X)
+
+    def test_oracle_complexes(self):
+        from test_intlinalg import oracle_complex
+        for seed in range(24):
+            assert_subdivision_is_canonical(oracle_complex(seed)[0])
+
+    @pytest.mark.parametrize("name", [
+        "circle-reflection+free-pair", "point+circle-reflection",
+        "sphere-octahedron-reflection+circle-antipodal+point"])
+    def test_non_pure_unions(self, name):
+        assert_subdivision_is_canonical(builtin(name))
+
+    def test_non_pure_complex(self):
+        # a triangle with a dangling edge and an isolated swapped pair
+        assert_subdivision_is_canonical(make_complex(
+            6, [(0, 1, 2), (2, 3), (4,), (5,)], [0, 1, 2, 3, 5, 4]))
+
+
 def pairwise_maximal(simplices):
     """The maximal simplices of a face list by testing every simplex
     against every longer one kept: the quadratic reference filter."""
@@ -195,7 +236,7 @@ class TestChainComplex:
         cc = chain_complex(X, COEFF_Z)
         sg = cc.sigma(1)
         # edges in sorted order: (0,1),(0,3),(1,2),(2,3)
-        assert cc.bases[1] == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert simplices_by_dim(X)[1] == ((0, 1), (0, 3), (1, 2), (2, 3))
         # (0,1)->(2,3)+, (0,3)->(1,2)-, (1,2)->(0,3)-, (2,3)->(0,1)+
         assert sg == IntMatrix.from_rows([
             [0, 0, 0, 1],
@@ -279,7 +320,7 @@ class TestGMap:
         tgt = chain_complex(X, COEFF_Z)
         mats = [_dense(tgt.rank(q), cols, 1, 0)
                 for q, cols in enumerate(gmap_chain_columns(inc))]
-        for q in range(1, len(src.bases)):
+        for q in range(1, len(src.boundaries)):
             # commutes with the boundary
             assert tgt.boundary(q) @ mats[q] == mats[q - 1] @ src.boundary(q)
 

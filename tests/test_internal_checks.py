@@ -39,14 +39,33 @@ red = morse.morse_reduction(X)
 def negated(by_degree):
     return tuple([[(i, -x) for i, x in col] for col in cols]
                  for cols in by_degree)
-for field in ("projections", "sigmas"):
-    bad = replace(red, **{field: negated(getattr(red, field))})
-    results.append(raises_internal(
-        lambda: morse._check_reduction(chain_columns(X), bad)))
+def check(space, red, **fields):
+    return lambda: morse._check_reduction(chain_columns(space),
+                                          replace(red, **fields))
+results.append(raises_internal(check(X, red, projections=negated(
+    red.projections))))
+# sigma' negated through the reduced columns is still an involution that
+# commutes with d', but iota no longer commutes with it
+results.append(raises_internal(check(X, red, columns=tuple(
+    (bnd, sigma) for (bnd, _), sigma in zip(
+        red.columns, negated(sigma for _, sigma in red.columns)))),
+    "iota"))
 # iota_0 no longer the inclusion of the critical vertices
-bad = replace(red, lifts=negated(red.lifts))
-results.append(raises_internal(
-    lambda: morse._check_reduction(chain_columns(X), bad), "iota_0"))
+results.append(raises_internal(check(X, red, lifts=negated(red.lifts)),
+                               "iota_0"))
+# reduced columns that are no based G-chain complex, on the reduction of
+# the antipodal sphere (two cells in each degree, swapped by sigma'):
+# sigma' not an involution, d'^2 != 0, a sigma' column with two entries
+S = builtin("sphere-octahedron-antipodal")
+red_s = morse.morse_reduction(S)
+for q, part, entries, match in (
+        (1, 1, [(1, -1)], "not an involution"),
+        (2, 0, [(0, 1), (1, -1)], "boundary squared"),
+        (0, 1, [(1, 1), (0, 1)], "not one signed entry")):
+    columns = [list(pair) for pair in red_s.columns]
+    columns[q][part] = [entries] + columns[q][part][1:]
+    results.append(raises_internal(
+        check(S, red_s, columns=tuple(map(tuple, columns))), match))
 # every right-hand side of the Galois bound forced to zero
 spectral.group_cohomology = lambda module, invol, p: FGAbelianGroup(0)
 results.append(raises_internal(lambda: spectral.gm_bounds(X)))
@@ -80,7 +99,7 @@ def test_forced_violations_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", FORCED_VIOLATIONS],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] + ["[True,"] + ["True,"] * 8 \
+    assert proc.stdout.split() == ["1"] + ["[True,"] + ["True,"] * 11 \
         + ["True]"]
 
 

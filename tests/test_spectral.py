@@ -7,6 +7,10 @@ from equihom.complexes import (
     builtin,
     dim,
 )
+from equihom.equivariant import (
+    edge_morphism_cohomology,
+    localize_cohomology,
+)
 from equihom.intlinalg import FGAbelianGroup, LinAlgError
 from equihom.spectral import (
     RHO_VARIANTS,
@@ -167,25 +171,47 @@ class TestEdgeDefectWitness:
         with pytest.raises(LinAlgError):
             edge_defect_witness(builtin("circle-antipodal"))
 
+    def test_witness_on_a_component_without_fixed_points(self):
+        # the degree-2 edge map fails on the free torus, and a degree-1
+        # class of that component is the witness
+        X = builtin("circle-reflection+torus-free")
+        w = edge_defect_witness(X)
+        assert any(edge_morphism_cohomology(X, COEFF_Z2, 1).apply(w))
+        assert not any(localize_cohomology(X, COEFF_Z2, 1).apply(w))
+
+    @pytest.mark.parametrize("name", [
+        "point", "circle-reflection", "sphere-octahedron-reflection",
+        "torus-reflection", "klein-bottle-trivial", "rp2-trivial",
+    ])
+    def test_no_witness_on_a_disconnected_complex(self, name):
+        # the degree-2 edge map fails on the antipodal sphere, which has
+        # no fixed point and no first cohomology, so no degree-1 class has
+        # a nonzero edge image there: a precondition fails, not an
+        # internal check
+        for union in ("sphere-octahedron-antipodal+" + name,
+                      name + "+sphere-octahedron-antipodal"):
+            with pytest.raises(LinAlgError, match="connected"):
+                edge_defect_witness(builtin(union))
+
 
 class TestPoincare:
     def test_point(self):
-        report = poincare_check(builtin("point"), 0)
-        assert report.ok and len(report.entries) > 10
+        report = poincare_check(builtin("point"))
+        assert report.ok and report.d == 0 and len(report.entries) > 10
 
     def test_circle_antipodal_untwisted(self):
-        report = poincare_check(builtin("circle-antipodal"), 1)
-        assert report.ok
+        report = poincare_check(builtin("circle-antipodal"))
+        assert report.ok and report.d == 1
         assert ("Z", 0) in report.detected_twists
 
     def test_sphere_reflection_twisted(self):
-        report = poincare_check(builtin("sphere-octahedron-reflection"), 2)
-        assert report.ok
+        report = poincare_check(builtin("sphere-octahedron-reflection"))
+        assert report.ok and report.d == 2
         assert ("Z", 1) in report.detected_twists
 
     def test_absent_fundamental_class(self):
         with pytest.raises(LinAlgError):
-            poincare_check(builtin("free-pair"), 0)
+            poincare_check(builtin("free-pair"))
 
 
 class TestEdgeSurjectivity:
