@@ -40,6 +40,11 @@ from .spectral import e2_page, edge_surjective
 from .verify import run_suite
 
 
+# the most degrees a compute range or an e2 page may span; a thousand
+# degrees of a builtin take about a second
+MAX_DEGREES = 1000
+
+
 class InputError(Exception):
     pass
 
@@ -53,6 +58,9 @@ def _parse_range(text):
             from None
     if lo > hi:
         raise InputError("empty range %r" % text)
+    if hi - lo + 1 > MAX_DEGREES:
+        raise InputError("range %r spans %d degrees, past the cap %d"
+                         % (text, hi - lo + 1, MAX_DEGREES))
     return lo, hi
 
 
@@ -78,9 +86,9 @@ def _emit(report, as_json, render_text):
 
 
 def cmd_compute(args):
+    lo, hi = _parse_range(args.range)
     name, X = _load_space(args)
     coeff = COEFF_BY_FLAG[args.coeff]
-    lo, hi = _parse_range(args.range)
     items = []
     for p in range(hi, lo - 1, -1):
         if args.cohomology:
@@ -138,6 +146,9 @@ def cmd_compute(args):
 
 
 def cmd_e2(args):
+    if args.depth is not None and args.depth + 1 > MAX_DEGREES:
+        raise InputError("depth %d spans %d degrees, past the cap %d"
+                         % (args.depth, args.depth + 1, MAX_DEGREES))
     name, X = _load_space(args)
     coeff = COEFF_BY_FLAG[args.coeff]
     page = e2_page(X, coeff, args.depth)

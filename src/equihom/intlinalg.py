@@ -9,6 +9,7 @@ integers; no floating point is used anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 
 
@@ -29,7 +30,11 @@ class IntMatrix:
     """Dense matrix of exact integers, shape fixed at construction.
 
     Vectors are columns.  Instances are treated as immutable; all operations
-    return fresh matrices.
+    return fresh matrices.  Entries are checked where they enter from
+    outside: the constructor and from_rows check the shape and that every
+    entry is an exact integer, and scale and mod check their scalar.  A
+    matrix computed from IntMatrix operands is built by _matrix, which
+    neither copies nor checks.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -58,17 +63,21 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, rows, columns):
-        """The matrix with `rows` rows whose columns are the given vectors."""
-        return cls(rows, len(columns),
-                   zip(*columns) if columns else [()] * rows)
+        """The matrix with `rows` rows whose columns are the given vectors
+        of exact integers, computed by the caller; entries are not
+        checked."""
+        data = tuple(zip(*columns)) if columns else ((),) * rows
+        if len(data) != rows:
+            raise LinAlgError("columns do not have %d entries" % rows)
+        return _matrix(rows, len(columns), data)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, _identity_rows(n))
+        return _matrix(n, n, tuple(map(tuple, _identity_rows(n))))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return _matrix(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def from_blocks(cls, rows, cols, blocks):
@@ -82,7 +91,7 @@ class IntMatrix:
                 for c, x in enumerate(row):
                     if x:
                         out[coff + c] += sign * x
-        return cls(rows, cols, data)
+        return _matrix(rows, cols, tuple(map(tuple, data)))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -94,8 +103,8 @@ class IntMatrix:
             acc = [0] * other.cols
             for k in compress(range(self.cols), row):
                 _add_multiple(acc, odata[k], row[k])
-            out.append(acc)
-        return IntMatrix(self.rows, other.cols, out)
+            out.append(tuple(acc))
+        return _matrix(self.rows, other.cols, tuple(out))
 
     def mul_vector(self, vec):
         vec = list(vec)
@@ -111,20 +120,21 @@ class IntMatrix:
         return out
 
     def scale(self, c):
-        return IntMatrix(self.rows, self.cols,
-                         [[c * x for x in row] for row in self.data])
+        _check_scalar(c)
+        return _matrix(self.rows, self.cols,
+                       tuple(tuple([c * x for x in row]) for row in self.data))
 
     def __add__(self, other):
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        return _matrix(self.rows, self.cols,
+                       tuple(tuple([a + b for a, b in zip(r1, r2)])
+                             for r1, r2 in zip(self.data, other.data)))
 
     def __sub__(self, other):
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         [[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        return _matrix(self.rows, self.cols,
+                       tuple(tuple([a - b for a, b in zip(r1, r2)])
+                             for r1, r2 in zip(self.data, other.data)))
 
     def _same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -134,18 +144,20 @@ class IntMatrix:
         return IntMatrix.from_columns(self.cols, self.data)
 
     def mod(self, m):
-        return IntMatrix(self.rows, self.cols,
-                         [[x % m for x in row] for row in self.data])
+        _check_scalar(m)
+        return _matrix(self.rows, self.cols,
+                       tuple(tuple([x % m for x in row]) for row in self.data))
 
     def columns(self):
         return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def take_columns(self, indices):
-        return IntMatrix(self.rows, len(indices),
-                         [[row[j] for j in indices] for row in self.data])
+        return _matrix(self.rows, len(indices),
+                       tuple(tuple([row[j] for j in indices])
+                             for row in self.data))
 
     def top_rows(self, k):
-        return IntMatrix(k, self.cols, self.data[:k])
+        return _matrix(k, self.cols, self.data[:k])
 
     @staticmethod
     def hstack(*mats):
@@ -154,8 +166,9 @@ class IntMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise LinAlgError("hstack row mismatch")
-        data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-        return IntMatrix(rows, sum(m.cols for m in mats), data)
+        data = tuple(tuple(chain.from_iterable(parts))
+                     for parts in zip(*(m.data for m in mats)))
+        return _matrix(rows, sum(m.cols for m in mats), data)
 
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.data)
@@ -173,6 +186,21 @@ class IntMatrix:
                                           [list(r) for r in self.data])
 
 
+def _matrix(rows, cols, data):
+    """The IntMatrix on data, a tuple of `rows` row tuples of `cols` exact
+    integers computed from checked matrices, taken as it is."""
+    matrix = object.__new__(IntMatrix)
+    matrix.rows = rows
+    matrix.cols = cols
+    matrix.data = data
+    return matrix
+
+
+def _check_scalar(c):
+    if not isinstance(c, int):
+        raise LinAlgError("scalar must be an exact integer, got %r" % (c,))
+
+
 def _identity_rows(n):
     return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
@@ -183,28 +211,67 @@ def _add_multiple(dst, src, c):
         dst[t] += c * src[t]
 
 
-@dataclass(frozen=True)
 class SNFDecomposition:
     """U . M . V = D with U, V unimodular and D = diag(d1 | d2 | ...) >= 0.
 
     Uinv and Vinv are the exact inverses of U and V (handy for generator
     extraction; their presence also certifies det U = det V = +-1).
+
+    The elimination computes only D.  It logs its row operations, which
+    build U, and its column operations, which build V; each of the four
+    transforms is built from its log on first read and then kept.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
+    def __init__(self, D, row_ops, col_ops):
+        self.D = D
+        self.diag = tuple(D.data[i][i] for i in range(min(D.rows, D.cols)))
+        self.rank = sum(1 for d in self.diag if d)
+        self._row_ops = row_ops
+        self._col_ops = col_ops
 
-    @property
-    def diag(self):
-        n = min(self.D.rows, self.D.cols)
-        return tuple(self.D.data[i][i] for i in range(n))
+    @cached_property
+    def U(self):
+        return _replay(self.D.rows, self._row_ops, False, False)
 
-    @property
-    def rank(self):
-        return sum(1 for d in self.diag if d)
+    @cached_property
+    def Uinv(self):
+        return _replay(self.D.rows, self._row_ops, True, True)
+
+    @cached_property
+    def V(self):
+        return _replay(self.D.cols, self._col_ops, False, True)
+
+    @cached_property
+    def Vinv(self):
+        return _replay(self.D.cols, self._col_ops, True, False)
+
+
+def _replay(n, ops, inverse, transposed):
+    """The n x n identity after the row operations ops, that is their
+    product P, or with inverse the transpose of P^-1; the result is
+    transposed once more if asked.
+
+    An operation is (i, j, c) for row_i += c * row_j, (i, j) for swapping
+    rows i and j, or (i,) for negating row i.  Swaps and negations are
+    their own inverse transposes; that of row_i += c * row_j is
+    row_j -= c * row_i.
+    """
+    A = _identity_rows(n)
+    for op in ops:
+        if len(op) == 3:
+            i, j, c = op
+            if inverse:
+                _add_multiple(A[j], A[i], -c)
+            else:
+                _add_multiple(A[i], A[j], c)
+        elif len(op) == 2:
+            i, j = op
+            A[i], A[j] = A[j], A[i]
+        else:
+            i, = op
+            A[i] = [-x for x in A[i]]
+    return _matrix(n, n, tuple(zip(*A)) if transposed
+                   else tuple(map(tuple, A)))
 
 
 def smith_normal_form(M):
@@ -217,26 +284,16 @@ def smith_normal_form(M):
     to that pivot's row, which is then eliminated again.  A remainder left
     after the pivot's column or row pass sends control back to the scan,
     which then finds a smaller pivot.
+
+    Only D is updated.  Row operations are logged as they act on U, and
+    column operations as the row operations they are on V transposed
+    (col_j += c * col_t is row_j += c * row_t there), in the format of
+    _replay.
     """
     m, n = M.rows, M.cols
     D = [list(row) for row in M.data]
-    # U^-1 and V are kept transposed, so that the column operations they
-    # take are row operations like every other transform update
-    U = _identity_rows(m)
-    UiT = _identity_rows(m)
-    VT = _identity_rows(n)
-    Vi = _identity_rows(n)
-
-    def row_swap(i, j):
-        if i != j:
-            for A in (D, U, UiT):
-                A[i], A[j] = A[j], A[i]
-
-    def row_addmul(i, j, c):
-        # row_i += c * row_j on D and U; U^-1 takes col_j -= c * col_i
-        _add_multiple(D[i], D[j], c)
-        _add_multiple(U[i], U[j], c)
-        _add_multiple(UiT[j], UiT[i], -c)
+    row_ops = []
+    col_ops = []
 
     t = 0
     while t < min(m, n):
@@ -261,48 +318,49 @@ def smith_normal_form(M):
         if bad is not None:
             # step back: the pivot at t - 1 does not divide row bad
             t -= 1
-            row_addmul(t, bad, 1)
+            _add_multiple(D[t], D[bad], 1)
+            row_ops.append((t, bad, 1))
             continue
         if piv is None:
             break
         i, j = piv
-        row_swap(t, i)
+        if i != t:
+            D[t], D[i] = D[i], D[t]
+            row_ops.append((t, i))
         if j != t:
             for r in D:
                 r[t], r[j] = r[j], r[t]
-            for A in (VT, Vi):
-                A[t], A[j] = A[j], A[t]
+            col_ops.append((t, j))
         if D[t][t] < 0:
-            for A in (D, U, UiT):
-                A[t] = [-x for x in A[t]]
-        d = D[t][t]
+            D[t] = [-x for x in D[t]]
+            row_ops.append((t,))
+        Dt = D[t]
+        d = Dt[t]
         remainder = False
         for i in range(t + 1, m):
-            q = D[i][t] // d
+            Di = D[i]
+            q = Di[t] // d
             if q:
-                row_addmul(i, t, -q)
-            if D[i][t]:
+                _add_multiple(Di, Dt, -q)
+                row_ops.append((i, t, -q))
+            if Di[t]:
                 remainder = True
         if remainder:
             continue
         # column t is zero off the pivot, so col_j -= q * col_t changes
-        # D in row t only; V^-1 takes row_t += q * row_j
-        Dt = D[t]
+        # D in row t only
         for j in range(t + 1, n):
             q = Dt[j] // d
             if q:
                 Dt[j] -= q * d
-                _add_multiple(VT[j], VT[t], -q)
-                _add_multiple(Vi[t], Vi[j], q)
+                col_ops.append((j, t, -q))
             if Dt[j]:
                 remainder = True
         if not remainder:
             t += 1
 
-    return SNFDecomposition(
-        U=IntMatrix(m, m, U), D=IntMatrix(m, n, D),
-        V=IntMatrix(n, n, zip(*VT)), Uinv=IntMatrix(m, m, zip(*UiT)),
-        Vinv=IntMatrix(n, n, Vi))
+    return SNFDecomposition(_matrix(m, n, tuple(map(tuple, D))),
+                            row_ops, col_ops)
 
 
 def _column_entries(rows, ncols):
@@ -552,7 +610,7 @@ def _subquotient(d_out, d_in, rels_ambient, rels_target):
     snf = smith_normal_form(IntMatrix.hstack(d_out, rels_target))
     r = snf.rank
     t = snf.V.rows - r
-    kmat = IntMatrix(g, t, [row[r:] for row in snf.V.data[:g]])
+    kmat = _matrix(g, t, tuple(row[r:] for row in snf.V.data[:g]))
     cycles = (_column_entries(d_out.data, g), relrows,
               _column_entries(snf.Vinv.data[r:], snf.V.rows), t)
     ycols = []
@@ -603,8 +661,8 @@ def _canonical_matrix(target, mat):
     for i in range(mat.rows):
         d = orders[i]
         row = mat.data[i]
-        data.append([x % d if d else x for x in row])
-    return IntMatrix(mat.rows, mat.cols, data)
+        data.append(tuple([x % d if d else x for x in row]))
+    return _matrix(mat.rows, mat.cols, tuple(data))
 
 
 @dataclass(frozen=True)

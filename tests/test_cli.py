@@ -1,15 +1,47 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from equihom import equivariant
-from equihom.cli import main
+from equihom.cli import MAX_DEGREES, InputError, _parse_range, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_killed_after(seconds, *argv):
+    """The CLI in a child process killed after the given time, so that an
+    input the CLI should refuse fails the test instead of hanging it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "equihom.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=seconds)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--builtin", "point", "--range=-100000000..0"),
+    ("e2", "--builtin", "point", "--depth", "100000000"),
+])
+def test_oversized_degree_span_exits_two(argv):
+    code, out, err = run_killed_after(60, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cap %d" % MAX_DEGREES in err
+
+
+def test_degree_cap_boundary():
+    assert _parse_range("%d..0" % (1 - MAX_DEGREES)) == (1 - MAX_DEGREES, 0)
+    with pytest.raises(InputError, match="cap"):
+        _parse_range("%d..0" % -MAX_DEGREES)
 
 
 class TestCompute:

@@ -1,5 +1,10 @@
+import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,6 +75,8 @@ from equihom.intlinalg import (
 from equihom.morse import morse_reduction, reduced_chain_complex
 from equihom.spectral import cohomology_involution
 from equihom.verify import fuzz_complexes
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def mat(rows):
@@ -197,6 +204,191 @@ class TestSmithNormalForm:
             dec = smith_normal_form(M)
             check_decomposition(M, dec)
             assert dec.Uinv @ dec.D @ dec.Vinv == M
+
+
+def _identity_lists(n):
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+
+
+def _add_row_multiple(dst, src, c):
+    for t, x in enumerate(src):
+        if x:
+            dst[t] += c * x
+
+
+def reference_smith_normal_form(M):
+    """The eager Smith normal form: the same pivot loop as
+    intlinalg.smith_normal_form, updating all four transforms with D at
+    every step.  Returns (U, D, V, Uinv, Vinv)."""
+    m, n = M.rows, M.cols
+    D = [list(row) for row in M.data]
+    # U^-1 and V are kept transposed, so that the column operations they
+    # take are row operations like every other transform update
+    U = _identity_lists(m)
+    UiT = _identity_lists(m)
+    VT = _identity_lists(n)
+    Vi = _identity_lists(n)
+
+    def row_swap(i, j):
+        if i != j:
+            for A in (D, U, UiT):
+                A[i], A[j] = A[j], A[i]
+
+    def row_addmul(i, j, c):
+        # row_i += c * row_j on D and U; U^-1 takes col_j -= c * col_i
+        _add_row_multiple(D[i], D[j], c)
+        _add_row_multiple(U[i], U[j], c)
+        _add_row_multiple(UiT[j], UiT[i], -c)
+
+    t = 0
+    while t < min(m, n):
+        prev = D[t - 1][t - 1] if t else 1
+        best = piv = bad = None
+        for i in range(t, m):
+            for j in range(t, n):
+                a = D[i][j]
+                if a:
+                    if a % prev:
+                        bad = i
+                        break
+                    if best is None or abs(a) < best:
+                        best = abs(a)
+                        piv = (i, j)
+                        if best == 1:
+                            break
+            if bad is not None or best == 1:
+                break
+        if bad is not None:
+            t -= 1
+            row_addmul(t, bad, 1)
+            continue
+        if piv is None:
+            break
+        i, j = piv
+        row_swap(t, i)
+        if j != t:
+            for r in D:
+                r[t], r[j] = r[j], r[t]
+            for A in (VT, Vi):
+                A[t], A[j] = A[j], A[t]
+        if D[t][t] < 0:
+            for A in (D, U, UiT):
+                A[t] = [-x for x in A[t]]
+        d = D[t][t]
+        remainder = False
+        for i in range(t + 1, m):
+            q = D[i][t] // d
+            if q:
+                row_addmul(i, t, -q)
+            if D[i][t]:
+                remainder = True
+        if remainder:
+            continue
+        # col_j -= q * col_t changes D in row t only; V^-1 takes
+        # row_t += q * row_j
+        for j in range(t + 1, n):
+            q = D[t][j] // d
+            if q:
+                D[t][j] -= q * d
+                _add_row_multiple(VT[j], VT[t], -q)
+                _add_row_multiple(Vi[t], Vi[j], q)
+            if D[t][j]:
+                remainder = True
+        if not remainder:
+            t += 1
+
+    return (IntMatrix(m, m, U), IntMatrix(m, n, D), IntMatrix(n, n, zip(*VT)),
+            IntMatrix(m, m, zip(*UiT)), IntMatrix(n, n, Vi))
+
+
+SNF_FIELDS = ("U", "D", "V", "Uinv", "Vinv")
+
+# Smith inputs of one `verify core` run, in a fresh process so that the
+# memo caches are cold and every elimination is reached
+CAPTURE_SMITH_INPUTS = r"""
+import json
+from equihom import intlinalg, verify
+
+seen = {}
+smith = intlinalg.smith_normal_form
+
+
+def capturing(M):
+    seen.setdefault((M.rows, M.cols, M.data), None)
+    return smith(M)
+
+
+intlinalg.smith_normal_form = capturing
+verify.run_suite("core")
+print(json.dumps([[r, c, [list(row) for row in data]]
+                  for r, c, data in seen]))
+"""
+
+
+@pytest.fixture(scope="module")
+def verify_core_smith_inputs():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", CAPTURE_SMITH_INPUTS],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [IntMatrix(r, c, data) for r, c, data in json.loads(proc.stdout)]
+
+
+def smith_corpus(seed):
+    """Seeded differential inputs: every shape up to 12 x 12, sparse +-1
+    matrices, [d | 2 I] stacks and matrices over a pool without units."""
+    rng = random.Random(seed)
+    cases = [random_matrix(rng, r, c, bound=rng.choice((1, 4, 30)))
+             for r in range(13) for c in range(13)]
+    for _ in range(20):
+        cases.append(with_zero_lines(
+            rng, random_sparse_matrix(rng, rng.randint(1, 12),
+                                      rng.randint(1, 12),
+                                      density=rng.choice((0.1, 0.3, 0.6))),
+            rng.randint(0, 2), rng.randint(0, 2)))
+        d = random_sparse_matrix(rng, rng.randint(1, 10), rng.randint(0, 10))
+        cases.append(IntMatrix.hstack(d, IntMatrix.identity(d.rows).scale(2)))
+        r, c = rng.randint(1, 9), rng.randint(1, 9)
+        cases.append(IntMatrix(r, c, [
+            [rng.choice((1, -1)) * rng.choice((0, 2, 3, 5, 6, 10, 15))
+             for _ in range(c)] for _ in range(r)]))
+    return cases
+
+
+def check_smith_against_reference(M):
+    dec = smith_normal_form(M)
+    assert tuple(getattr(dec, f) for f in SNF_FIELDS) \
+        == reference_smith_normal_form(M)
+    check_decomposition(M, dec)
+
+
+class TestLazyTransformsAgainstReference:
+    """Every field of the decomposition, transforms built on first read,
+    equals the eager reference entry for entry."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_corpus(self, seed):
+        for M in smith_corpus(500 + seed):
+            check_smith_against_reference(M)
+
+    def test_verify_core_inputs(self, verify_core_smith_inputs):
+        assert len(verify_core_smith_inputs) > 100
+        for M in verify_core_smith_inputs:
+            check_smith_against_reference(M)
+
+    def test_any_read_order_and_rereads(self):
+        rng = random.Random(77)
+        cases = [random_matrix(rng, 5, 7), random_sparse_matrix(rng, 8, 6),
+                 mat([[-4, 6], [6, 9]]), IntMatrix.zeros(3, 0)]
+        for M in cases:
+            expected = dict(zip(SNF_FIELDS, reference_smith_normal_form(M)))
+            for order in itertools.permutations(SNF_FIELDS):
+                dec = smith_normal_form(M)
+                for field in order + order:
+                    assert getattr(dec, field) == expected[field]
+            # a field read twice is the same matrix, built once
+            assert dec.V is dec.V and dec.Uinv is dec.Uinv
 
 
 class TestKernel:
@@ -1023,6 +1215,24 @@ def test_matrix_entries_must_be_integers():
             IntMatrix(2, 2, [[1, 0], [0, bad]])
     # bool is an int subclass, and passes as it always did
     assert IntMatrix(1, 2, [[True, 2]]).data == ((True, 2),)
+
+
+def test_shapes_and_scalars_are_checked_at_the_input_boundary():
+    with pytest.raises(LinAlgError, match="entry count"):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(LinAlgError, match="exact integers"):
+        IntMatrix.from_rows([[1, 2.0]])
+    with pytest.raises(LinAlgError, match="entry count"):
+        IntMatrix(2, 2, [[1, 0]])
+    # computed entries are not checked again, so the scalar itself is;
+    # an empty matrix has no entry that could show a bad one
+    for M in (mat([[1, 2], [3, 4]]), IntMatrix.zeros(0, 0)):
+        with pytest.raises(LinAlgError, match="scalar"):
+            M.scale(0.5)
+        with pytest.raises(LinAlgError, match="scalar"):
+            M.mod(2.0)
+    assert mat([[1, -3]]).scale(2) == mat([[2, -6]])
+    assert mat([[1, -3]]).mod(2) == mat([[1, 1]])
 
 
 class TestGroupBasics:
