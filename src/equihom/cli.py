@@ -35,9 +35,9 @@ from .equivariant import (
     les_coeff,
     les_edge,
 )
-from .intlinalg import InternalError, LinAlgError
+from .intlinalg import FGAbelianGroup, InternalError, LinAlgError
 from .spectral import e2_page, edge_surjective
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 # the most degrees a compute range or an e2 page may span; a thousand
@@ -197,7 +197,6 @@ def cmd_classify(args):
         yield "%-28s %3s %6s %8s %6s %6s  %s" % (
             "type", "s", "dim_h1", "h1_alg", "GM", "Z-GM", "Brauer")
         for item in rep["items"]:
-            from .intlinalg import FGAbelianGroup
             brauer = FGAbelianGroup.from_json(item["brauer"])
             yield "%-28s %3d %6d %8d %6s %6s  %s" % (
                 item["type"], item["components"], item["dim_h1"],
@@ -275,8 +274,7 @@ def build_parser():
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("suite",
-                   choices=("core", "exactness", "gm", "duality", "all"))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     add_rendering(p)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_verify)

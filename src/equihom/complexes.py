@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import IntMatrix, InternalError
+from .intlinalg import IntMatrix, InternalError, _is_integer
 
 
 class ComplexError(ValueError):
@@ -72,11 +72,6 @@ class GComplex:
     maximal_simplices: tuple
     involution: tuple
     auto_subdivided: bool = False
-
-
-def _is_integer(x):
-    # bool is a subclass of int, but JSON true/false are not numbers
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_vertex_id(v, vertex_count):
@@ -610,19 +605,29 @@ def connected_components(X):
 # JSON interface
 # ---------------------------------------------------------------------------
 
+def _check_object(obj, fields, where=None):
+    """ComplexFormatError unless obj is a JSON object with exactly these
+    fields; the message names the object (where, or the top level) and
+    the first missing or unknown field."""
+    if not isinstance(obj, dict):
+        raise ComplexFormatError("%s: expected an object"
+                                 % (where or "top level"))
+    prefix = where + "." if where else ""
+    for key in fields:
+        if key not in obj:
+            raise ComplexFormatError("%s%s: missing field" % (prefix, key))
+    extra = set(obj).difference(fields)
+    if extra:
+        raise ComplexFormatError(
+            "%s%s: unknown field" % (prefix, sorted(extra)[0]))
+
+
 def complex_from_dict(obj):
     """Build a complex from the file schema {"vertices", "simplices",
     "involution"}.  Regularity violations are repaired by one barycentric
     subdivision, recorded in the auto_subdivided flag; any other defect is
     an error naming the field."""
-    if not isinstance(obj, dict):
-        raise ComplexFormatError("top level: expected an object")
-    for key in ("vertices", "simplices", "involution"):
-        if key not in obj:
-            raise ComplexFormatError("%s: missing field" % key)
-    extra = set(obj) - {"vertices", "simplices", "involution"}
-    if extra:
-        raise ComplexFormatError("%s: unknown field" % sorted(extra)[0])
+    _check_object(obj, ("vertices", "simplices", "involution"))
     if not _is_integer(obj["vertices"]):
         raise ComplexFormatError("vertices: expected an integer")
     if not isinstance(obj["simplices"], list):

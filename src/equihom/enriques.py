@@ -28,7 +28,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import ComplexFormatError, _is_integer, read_json
+from .complexes import (
+    ComplexFormatError,
+    _check_object,
+    _is_integer,
+    read_json,
+)
 from .intlinalg import FGAbelianGroup
 
 
@@ -81,7 +86,8 @@ def nonorientable(genus):
 
 @dataclass(frozen=True)
 class EnriquesType:
-    """Topological type of the real part, split into its two halves."""
+    """Topological type of the real part, split into its two halves;
+    make_type builds its canonical value."""
 
     half1: tuple
     half2: tuple
@@ -103,31 +109,27 @@ class EnriquesType:
         return all(c.orientable for c in self.components)
 
     def canonical_name(self):
-        def half(components):
-            return "{%s}" % ",".join(str(c) for c in _sorted(components))
-        a, b = sorted((half(self.half1), half(self.half2)),
-                      key=_half_sort_key)
-        return "%s|%s" % (a, b)
+        return "%s|%s" % (_render(self.half1), _render(self.half2))
 
 
-def _component_key(c):
-    return (0 if c.orientable else 1, c.genus)
+def _render(half):
+    return "{%s}" % ",".join(map(str, half))
 
 
 def _sorted(components):
-    return tuple(sorted(components, key=_component_key))
-
-
-def _half_sort_key(rendered):
-    return (rendered.count(",") if rendered != "{}" else -1, rendered)
+    return tuple(sorted(components,
+                        key=lambda c: (0 if c.orientable else 1, c.genus)))
 
 
 def make_type(half1, half2):
-    t = EnriquesType(_sorted(half1), _sorted(half2))
-    message = validate_type(t)
+    """The canonical value of a type: each half sorted, orientable
+    components first, and the halves ordered by size, then by rendered
+    name, so that swapping the halves gives the same value."""
+    halves = (_sorted(half1), _sorted(half2))
+    message = validate_type(EnriquesType(*halves))
     if message is not None:
         raise EnriquesTypeError(message)
-    return t
+    return EnriquesType(*sorted(halves, key=lambda h: (len(h), _render(h))))
 
 
 def validate_type(t):
@@ -219,30 +221,24 @@ MAX_ENUMERATION_COMPONENTS = 6
 
 
 def enumerate_types(max_components):
-    """All valid types with at most the given number of components, up to
-    reordering within halves and swapping the halves, in a deterministic
-    order, each with its classifier output."""
+    """All valid types with at most the given number of components, as
+    distinct canonical values (so up to reordering within halves and
+    swapping the halves), sorted by component count, then name, each with
+    its classifier output."""
     if max_components < 0:
         raise EnriquesTypeError("component bound must be nonnegative")
     if max_components > MAX_ENUMERATION_COMPONENTS:
         raise EnriquesTypeError(
             "component bound %d exceeds the enumeration cap %d"
             % (max_components, MAX_ENUMERATION_COMPONENTS))
-    seen = {}
-    for s in range(max_components + 1):
-        for s1 in range(s + 1):
-            s2 = s - s1
-            for h1 in itertools.combinations_with_replacement(
-                    ALL_COMPONENT_KINDS, s1):
-                for h2 in itertools.combinations_with_replacement(
-                        ALL_COMPONENT_KINDS, s2):
-                    t = make_type(h1, h2)
-                    key = t.canonical_name()
-                    if key not in seen:
-                        seen[key] = t
-    ordered = sorted(seen.values(),
-                     key=lambda t: (t.s, t.canonical_name()))
-    return [(t, classify(t)) for t in ordered]
+    # a canonical type has the smaller half first
+    pick = itertools.combinations_with_replacement
+    types = {make_type(h1, h2)
+             for s in range(max_components + 1) for s1 in range(s // 2 + 1)
+             for h1 in pick(ALL_COMPONENT_KINDS, s1)
+             for h2 in pick(ALL_COMPONENT_KINDS, s - s1)}
+    return [(t, classify(t))
+            for t in sorted(types, key=lambda t: (t.s, t.canonical_name()))]
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +246,7 @@ def enumerate_types(max_components):
 # ---------------------------------------------------------------------------
 
 def _component_from_dict(obj, where):
-    if not isinstance(obj, dict):
-        raise ComplexFormatError("%s: expected an object" % where)
-    for key in ("orientable", "genus"):
-        if key not in obj:
-            raise ComplexFormatError("%s.%s: missing field" % (where, key))
-    extra = set(obj) - {"orientable", "genus"}
-    if extra:
-        raise ComplexFormatError(
-            "%s.%s: unknown field" % (where, sorted(extra)[0]))
+    _check_object(obj, ("orientable", "genus"), where)
     if not isinstance(obj["orientable"], bool):
         raise ComplexFormatError("%s.orientable: expected a boolean" % where)
     if not _is_integer(obj["genus"]):
@@ -271,22 +259,13 @@ def _component_from_dict(obj, where):
 
 
 def type_from_dict(obj):
-    if not isinstance(obj, dict):
-        raise ComplexFormatError("top level: expected an object")
+    _check_object(obj, ("half1", "half2"))
     for key in ("half1", "half2"):
-        if key not in obj:
-            raise ComplexFormatError("%s: missing field" % key)
         if not isinstance(obj[key], list):
             raise ComplexFormatError("%s: expected a list" % key)
-    extra = set(obj) - {"half1", "half2"}
-    if extra:
-        raise ComplexFormatError("%s: unknown field" % sorted(extra)[0])
-    halves = []
-    for key in ("half1", "half2"):
-        halves.append(tuple(
-            _component_from_dict(c, "%s[%d]" % (key, i))
-            for i, c in enumerate(obj[key])))
-    return make_type(halves[0], halves[1])
+    halves = [[_component_from_dict(c, "%s[%d]" % (key, i))
+               for i, c in enumerate(obj[key])] for key in ("half1", "half2")]
+    return make_type(*halves)
 
 
 def load_type(path):

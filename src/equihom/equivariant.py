@@ -52,6 +52,8 @@ from .complexes import (
     dim,
     fixed_inclusion,
     fixed_subcomplex,
+    fixed_vertex_injection,
+    make_gmap,
 )
 from .intlinalg import (
     FGAbelianGroup,
@@ -248,6 +250,13 @@ def homology_involution(X, coeff, q):
     return induced_hom(reduced_chain_complex(X, coeff).sigma(q), spot, spot)
 
 
+def cohomology_involution(X, coeff, q):
+    """The involution acting on ordinary cohomology (twist included)."""
+    spot = cohomology(X, coeff, q)
+    sigma = reduced_chain_complex(X, coeff).sigma(q)
+    return induced_hom(sigma.transpose(), spot, spot)
+
+
 def group_cohomology(module, invol, p):
     """Cohomology of the order-two group with coefficients in a finitely
     generated module.
@@ -308,11 +317,9 @@ def class_from_coords(X, coeff, p, coords):
 
 def _column_projection(tc, p):
     """Projection of the staircase in total degree p onto its column-0
-    block, chain degree p (zero rows when there is no such block)."""
-    rank = tc.cc.rank(p)
-    return IntMatrix.from_blocks(
-        rank, tc.rank(p), [(0, off, IntMatrix.identity(rank), 1)
-                           for _, c, off in tc.blocks(p) if c == 0])
+    block, chain degree p: that block comes first when it exists, so the
+    projection is the first tc.cc.rank(p) rows of the identity."""
+    return IntMatrix.identity(tc.rank(p)).top_rows(tc.cc.rank(p))
 
 
 @lru_cache(maxsize=None)
@@ -343,15 +350,13 @@ def edge_morphism_cohomology(X, coeff, p):
 
 @lru_cache(maxsize=None)
 def _shift_matrix(tc, p, steps=1):
-    """Ambient matrix of the column shift T_p -> T_{p-steps} of the
-    staircase tc, block (q, j) -> (q, j + steps).  The block layout does
-    not depend on the coefficients, so the shift serves every coefficient
-    system (the twist rises by steps)."""
-    tgt_off = {j: off for _, j, off in tc.blocks(p - steps)}
-    return IntMatrix.from_blocks(
-        tc.rank(p - steps), tc.rank(p),
-        [(tgt_off[j + steps], off, IntMatrix.identity(tc.cc.rank(q)), 1)
-         for q, j, off in tc.blocks(p)])
+    """Ambient matrix of the column shift T_p -> T_{p-steps} of the chain
+    staircase tc, block (q, j) -> (q, j + steps).  The blocks of T_p are
+    the last blocks of T_{p-steps}, in the same order, so the shift is the
+    last tc.rank(p) columns of the identity; it depends on the ranks alone
+    and serves every coefficient system (the twist rises by steps)."""
+    n = tc.rank(p - steps)
+    return IntMatrix.identity(n).take_columns(range(n - tc.rank(p), n))
 
 
 @lru_cache(maxsize=None)
@@ -393,20 +398,16 @@ def _exact_nodes(sequence, p, maps):
 def _edge_connecting(X, coeff, p):
     """Connecting map H_p(X, A(k)) -> H_p(X; G, A(k-1)) of the column-0
     quotient sequence of total complexes: a cycle x goes to
-    (-1)^p (1 - sigma) x in column 0 (sign fixed by the construction,
-    exposed only up to sign)."""
+    (-1)^p (1 - sigma) x in column 0, placed there by the column-0
+    projection transposed (sign fixed by the construction, exposed only up
+    to sign)."""
     prev = coeff.shift()
-    src = homology(X, coeff, p)
-    tgt = eq_homology(X, prev, p)
-    cc = reduced_chain_complex(X, coeff)
-    tc_prev = reduced_total_complex_of(X, prev)
-    one_minus_sigma = IntMatrix.identity(cc.rank(p)) - cc.sigma(p)
-    sign = -1 if p % 2 else 1
-    chain_map = IntMatrix.from_blocks(
-        tc_prev.rank(p), cc.rank(p),
-        [(off, 0, one_minus_sigma, sign)
-         for _, j, off in tc_prev.blocks(p) if j == 0])
-    return induced_hom(chain_map, src, tgt)
+    sigma = reduced_chain_complex(X, coeff).sigma(p)
+    proj = _column_projection(reduced_total_complex_of(X, prev), p)
+    one_minus_sigma = IntMatrix.identity(sigma.rows) - sigma
+    return induced_hom(
+        proj.transpose() @ one_minus_sigma.scale(-1 if p % 2 else 1),
+        homology(X, coeff, p), eq_homology(X, prev, p))
 
 
 def les_edge(X, coeff, p_min, p_max):
@@ -663,7 +664,6 @@ def pullback_hom(f, coeff, p):
 
 def fixed_map(f):
     """The restriction of an equivariant map to the fixed subcomplexes."""
-    from .complexes import fixed_vertex_injection, make_gmap
     FX = fixed_subcomplex(f.source)
     FY = fixed_subcomplex(f.target)
     src_verts = fixed_vertex_injection(f.source)
@@ -713,7 +713,7 @@ def equivariant_degree(cls):
     return coords[0] if coords else 0
 
 
-def ordinary_degree(X, coeff, chain0):
+def ordinary_degree(coeff, chain0):
     """Degree of an ordinary 0-cycle of the reduced chains: the sum of its
     coefficients (iota_0 is the inclusion of the critical vertices, so
     the sum is that of its simplicial lift)."""
@@ -728,7 +728,7 @@ def graded_degree_mod2(F, coords):
         return 0
     spot = homology(F, COEFF_Z2, 0)
     return ordinary_degree(
-        F, COEFF_Z2, spot.lift(coords[:fixed_offsets(F, homology)[1]]))
+        COEFF_Z2, spot.lift(coords[:fixed_offsets(F, homology)[1]]))
 
 
 def fundamental_class(X, ring):

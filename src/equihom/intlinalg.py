@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 
 
 class LinAlgError(ValueError):
@@ -66,7 +66,11 @@ class IntMatrix:
         """The matrix with `rows` rows whose columns are the given vectors
         of exact integers, computed by the caller; entries are not
         checked."""
-        data = tuple(zip(*columns)) if columns else ((),) * rows
+        try:
+            data = tuple(zip(*columns, strict=True)) if columns \
+                else ((),) * rows
+        except ValueError:
+            raise LinAlgError("columns have different lengths") from None
         if len(data) != rows:
             raise LinAlgError("columns do not have %d entries" % rows)
         return _matrix(rows, len(columns), data)
@@ -194,6 +198,11 @@ def _matrix(rows, cols, data):
     matrix.cols = cols
     matrix.data = data
     return matrix
+
+
+def _is_integer(x):
+    # bool is a subclass of int, but true/false are not numbers
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_scalar(c):
@@ -458,7 +467,10 @@ class FGAbelianGroup:
     __slots__ = ("free_rank", "torsion", "generators")
 
     def __init__(self, free_rank, torsion=(), generators=None):
-        torsion = tuple(int(d) for d in torsion)
+        torsion = tuple(torsion)
+        if not all(map(_is_integer, (free_rank,) + torsion)):
+            raise LinAlgError("free rank and invariant factors must be "
+                              "integers")
         if free_rank < 0:
             raise LinAlgError("free rank must be nonnegative")
         for a, b in zip(torsion, torsion[1:]):
@@ -510,17 +522,9 @@ class FGAbelianGroup:
             parts.append("Z")
         elif self.free_rank:
             parts.append("Z^%d" % self.free_rank)
-        i = 0
-        tor = self.torsion
-        while i < len(tor):
-            j = i
-            while j < len(tor) and tor[j] == tor[i]:
-                j += 1
-            if j - i == 1:
-                parts.append("Z/%d" % tor[i])
-            else:
-                parts.append("(Z/%d)^%d" % (tor[i], j - i))
-            i = j
+        for d, run in groupby(self.torsion):
+            n = len(list(run))
+            parts.append("Z/%d" % d if n == 1 else "(Z/%d)^%d" % (d, n))
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -687,8 +691,12 @@ class GroupHom:
                      for x, d in zip(out, self.target.orders))
 
     def compose(self, inner):
-        """self o inner."""
-        if inner.target is not self.source and inner.target != self.source:
+        """self o inner.  The middle group must be one presentation object
+        when either end is a PresentedGroup; plain layouts compare by
+        value."""
+        mid, src = inner.target, self.source
+        if mid is not src and (mid != src or isinstance(mid, PresentedGroup)
+                               or isinstance(src, PresentedGroup)):
             raise LinAlgError("composition endpoint mismatch")
         return GroupHom(inner.source, self.target,
                         _canonical_matrix(self.target,

@@ -29,7 +29,7 @@ from .complexes import (
     fixed_subcomplex,
 )
 from .equivariant import (
-    cohomology,
+    cohomology_involution,
     edge_morphism,
     edge_morphism_cohomology,
     eq_cohomology,
@@ -51,11 +51,9 @@ from .intlinalg import (
     LinAlgError,
     LinearSolver,
     image_lattice,
-    induced_hom,
     kernel_lattice,
     lattices_equal,
 )
-from .morse import reduced_chain_complex
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +114,6 @@ def edge_surjective(X, coeff, p):
     if hom.target.ngens == 0:
         return True
     return _onto_invariants(hom, homology_involution(X, coeff, p))
-
-
-def cohomology_involution(X, coeff, q):
-    spot = cohomology(X, coeff, q)
-    sigma = reduced_chain_complex(X, coeff).sigma(q)
-    return induced_hom(sigma.transpose(), spot, spot)
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +204,14 @@ def gm_report(X):
 # Surjectivity criteria for the localization in degree two
 # ---------------------------------------------------------------------------
 
-RHO_VARIANTS = ("zz", "even-z", "odd-z")
+# variant -> (coefficients of the localization, of the degree-1 edge map,
+# parity of the target part or None for all of it, whether the target is
+# the degree-zero part)
+RHO_VARIANTS = {
+    "zz": (COEFF_Z2, COEFF_Z2, None, True),
+    "even-z": (COEFF_Z, COEFF_Z1, 0, True),
+    "odd-z": (COEFF_Z1, COEFF_Z, 1, False),
+}
 
 
 def rho_surjectivity_criteria(X, variant):
@@ -233,16 +232,7 @@ def rho_surjectivity_criteria(X, variant):
     F = fixed_subcomplex(X)
     if variant in ("zz", "odd-z") and F.vertex_count == 0:
         raise LinAlgError("criterion needs a nonempty fixed set")
-
-    if variant == "zz":
-        coeff2, coeff1 = COEFF_Z2, COEFF_Z2
-        parity, degree_zero = None, True
-    elif variant == "even-z":
-        coeff2, coeff1 = COEFF_Z, COEFF_Z1
-        parity, degree_zero = 0, True
-    else:
-        coeff2, coeff1 = COEFF_Z1, COEFF_Z
-        parity, degree_zero = 1, False
+    coeff2, coeff1, parity, degree_zero = RHO_VARIANTS[variant]
 
     # side one: the composite through group cohomology of H_1
     e1 = edge_morphism(X, coeff1, 1)

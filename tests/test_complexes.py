@@ -369,6 +369,51 @@ class TestJsonInterface:
             complex_from_dict(obj)
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize("changes,message", [
+        ({"vertices": None}, "vertices: missing field"),
+        ({"simplices": None}, "simplices: missing field"),
+        ({"involution": None}, "involution: missing field"),
+        ({"extra": 1}, "extra: unknown field"),
+        ({"vertices": 2.0}, "vertices: expected an integer"),
+        ({"vertices": True}, "vertices: expected an integer"),
+        ({"vertices": "2"}, "vertices: expected an integer"),
+        ({"simplices": {"a": 1}}, "simplices: expected a list of lists"),
+        ({"simplices": [5]}, "simplices[0]: expected a list"),
+        ({"involution": 3}, "involution: expected a list"),
+        ({"involution": [1]},
+         "involution: expected a list of length 2, got 1"),
+        ({"involution": [1, 2]}, "involution[1]: 2 is not a vertex id"),
+        ({"involution": [True, 0]},
+         "involution[0]: True is not a vertex id"),
+        ({"involution": [0, 0]}, "involution: not a permutation"),
+        ({"simplices": [[0, 2]]}, "simplices[0]: 2 is not a vertex id"),
+        ({"simplices": [[0, 1.0]]}, "simplices[0]: 1.0 is not a vertex id"),
+        ({"simplices": [[0, 1], []]}, "simplices[1]: empty simplex"),
+        ({"simplices": [[0, 1, 1]]},
+         "simplices[0]: repeated vertex in [0, 1, 1]"),
+        ({"vertices": 3, "involution": [1, 0, 2]},
+         "simplices: vertex 2 appears in no simplex"),
+        ({"vertices": 3, "simplices": [[0, 1], [2]], "involution": [2, 1, 0]},
+         "involution is not simplicial: image of [0, 1] missing"),
+        ({"vertices": 3, "simplices": [[0], [1], [2]],
+          "involution": [1, 2, 0]},
+         "involution is not of order two at vertex 0"),
+    ])
+    def test_single_defect_messages(self, changes, message):
+        # one defect in an otherwise valid file; None removes the field
+        obj = {"vertices": 2, "simplices": [[0, 1]], "involution": [1, 0]}
+        obj.update(changes)
+        obj = {k: v for k, v in obj.items() if v is not None}
+        with pytest.raises(ComplexFormatError) as err:
+            complex_from_dict(obj)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("obj", [[], 5, "x", None])
+    def test_top_level_must_be_an_object(self, obj):
+        with pytest.raises(ComplexFormatError) as err:
+            complex_from_dict(obj)
+        assert str(err.value) == "top level: expected an object"
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": 1,\n  "simplices": ???}')

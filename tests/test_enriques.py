@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from equihom.complexes import ComplexFormatError
 from equihom.enriques import (
     ALL_COMPONENT_KINDS,
+    EnriquesType,
     EnriquesTypeError,
     SPHERE,
     TORUS,
@@ -18,6 +21,9 @@ from equihom.enriques import (
     validate_type,
 )
 from equihom.intlinalg import FGAbelianGroup
+
+
+SPHERE_DOC = {"orientable": True, "genus": 0}
 
 
 def elem2(n):
@@ -116,6 +122,32 @@ class TestClassify:
             assert sum(1 for d in out.brauer.torsion if d == 4) <= 1
 
 
+def name_keyed_enumeration(max_components):
+    """The enumeration as written before types were canonical values:
+    every split of every multiset of kinds, deduplicated by a name whose
+    rendered halves are ordered by comma count, then text; the (name,
+    (half1, half2)) first seen for each name, ordered by size, then
+    name."""
+    def render(half):
+        return "{%s}" % ",".join(str(c) for c in half)
+
+    def rank(rendered):
+        return (rendered.count(",") if rendered != "{}" else -1, rendered)
+
+    seen = {}
+    for s in range(max_components + 1):
+        for s1 in range(s + 1):
+            for h1 in itertools.combinations_with_replacement(
+                    ALL_COMPONENT_KINDS, s1):
+                for h2 in itertools.combinations_with_replacement(
+                        ALL_COMPONENT_KINDS, s - s1):
+                    name = "%s|%s" % tuple(sorted(
+                        (render(h1), render(h2)), key=rank))
+                    seen.setdefault(name, (h1, h2))
+    return sorted(seen.items(),
+                  key=lambda item: (len(item[1][0] + item[1][1]), item[0]))
+
+
 class TestEnumeration:
     def test_zero_components(self):
         table = enumerate_types(0)
@@ -147,6 +179,27 @@ class TestEnumeration:
         t2 = make_type([TORUS], [SPHERE])
         assert t1.canonical_name() == t2.canonical_name()
 
+    def test_swapped_halves_give_one_value(self):
+        for t, _ in enumerate_types(3):
+            a, b = t.half1[::-1], t.half2[::-1]
+            for u in (make_type(a, b), make_type(b, a)):
+                assert u == t and hash(u) == hash(t)
+                assert (u.half1, u.half2) == (t.half1, t.half2)
+        t1 = make_type([TORUS, SPHERE], [nonorientable(2)])
+        t2 = make_type([nonorientable(2)], [SPHERE, TORUS])
+        assert t1 == t2 and hash(t1) == hash(t2)
+        assert t1.half1 == (nonorientable(2),)
+
+    @pytest.mark.parametrize("bound", range(5))
+    def test_matches_name_keyed_enumeration(self, bound):
+        want = name_keyed_enumeration(bound)
+        got = enumerate_types(bound)
+        assert [t.canonical_name() for t, _ in got] == [
+            name for name, _ in want]
+        for (t, out), (_, (h1, h2)) in zip(got, want):
+            assert t == make_type(h1, h2)
+            assert out == classify(EnriquesType(h1, h2))
+
     def test_enumeration_cap(self):
         with pytest.raises(EnriquesTypeError):
             enumerate_types(7)
@@ -177,3 +230,50 @@ class TestTypeJson:
         with pytest.raises(ComplexFormatError) as err:
             type_from_dict(obj)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"half1": None}, "half1: missing field"),
+        ({"half2": None}, "half2: missing field"),
+        ({"extra": 1}, "extra: unknown field"),
+        ({"half1": {"a": 1}}, "half1: expected a list"),
+        ({"half2": 3}, "half2: expected a list"),
+        ({"half2": [SPHERE_DOC, 3]}, "half2[1]: expected an object"),
+        ({"half2": [{"genus": 0}]}, "half2[0].orientable: missing field"),
+        ({"half1": [SPHERE_DOC, {"orientable": False}]},
+         "half1[1].genus: missing field"),
+        ({"half2": [dict(SPHERE_DOC, colour=1)]},
+         "half2[0].colour: unknown field"),
+        ({"half1": [{"orientable": 1, "genus": 0}]},
+         "half1[0].orientable: expected a boolean"),
+        ({"half1": [{"orientable": True, "genus": 0.0}]},
+         "half1[0].genus: expected an integer"),
+        ({"half1": [{"orientable": True, "genus": False}]},
+         "half1[0].genus: expected an integer"),
+        ({"half2": [{"orientable": False, "genus": "3"}]},
+         "half2[0].genus: expected an integer"),
+        ({"half1": [{"orientable": True, "genus": 2}]},
+         "half1[0]: orientable component of genus 2: only the sphere and "
+         "the torus occur"),
+        ({"half2": [{"orientable": False, "genus": 0}]},
+         "half2[0]: nonorientable component of genus 0: the genus is "
+         "between 1 and 11"),
+        ({"half2": [{"orientable": False, "genus": 12}]},
+         "half2[0]: nonorientable component of genus 12: the genus is "
+         "between 1 and 11"),
+        ({"half1": [{"orientable": True, "genus": -1}]},
+         "half1[0]: genus must be nonnegative"),
+    ])
+    def test_single_defect_messages(self, changes, message):
+        # one defect in an otherwise valid file; None removes the field
+        obj = {"half1": [SPHERE_DOC], "half2": []}
+        obj.update(changes)
+        obj = {k: v for k, v in obj.items() if v is not None}
+        with pytest.raises(ComplexFormatError) as err:
+            type_from_dict(obj)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("obj", [[], 5, "x", None])
+    def test_top_level_must_be_an_object(self, obj):
+        with pytest.raises(ComplexFormatError) as err:
+            type_from_dict(obj)
+        assert str(err.value) == "top level: expected an object"

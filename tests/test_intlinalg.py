@@ -42,6 +42,7 @@ from equihom.equivariant import (
     _shift_matrix,
     _times_two,
     cohomology,
+    cohomology_involution,
     edge_morphism,
     edge_morphism_cohomology,
     eq_cohomology,
@@ -73,7 +74,6 @@ from equihom.intlinalg import (
     smith_normal_form,
 )
 from equihom.morse import morse_reduction, reduced_chain_complex
-from equihom.spectral import cohomology_involution
 from equihom.verify import fuzz_complexes
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1255,6 +1255,52 @@ class TestGroupBasics:
     def test_json_roundtrip(self):
         g = FGAbelianGroup(3, (2, 6))
         assert FGAbelianGroup.from_json(g.to_json()) == g
+
+    @pytest.mark.parametrize("free_rank,torsion", [
+        (0, (2.5,)), (1.5, ()), (0, (2.0,)), (True, ()), (0, (True,)),
+        (0, ("2",)), (None, ()), (0, (2, Fraction(4))),
+    ])
+    def test_rank_and_factors_must_be_integers(self, free_rank, torsion):
+        with pytest.raises(LinAlgError, match="integers"):
+            FGAbelianGroup(free_rank, torsion)
+
+
+def test_from_columns_rejects_ragged_columns():
+    with pytest.raises(LinAlgError, match="different lengths"):
+        IntMatrix.from_columns(2, [[1, 5], [2, 3, 4]])
+    with pytest.raises(LinAlgError, match="different lengths"):
+        IntMatrix.from_columns(2, [[1, 5, 6], [2, 3]])
+    with pytest.raises(LinAlgError, match="2 entries"):
+        IntMatrix.from_columns(2, [[1, 5, 6], [2, 3, 4]])
+    assert IntMatrix.from_columns(2, [[1, 5], [2, 3]]) == mat([[1, 2], [5, 3]])
+    assert IntMatrix.from_columns(0, [(), ()]) == IntMatrix.zeros(0, 2)
+
+
+class TestComposeAcrossPresentations:
+    def test_isomorphic_presentations_do_not_compose(self):
+        g = eq_homology(builtin("torus-free"), COEFF_Z2, 0)
+        edge = edge_morphism(builtin("torus-reflection"), COEFF_Z2, 0)
+        # the two groups are both Z/2, on unrelated bases
+        assert edge.target == g and edge.target is not g
+        with pytest.raises(LinAlgError, match="endpoint"):
+            GroupHom(g, g, IntMatrix.identity(g.ngens)).compose(edge)
+        with pytest.raises(LinAlgError, match="endpoint"):
+            edge.compose(GroupHom(g, g, IntMatrix.identity(g.ngens)))
+
+    def test_one_presentation_composes(self):
+        X = builtin("torus-reflection")
+        edge = edge_morphism(X, COEFF_Z2, 0)
+        sigma = homology_involution(X, COEFF_Z2, 0)
+        assert sigma.compose(edge).matrix == edge.matrix
+
+    def test_plain_layouts_compare_by_value(self):
+        a, b = FGAbelianGroup(0, (2, 2)), FGAbelianGroup(0, (2, 2))
+        swap = GroupHom(b, b, mat([[0, 1], [1, 0]]))
+        into = GroupHom(a, a, IntMatrix.identity(2))
+        assert swap.compose(into).matrix == swap.matrix
+        with pytest.raises(LinAlgError, match="endpoint"):
+            swap.compose(GroupHom(a, FGAbelianGroup(0, (2,)),
+                                  mat([[1, 0]])))
 
 
 class TestExactness:
