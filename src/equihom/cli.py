@@ -78,7 +78,9 @@ def _load_space(args):
 
 def _emit(report, as_json, render_text):
     if as_json:
-        print(json.dumps(report, indent=2))
+        # streamed, so a large report is never one string in memory
+        json.dump(report, sys.stdout, indent=2)
+        print()
     else:
         for line in render_text(report):
             print(line)

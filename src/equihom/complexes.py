@@ -6,7 +6,8 @@ enforced; one barycentric subdivision always restores it.  Simplicial
 and Morse-reduced chains (morse.py) share one sparse layout, per degree the
 boundary and the untwisted involution (a signed permutation) as columns of
 (row, entry) pairs, one checker (check_chain_columns) and one densifier
-(dense_chain_complex, which applies the coefficient twist and modulus).
+(dense_chain_complex, which applies the coefficient twist only: chains
+are integral over Z/2 too, the modulus enters when a group is presented).
 """
 
 from __future__ import annotations
@@ -249,15 +250,13 @@ def _perm_sign(seq):
 
 @dataclass(frozen=True)
 class GChainComplex:
-    """Dense chain complex of a G-complex with coefficients.
+    """Dense integral chain complex of a G-complex with a twist.
 
     boundaries[q] : C_q -> C_{q-1}; sigmas[q] is the involution action on
-    C_q including the orientation sign and the twist sign (-1)^k.  Over
-    Z/2 all matrices are reduced mod 2.
+    C_q including the orientation sign and the twist sign (-1)^k.
     """
 
     X: GComplex
-    coeff: Coeff
     boundaries: tuple
     sigmas: tuple
 
@@ -349,25 +348,25 @@ def check_chain_columns(columns):
                                     "boundary")
 
 
-def _dense(rows, columns, scale, mod):
-    """The rows x len(columns) matrix scale * (sparse columns), mod mod."""
+def _dense(rows, columns, scale):
+    """The rows x len(columns) matrix scale * (sparse columns)."""
     data = [[0] * len(columns) for _ in range(rows)]
     for col, entries in enumerate(columns):
         for row, x in entries:
-            data[row][col] = scale * x % mod if mod else scale * x
+            data[row][col] = scale * x
     return IntMatrix(rows, len(columns), data)
 
 
 def dense_chain_complex(X, coeff, columns):
     """The GChainComplex of the checked sparse chain layout columns on X,
-    with the twist sign (-1)^k on sigma and the modulus of coeff."""
+    with the twist sign (-1)^k of coeff on sigma."""
     twist = -1 if coeff.k else 1
     ranks = [len(sigma) for _, sigma in columns]
     return GChainComplex(
-        X, coeff,
-        tuple(_dense(ranks[q - 1] if q else 0, boundary, 1, coeff.mod)
+        X,
+        tuple(_dense(ranks[q - 1] if q else 0, boundary, 1)
               for q, (boundary, _) in enumerate(columns)),
-        tuple(_dense(ranks[q], sigma, twist, coeff.mod)
+        tuple(_dense(ranks[q], sigma, twist)
               for q, (_, sigma) in enumerate(columns)))
 
 
@@ -391,8 +390,9 @@ def make_gmap(source, target, vertex_map):
     if len(vertex_map) != source.vertex_count:
         raise ComplexError("vertex map has wrong length")
     for v, w in enumerate(vertex_map):
-        if not 0 <= w < target.vertex_count:
-            raise ComplexError("vertex map sends %d outside the target" % v)
+        if not _is_vertex_id(w, target.vertex_count):
+            raise ComplexError("vertex map sends %d to %r, not a vertex of "
+                               "the target" % (v, w))
     for v in range(source.vertex_count):
         if vertex_map[source.involution[v]] != target.involution[vertex_map[v]]:
             raise ComplexError(

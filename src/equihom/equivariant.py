@@ -97,7 +97,6 @@ class _Staircase:
 
     def __init__(self, cc):
         self.X = cc.X
-        self.coeff = cc.coeff
         self.cc = cc
         self.n = dim(cc.X)
         self._diffs = {}
@@ -154,8 +153,6 @@ class _Staircase:
                            -1 if q % 2 else 1))
         mat = IntMatrix.from_blocks(self.rank(p - self.STEP), self.rank(p),
                                     pieces)
-        if self.coeff.mod:
-            mat = mat.mod(self.coeff.mod)
         self._diffs[p] = mat
         return mat
 
@@ -576,7 +573,7 @@ def localize_cohomology(X, coeff, n):
     F = fixed_subcomplex(X)
     if F.vertex_count == 0:
         return GroupHom(src, FGAbelianGroup(0), IntMatrix.zeros(0, src.ngens))
-    restrict = _pullback_matrix(fixed_inclusion(X), COEFF_Z2, n)
+    restrict = _pullback_matrix(fixed_inclusion(X), n)
     return _fixed_classes(
         src, reduced_total_cochain_complex_of(F, COEFF_Z2), n,
         [restrict.mul_vector(gen) for gen in src.generators], cohomology)
@@ -632,7 +629,7 @@ def pushforward_hom(f, coeff, p):
     tgt = eq_homology(f.target, coeff, p)
     mat = _blockwise(reduced_total_complex_of(f.source, coeff),
                      reduced_total_complex_of(f.target, coeff), p,
-                     reduced_gmap_matrices(f, coeff))
+                     reduced_gmap_matrices(f))
     return induced_hom(mat, src, tgt)
 
 
@@ -640,26 +637,26 @@ def pushforward_hom(f, coeff, p):
 def ordinary_pushforward_hom(f, coeff, q):
     src = homology(f.source, coeff, q)
     tgt = homology(f.target, coeff, q)
-    mats = reduced_gmap_matrices(f, coeff)
+    mats = reduced_gmap_matrices(f)
     mat = mats[q] if q < len(mats) else IntMatrix.zeros(
         tgt.ambient_rank, src.ambient_rank)
     return induced_hom(mat, src, tgt)
 
 
 @lru_cache(maxsize=None)
-def _pullback_matrix(f, coeff, p):
-    """Pullback of reduced total cochain complexes T^p(target) ->
-    T^p(source), the transpose of pi f iota block by block."""
-    return _blockwise(reduced_total_cochain_complex_of(f.target, coeff),
-                      reduced_total_cochain_complex_of(f.source, coeff), p,
-                      [m.transpose() for m in reduced_gmap_matrices(f, coeff)])
+def _pullback_matrix(f, p):
+    """Pullback T^p(target) -> T^p(source) of reduced total cochain
+    complexes for every coefficient system: pi f iota transposed blockwise."""
+    return _blockwise(reduced_total_cochain_complex_of(f.target, COEFF_Z2),
+                      reduced_total_cochain_complex_of(f.source, COEFF_Z2), p,
+                      [m.transpose() for m in reduced_gmap_matrices(f)])
 
 
 def pullback_hom(f, coeff, p):
     """Contravariant functoriality on equivariant cohomology."""
     src = eq_cohomology(f.target, coeff, p)
     tgt = eq_cohomology(f.source, coeff, p)
-    return induced_hom(_pullback_matrix(f, coeff, p), src, tgt)
+    return induced_hom(_pullback_matrix(f, p), src, tgt)
 
 
 def fixed_map(f):
@@ -686,7 +683,7 @@ def graded_pullback(f):
     fg = fixed_map(f)
     src = fixed_offsets(fg.target, cohomology)
     tgt = fixed_offsets(fg.source, cohomology)
-    mats = reduced_gmap_matrices(fg, COEFF_Z2)
+    mats = reduced_gmap_matrices(fg)
     return _graded_hom(src, tgt, [
         (q, q, induced_hom(mats[q].transpose(),
                            cohomology(fg.target, COEFF_Z2, q),
@@ -737,29 +734,17 @@ def fundamental_class(X, ring):
     detected from the involution action on the top homology.  The lift is
     unique: T_{d+1} has no blocks, so by the edge/cap sequence the top
     edge map is injective."""
-    d = dim(X)
-    ord_spot = homology(X, Coeff(ring, 0), d)
-    if ring == "Z":
-        if ord_spot != FGAbelianGroup(1):
-            raise LinAlgError(
-                "H_%d(X, Z) = %s is not Z: no integral orientation"
-                % (d, ord_spot))
-        sigma_star = homology_involution(X, Coeff("Z", 0), d)
-        action = sigma_star.matrix.data[0][0]
-        if action == 1:
-            k = 0
-        elif action == -1:
-            k = 1
-        else:
-            raise InternalError(
-                "involution acts on the top class by %d" % action)
-    else:
-        if ord_spot != FGAbelianGroup(0, (2,)):
-            raise LinAlgError(
-                "H_%d(X, Z/2) = %s is not Z/2: not a closed connected "
-                "surface presentation" % (d, ord_spot))
-        k = 0
-    coeff = Coeff(ring, k)
+    d, untwisted = dim(X), Coeff(ring, 0)
+    found = homology(X, untwisted, d)
+    want = FGAbelianGroup(1) if ring == "Z" else FGAbelianGroup(0, (2,))
+    if found != want:
+        raise LinAlgError("H_%d(X, %s) = %s, expected %s: no fundamental "
+                          "class" % (d, untwisted, found, want))
+    # the involution acts on the top class by +-1 over Z, by 1 over Z/2
+    action = homology_involution(X, untwisted, d).matrix.data[0][0]
+    if action not in (1, -1):
+        raise InternalError("involution acts on the top class by %d" % action)
+    coeff = Coeff(ring, 0 if action == 1 else 1)
     # H_d(X, A(k)) is Z or Z/2 (the twist leaves the boundary alone), so
     # its one generator has coordinates (1,)
     top = (1,)

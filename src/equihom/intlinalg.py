@@ -652,7 +652,8 @@ def homology_at(d_in, d_out, mod=0):
 
     d_in : Z^s -> Z^g and d_out : Z^g -> Z^h must satisfy d_out.d_in = 0
     (mod `mod` when it is nonzero), else ChainConditionError is raised.
-    mod=0 works over Z, mod=2 over Z/2.
+    mod=0 works over Z.  mod=2 works over Z/2 and is the only place the
+    modulus acts: the inputs are not reduced, relations 2 e_i are added.
     """
     g = d_out.cols
     return _subquotient(d_out, d_in,

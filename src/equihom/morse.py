@@ -20,7 +20,7 @@ The stages repeat, greedily on the current boundary, until no pair is left.
 The involution of C' is the signed permutation of C restricted to the cells
 left (the critical cells).  The pairing and both maps are computed once per
 complex over Z with the untwisted involution: the twist only flips the sign
-of sigma, and Z/2 is the same data mod 2, so one reduction serves every
+of sigma, and Z/2 is the same integral data, so one reduction serves every
 coefficient system.
 
 A MorseReduction holds the critical cells, the reduced complex C' as its
@@ -211,14 +211,14 @@ def _check_reduction(columns, red):
 @lru_cache(maxsize=None)
 def reduced_chain_complex(X, coeff):
     """The G-chain complex on the critical cells of morse_reduction(X),
-    with the coefficient twist and modulus applied."""
+    with the coefficient twist applied."""
     return dense_chain_complex(X, coeff, morse_reduction(X).columns)
 
 
 @lru_cache(maxsize=None)
-def reduced_gmap_matrices(f, coeff):
+def reduced_gmap_matrices(f):
     """The chain map of an equivariant simplicial map moved onto the
-    reduced complexes, pi f iota per degree, with coefficients."""
+    reduced complexes, pi f iota per degree, for every coefficient system."""
     src, tgt = morse_reduction(f.source), morse_reduction(f.target)
     out = []
     for q, cols in enumerate(gmap_chain_columns(f)):
@@ -226,5 +226,5 @@ def reduced_gmap_matrices(f, coeff):
         proj = tgt.projections[q] if q < len(tgt.cells) else []
         out.append(_dense(len(tgt.cells[q]) if proj else 0,
                           [_apply(proj, _apply(cols, lift).items()).items()
-                           for lift in src.lifts[q]], 1, coeff.mod))
+                           for lift in src.lifts[q]], 1))
     return tuple(out)

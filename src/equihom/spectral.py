@@ -137,18 +137,6 @@ class GMReport:
     is_zgm: bool
     edge_surjectivity: tuple  # ((family, degree, bool), ...)
 
-    def to_json(self):
-        return {
-            "gm1": {"lhs": self.gm1[0], "rhs": self.gm1[1]},
-            "gm2": {"lhs": self.gm2[0], "rhs": self.gm2[1]},
-            "gm3": {"lhs": self.gm3[0], "rhs": self.gm3[1]},
-            "is_gm": self.is_gm,
-            "is_zgm": self.is_zgm,
-            "edge_surjectivity": [
-                {"family": fam, "degree": p, "surjective": ok}
-                for fam, p, ok in self.edge_surjectivity],
-        }
-
 
 def gm_bounds(X):
     """The three inequalities (lhs, rhs): total/even/odd mod-2 homology of

@@ -167,6 +167,25 @@ class TestClassify:
         assert out1 == out2
         assert len(json.loads(out1)["items"]) == 1 + 13 + 182
 
+    def test_json_report_is_streamed(self, monkeypatch):
+        class Sink:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["classify", "--enumerate", "3", "--json"]) == 0
+        text = "".join(sink.writes)
+        assert max(map(len, sink.writes)) <= 4096
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
     def test_invalid_genus_exits_two(self, capsys, tmp_path):
         path = tmp_path / "type.json"
         path.write_text(json.dumps({

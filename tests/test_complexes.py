@@ -313,12 +313,23 @@ class TestGMap:
         with pytest.raises(ComplexError):
             make_gmap(Y, Y, [0, 0])  # collapses the swapped pair: 0 != sigma(0)=1
 
+    @pytest.mark.parametrize("source,target,vertex_map", [
+        ("point", "circle-reflection", [False]),
+        ("point", "circle-reflection", [True]),
+        ("point", "circle-reflection", ["0"]),
+        ("point", "circle-reflection", [4]),
+        ("circle-reflection", "circle-reflection", [0.0, 1.0, 2.0, 3.0]),
+    ])
+    def test_vertex_ids_checked(self, source, target, vertex_map):
+        with pytest.raises(ComplexError, match="not a vertex of the target"):
+            make_gmap(builtin(source), builtin(target), vertex_map)
+
     def test_fixed_inclusion_chain_maps(self):
         X = builtin("sphere-octahedron-reflection")
         inc = fixed_inclusion(X)
         src = chain_complex(fixed_subcomplex(X), COEFF_Z)
         tgt = chain_complex(X, COEFF_Z)
-        mats = [_dense(tgt.rank(q), cols, 1, 0)
+        mats = [_dense(tgt.rank(q), cols, 1)
                 for q, cols in enumerate(gmap_chain_columns(inc))]
         for q in range(1, len(src.boundaries)):
             # commutes with the boundary

@@ -44,6 +44,7 @@ from equihom.equivariant import (
     ordinary_degree,
     parity_projection,
     pushforward,
+    reduced_total_cochain_complex_of,
     reduced_total_complex_of,
     represented_class,
     total_complex,
@@ -53,6 +54,7 @@ from equihom.intlinalg import (
     FGAbelianGroup,
     IntMatrix,
     LinAlgError,
+    homology_at,
     induced_hom,
 )
 from equihom.verify import FIXED_POINT_BUILTINS
@@ -523,6 +525,60 @@ class TestFundamentalClass:
     def test_disconnected_rejected(self):
         with pytest.raises(LinAlgError):
             fundamental_class(builtin("free-pair"), "Z")
+
+    @pytest.mark.parametrize("name, ring, message", [
+        ("free-pair", "Z", "H_0(X, Z) = Z^2, expected Z"),
+        ("free-pair", "Z2", "H_0(X, Z/2) = (Z/2)^2, expected Z/2"),
+        ("klein-bottle-trivial", "Z", "H_2(X, Z) = 0, expected Z"),
+        ("rp2-trivial", "Z", "H_2(X, Z) = 0, expected Z"),
+    ])
+    def test_one_message_names_degree_coefficients_and_groups(
+            self, name, ring, message):
+        with pytest.raises(LinAlgError) as info:
+            fundamental_class(builtin(name), ring)
+        assert str(info.value) == message + ": no fundamental class"
+
+
+def mod2_reference_presentations(X):
+    """(group, reference) for every Z/2 group of X in degrees -4..dim+2
+    (ordinary ones in 0..dim): the reference is presented by homology_at
+    on the same differentials reduced mod 2."""
+    chains = reduced_total_complex_of(X, COEFF_Z2)
+    cochains = reduced_total_cochain_complex_of(X, COEFF_Z2)
+    cc = reduced_chain_complex(X, COEFF_Z2)
+    for p in range(-4, dim(X) + 3):
+        yield eq_homology(X, COEFF_Z2, p), homology_at(
+            chains.diff(p + 1).mod(2), chains.diff(p).mod(2), 2)
+        yield eq_cohomology(X, COEFF_Z2, p), homology_at(
+            cochains.diff(p - 1).mod(2), cochains.diff(p).mod(2), 2)
+    for q in range(dim(X) + 1):
+        d_in, d_out = cc.boundary(q + 1), cc.boundary(q)
+        yield homology(X, COEFF_Z2, q), homology_at(
+            d_in.mod(2), d_out.mod(2), 2)
+        yield cohomology(X, COEFF_Z2, q), homology_at(
+            d_out.transpose().mod(2), d_in.transpose().mod(2), 2)
+
+
+class TestIntegralMod2Presentations:
+    """Z/2 groups are presented on integral chains, the modulus entering
+    only as relation columns; each is the presentation on the chains
+    reduced mod 2, up to the identity of the ambient chains."""
+
+    @pytest.mark.parametrize("sd", [0, 1])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES
+                             + ("circle-reflection+free-pair",))
+    def test_identity_is_an_isomorphism(self, name, sd):
+        X = builtin(name)
+        for _ in range(sd):
+            X = barycentric_subdivide(X)
+        for grp, ref in mod2_reference_presentations(X):
+            assert (grp.free_rank, grp.torsion) == (ref.free_rank,
+                                                    ref.torsion)
+            ident = IntMatrix.identity(grp.ambient_rank)
+            there = induced_hom(ident, grp, ref)
+            back = induced_hom(ident, ref, grp)
+            assert back.compose(there).matrix == IntMatrix.identity(grp.ngens)
+            assert there.compose(back).matrix == IntMatrix.identity(grp.ngens)
 
 
 class TestClassVectors:

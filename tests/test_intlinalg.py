@@ -868,8 +868,8 @@ def lift_matrix(X, degrees, cochains):
     as a dense matrix."""
     red, levels = morse_reduction(X), simplices_by_dim(X)
     return block_diagonal(
-        _dense(len(red.cells[q]), red.projections[q], 1, 0).transpose()
-        if cochains else _dense(len(levels[q]), red.lifts[q], 1, 0)
+        _dense(len(red.cells[q]), red.projections[q], 1).transpose()
+        if cochains else _dense(len(levels[q]), red.lifts[q], 1)
         for q in degrees)
 
 
@@ -878,8 +878,8 @@ def projection_matrix(X, degrees, cochains):
     of iota on cochains), laid out as lift_matrix."""
     red, levels = morse_reduction(X), simplices_by_dim(X)
     return block_diagonal(
-        _dense(len(levels[q]), red.lifts[q], 1, 0).transpose()
-        if cochains else _dense(len(red.cells[q]), red.projections[q], 1, 0)
+        _dense(len(levels[q]), red.lifts[q], 1).transpose()
+        if cochains else _dense(len(red.cells[q]), red.projections[q], 1)
         for q in degrees)
 
 
@@ -1010,11 +1010,11 @@ class TestRandomGComplexOracle:
 
 def gmap_chain_matrices(f, coeff):
     """Per-degree dense chain matrices of a simplicial map with
-    coefficients."""
+    coefficients, reduced mod 2 over Z/2."""
     ranks = [len(level) for level in simplices_by_dim(f.target)]
-    return tuple(_dense(ranks[q] if q < len(ranks) else 0, cols, 1,
-                        coeff.mod)
-                 for q, cols in enumerate(gmap_chain_columns(f)))
+    mats = (_dense(ranks[q] if q < len(ranks) else 0, cols, 1)
+            for q, cols in enumerate(gmap_chain_columns(f)))
+    return tuple(m.mod(coeff.mod) if coeff.mod else m for m in mats)
 
 
 def simplicial_hom(chain_map, hom, d_in, mod, iota, pi):
