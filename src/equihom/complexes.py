@@ -5,9 +5,9 @@ order two.  Regularity (every simplex fixed setwise is fixed vertexwise) is
 enforced; one barycentric subdivision always restores it.  Simplicial
 and Morse-reduced chains (morse.py) share one sparse layout, per degree the
 boundary and the untwisted involution (a signed permutation) as columns of
-(row, entry) pairs, one checker (check_chain_columns) and one densifier
-(dense_chain_complex, which applies the coefficient twist only: chains
-are integral over Z/2 too, the modulus enters when a group is presented).
+(row, entry) pairs, one checker (check_chain_columns) and one view
+(GChainComplex, which adds the twist and densifies on read: chains are
+integral over Z/2 too, the modulus enters when a group is presented).
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ COEFF_Z = Coeff("Z", 0)
 COEFF_Z1 = Coeff("Z", 1)
 
 COEFF_BY_FLAG = {"Z2": COEFF_Z2, "Z": COEFF_Z, "Z1": COEFF_Z1}
+
+# the most simplices of an input's face closure or regularity repair
+MAX_SIMPLICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,24 @@ def make_complex(vertex_count, simplices, involution):
     for s in cleaned:
         if s not in faces:
             maximal.append(s)
-            for q in range(1, len(s)):
-                faces.update(itertools.combinations(s, q))
+            _add_faces(faces, s)
     maximal.sort(key=lambda s: (len(s), s))
     return GComplex(vertex_count, tuple(maximal), involution)
+
+
+def _check_size(count, what="simplices: the face closure has at least"):
+    if count > MAX_SIMPLICES:
+        raise ComplexFormatError("%s %d simplices, past the cap %d"
+                                 % (what, count, MAX_SIMPLICES))
+
+
+def _add_faces(faces, s):
+    """Add the faces of the simplex s to the set faces, checking the count
+    for s alone, then per face size, so that little past the cap is built."""
+    _check_size(2 ** len(s) - 1)
+    for q in range(1, len(s) + 1):
+        faces.update(itertools.combinations(s, q))
+        _check_size(len(faces))
 
 
 @lru_cache(maxsize=None)
@@ -137,13 +154,9 @@ def simplices_by_dim(X):
     """All faces, per dimension, in sorted order."""
     faces = set()
     for s in X.maximal_simplices:
-        for q in range(1, len(s) + 1):
-            faces.update(itertools.combinations(s, q))
-    out = []
-    for q in range(dim(X) + 1):
-        level = sorted(f for f in faces if len(f) == q + 1)
-        out.append(tuple(level))
-    return tuple(out)
+        _add_faces(faces, s)
+    return tuple(tuple(sorted(f for f in faces if len(f) == q + 1))
+                 for q in range(dim(X) + 1))
 
 
 def dim(X):
@@ -201,9 +214,7 @@ def barycentric_subdivide(X):
     for v in range(X.vertex_count):
         if inv[inv[v]] != v:
             raise ComplexError("involution is not of order two")
-    all_faces = []
-    for level in simplices_by_dim(X):
-        all_faces.extend(level)
+    all_faces = [s for level in simplices_by_dim(X) for s in level]
     bary_id = {s: i for i, s in enumerate(all_faces)}
     for s in all_faces:
         if _sigma_simplex(X, s) not in bary_id:
@@ -218,6 +229,18 @@ def barycentric_subdivide(X):
         key=lambda s: (len(s), s))
     return GComplex(len(all_faces), tuple(new_simplices), new_inv,
                     X.auto_subdivided)
+
+
+def _subdivision_size(X):
+    """The simplex count of barycentric_subdivide(X): the flags of faces
+    that end at a face with n vertices are the ordered set partitions of
+    its vertices, counted by the Fubini numbers a(n) = 1, 3, 13, 75, ..."""
+    from math import comb
+    a = [1]
+    for n in range(1, dim(X) + 2):
+        a.append(sum(comb(n, k) * a[n - k] for k in range(1, n + 1)))
+    return sum(a[q + 1] * len(level)
+               for q, level in enumerate(simplices_by_dim(X)))
 
 
 @lru_cache(maxsize=None)
@@ -239,40 +262,47 @@ def fixed_vertex_injection(X):
 
 
 def _perm_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[j] < seq[i]:
-                sign = -sign
-    return sign
+    """(-1) to the number of inversions of seq."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
 
 
 @dataclass(frozen=True)
 class GChainComplex:
-    """Dense integral chain complex of a G-complex with a twist.
-
-    boundaries[q] : C_q -> C_{q-1}; sigmas[q] is the involution action on
-    C_q including the orientation sign and the twist sign (-1)^k.
-    """
+    """The chain complex of a G-complex with a twist, a view of the checked
+    sparse chain layout columns (chain_columns(X) or the columns of
+    morse_reduction(X)) and the twist sign (-1)^k: boundary(q) and sigma(q),
+    with the orientation and twist signs, are densified when read."""
 
     X: GComplex
-    boundaries: tuple
-    sigmas: tuple
+    columns: tuple
+    twist: int
+
+    def _level(self, q):
+        return self.columns[q] if 0 <= q < len(self.columns) else ([], [])
 
     def rank(self, q):
-        return self.sigma(q).rows
+        return len(self._level(q)[1])
 
     def boundary(self, q):
-        """The boundary C_q -> C_{q-1}, with empty fallbacks off range."""
-        if 0 <= q < len(self.boundaries):
-            return self.boundaries[q]
-        return IntMatrix.zeros(self.rank(q - 1), self.rank(q))
+        return _dense(self.rank(q - 1), self._level(q)[0], 1)
 
     def sigma(self, q):
-        if 0 <= q < len(self.sigmas):
-            return self.sigmas[q]
-        return IntMatrix.zeros(0, 0)
+        return _dense(self.rank(q), self._level(q)[1], self.twist)
+
+
+def _view(X, coeff, columns):
+    """The GChainComplex of the chain layout columns of X under coeff."""
+    return GChainComplex(X, columns, -1 if coeff.k else 1)
+
+
+def transpose(cols, n):
+    """The n sparse columns of the transpose of the matrix with these
+    sparse columns."""
+    out = [[] for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i].append((j, x))
+    return out
 
 
 def _apply(cols, entries):
@@ -312,11 +342,9 @@ def chain_columns(X):
         boundary = [[(index[q - 1][s[:i] + s[i + 1:]], (-1) ** i)
                      for i in range(len(s))] if q else []
                     for s in basis]
-        sigma = []
-        for s in basis:
-            image = [X.involution[v] for v in s]
-            sigma.append([(index[q][tuple(sorted(image))],
-                           _perm_sign(image))])
+        images = [[X.involution[v] for v in s] for s in basis]
+        sigma = [[(index[q][tuple(sorted(im))], _perm_sign(im))]
+                 for im in images]
         out.append((boundary, sigma))
     check_chain_columns(out)
     return tuple(out)
@@ -357,23 +385,10 @@ def _dense(rows, columns, scale):
     return IntMatrix(rows, len(columns), data)
 
 
-def dense_chain_complex(X, coeff, columns):
-    """The GChainComplex of the checked sparse chain layout columns on X,
-    with the twist sign (-1)^k of coeff on sigma."""
-    twist = -1 if coeff.k else 1
-    ranks = [len(sigma) for _, sigma in columns]
-    return GChainComplex(
-        X,
-        tuple(_dense(ranks[q - 1] if q else 0, boundary, 1)
-              for q, (boundary, _) in enumerate(columns)),
-        tuple(_dense(ranks[q], sigma, twist)
-              for q, (_, sigma) in enumerate(columns)))
-
-
 @lru_cache(maxsize=None)
 def chain_complex(X, coeff):
-    """Dense chain complex of X, on the checked columns of chain_columns."""
-    return dense_chain_complex(X, coeff, chain_columns(X))
+    """The chain complex of X, a view of its checked chain_columns."""
+    return _view(X, coeff, chain_columns(X))
 
 
 @dataclass(frozen=True)
@@ -642,6 +657,8 @@ def complex_from_dict(obj):
     if message is None:
         return X
     if message.startswith("regularity"):
+        _check_size(_subdivision_size(X),
+                    "regularity repair: the subdivision would have")
         X = barycentric_subdivide(X)
         X = GComplex(X.vertex_count, X.maximal_simplices, X.involution,
                      auto_subdivided=True)

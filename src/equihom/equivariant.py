@@ -54,6 +54,7 @@ from .complexes import (
     fixed_subcomplex,
     fixed_vertex_injection,
     make_gmap,
+    transpose,
 )
 from .intlinalg import (
     FGAbelianGroup,
@@ -89,8 +90,10 @@ class _Staircase:
     block in column c holds chain degree q = p + STEP * c, and only
     0 <= q <= dim X occurs.  The differential sends a block to the block
     one step down its column (the vertical map) and to the same chain
-    degree in the next column, by (-1)^q (1 - (-1)^c sigma).
-    Differentials are produced per total degree and memoized.
+    degree in the next column, by (-1)^q (1 - (-1)^c sigma).  Each
+    differential is one dense matrix whose entries are placed straight
+    from the sparse chain columns of the view cc, memoized per total
+    degree.
     """
 
     STEP = 0  # +1 for chains, -1 for cochains
@@ -101,7 +104,6 @@ class _Staircase:
         self.n = dim(cc.X)
         self._diffs = {}
         self._blocks = {}
-        self._block_maps = {}
 
     def blocks(self, p):
         """List of (q, c, offset) for the column blocks in total degree p,
@@ -125,36 +127,31 @@ class _Staircase:
         q, _, offset = blocks[-1]
         return offset + self.cc.rank(q)
 
-    def _vertical_and_sigma(self, q):
-        """The vertical map out of chain degree q and the action of the
-        involution there."""
-        raise NotImplementedError
-
-    def _maps(self, q):
-        """(vertical map, 1 - sigma, 1 + sigma) out of chain degree q,
-        built once per staircase."""
-        if q not in self._block_maps:
-            vertical, sigma = self._vertical_and_sigma(q)
-            ident = IntMatrix.identity(self.cc.rank(q))
-            self._block_maps[q] = (vertical, ident - sigma, ident + sigma)
-        return self._block_maps[q]
-
     def _diff(self, p):
         if p in self._diffs:
             return self._diffs[p]
+        columns, twist = self.cc.columns, self.cc.twist
         tgt = {c: off for _, c, off in self.blocks(p - self.STEP)}
-        pieces = []
+        rows, cols = self.rank(p - self.STEP), self.rank(p)
+        data = [[0] * cols for _ in range(rows)]
         for q, c, off in self.blocks(p):
-            vertical, even, odd = self._maps(q)
-            # no vertical target when chain degree q - STEP is out of range
+            # the vertical map: the boundary, on cochains the transposed
+            # one out of q + 1; none when chain degree q - STEP is off range
             if c in tgt:
-                pieces.append((tgt[c], off, vertical, 1))
-            pieces.append((tgt[c + 1], off, odd if c % 2 else even,
-                           -1 if q % 2 else 1))
-        mat = IntMatrix.from_blocks(self.rank(p - self.STEP), self.rank(p),
-                                    pieces)
-        self._diffs[p] = mat
-        return mat
+                vertical = (columns[q][0] if self.STEP == 1 else
+                            transpose(columns[q + 1][0], self.cc.rank(q)))
+                for j, col in enumerate(vertical):
+                    for i, x in col:
+                        data[tgt[c] + i][off + j] = x
+            # (-1)^q (1 - (-1)^c sigma) into the next column: sigma is a
+            # symmetric signed permutation, so cochains take it as it is
+            sign = -1 if q % 2 else 1
+            flip = sign * twist if c % 2 else -sign * twist
+            for j, ((i, s),) in enumerate(columns[q][1]):
+                data[tgt[c + 1] + j][off + j] += sign
+                data[tgt[c + 1] + i][off + j] += flip * s
+        self._diffs[p] = IntMatrix(rows, cols, data)
+        return self._diffs[p]
 
 
 class TotalComplex(_Staircase):
@@ -162,9 +159,6 @@ class TotalComplex(_Staircase):
     vertical map is the boundary."""
 
     STEP = 1
-
-    def _vertical_and_sigma(self, q):
-        return self.cc.boundary(q), self.cc.sigma(q)
 
     def diff(self, p):
         """The total differential T_p -> T_{p-1}."""
@@ -174,13 +168,9 @@ class TotalComplex(_Staircase):
 class TotalCochainComplex(_Staircase):
     """The staircase on cochains: column i holds cochain degree q = p - i,
     so p >= 0; the vertical map is the coboundary and sigma acts by its
-    transpose."""
+    transpose, which is sigma."""
 
     STEP = -1
-
-    def _vertical_and_sigma(self, q):
-        return (self.cc.boundary(q + 1).transpose(),
-                self.cc.sigma(q).transpose())
 
     def diff(self, p):
         """The total codifferential T^p -> T^{p+1}."""

@@ -26,7 +26,7 @@ coefficient system.
 A MorseReduction holds the critical cells, the reduced complex C' as its
 columns (d', sigma') in the sparse chain layout of simplicial chains, and
 iota and pi as sparse columns.  So C' is checked by the same
-check_chain_columns and densified by the same dense_chain_complex as C.
+check_chain_columns and viewed by the same GChainComplex as C.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from functools import lru_cache
 from .complexes import (
     _apply,
     _dense,
+    _view,
     chain_columns,
     check_chain_columns,
     check_chain_map,
-    dense_chain_complex,
     gmap_chain_columns,
+    transpose,
 )
 from .intlinalg import InternalError
 
@@ -62,16 +63,6 @@ class MorseReduction:
     columns: tuple
     lifts: tuple
     projections: tuple
-
-
-def transpose(cols, n):
-    """The n sparse columns of the transpose of the matrix with these
-    sparse columns."""
-    out = [[] for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, x in col:
-            out[i].append((j, x))
-    return out
 
 
 def _add_sparse(dst, src, c):
@@ -211,8 +202,8 @@ def _check_reduction(columns, red):
 @lru_cache(maxsize=None)
 def reduced_chain_complex(X, coeff):
     """The G-chain complex on the critical cells of morse_reduction(X),
-    with the coefficient twist applied."""
-    return dense_chain_complex(X, coeff, morse_reduction(X).columns)
+    a view of its columns with the coefficient twist."""
+    return _view(X, coeff, morse_reduction(X).columns)
 
 
 @lru_cache(maxsize=None)

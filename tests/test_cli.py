@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from equihom.cli import MAX_DEGREES, InputError, _parse_range, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run(capsys, *argv):
@@ -94,6 +96,25 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--file", str(path))
         assert code == 2
         assert err.startswith("error: %s: " % field)
+
+    @pytest.mark.parametrize("n, swap, count", [
+        (30, False, 2 ** 30 - 1),
+        (8, True, 1091669),
+    ])
+    def test_huge_file_exits_two(self, capsys, tmp_path, n, swap, count):
+        involution = list(range(n))
+        if swap:
+            involution[:2] = [1, 0]
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps({"vertices": n,
+                                    "simplices": [list(range(n))],
+                                    "involution": involution}))
+        start = time.process_time()
+        code, out, err = run(capsys, "compute", "--file", str(path),
+                             "--coeff", "Z", "--range", "0..0")
+        assert time.process_time() - start < 1
+        assert code == 2 and out == ""
+        assert " %d simplices, past the cap 1000000" % count in err
 
     def test_unknown_builtin_exits_two(self, capsys):
         code, _, err = run(capsys, "compute", "--builtin", "moebius")
@@ -260,6 +281,22 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["failed"] == 0 and report["passed"] > 0
+
+    def test_all_matches_the_pinned_report(self, capsys):
+        """verify all --json, byte for byte, against the committed report;
+        a change to a check updates tests/data/verify_all.json."""
+        code, out, _ = run(capsys, "verify", "all", "--json")
+        with open(os.path.join(DATA, "verify_all.json"),
+                  encoding="utf-8") as fh:
+            pinned = fh.read()
+        if out != pinned:
+            got, want = json.loads(out)["checks"], json.loads(pinned)["checks"]
+            differing = [w["name"] for g, w in zip(got, want) if g != w]
+            pytest.fail("verify all --json differs from the pinned report; "
+                        "first differing check: %s" % (
+                            differing[0] if differing else
+                            "none (the counts or the layout differ)"))
+        assert code == 0
 
     def test_unknown_suite_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:

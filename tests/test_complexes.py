@@ -1,7 +1,10 @@
+import json
 import random
+import time
 
 import pytest
 
+from equihom import complexes
 from equihom.complexes import (
     BUILTIN_EULER,
     BUILTIN_FIXED_COUNTS,
@@ -24,8 +27,10 @@ from equihom.complexes import (
     fixed_subcomplex,
     gmap_chain_columns,
     identity_map,
+    load_complex,
     make_complex,
     make_gmap,
+    simplex_count,
     simplices_by_dim,
     validate,
 )
@@ -331,7 +336,7 @@ class TestGMap:
         tgt = chain_complex(X, COEFF_Z)
         mats = [_dense(tgt.rank(q), cols, 1)
                 for q, cols in enumerate(gmap_chain_columns(inc))]
-        for q in range(1, len(src.boundaries)):
+        for q in range(1, len(src.columns)):
             # commutes with the boundary
             assert tgt.boundary(q) @ mats[q] == mats[q - 1] @ src.boundary(q)
 
@@ -432,6 +437,66 @@ class TestJsonInterface:
         with pytest.raises(ComplexFormatError) as err:
             load_complex(str(path))
         assert "line 2" in str(err.value)
+
+
+def simplex_file(n, swap=False):
+    """One simplex on n vertices, its involution trivial or swapping
+    vertices 0 and 1 (which breaks regularity)."""
+    involution = list(range(n))
+    if swap:
+        involution[:2] = [1, 0]
+    return {"vertices": n, "simplices": [list(range(n))],
+            "involution": involution}
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("n, swap, message", [
+        (30, False, "simplices: the face closure has at least 1073741823 "
+                    "simplices, past the cap 1000000"),
+        (8, True, "regularity repair: the subdivision would have 1091669 "
+                  "simplices, past the cap 1000000"),
+    ])
+    def test_huge_inputs_fail_fast(self, n, swap, message):
+        start = time.process_time()
+        with pytest.raises(ComplexFormatError) as err:
+            complex_from_dict(simplex_file(n, swap))
+        assert time.process_time() - start < 1
+        assert str(err.value) == message
+
+    def test_irregular_seven_simplex_loads(self):
+        X = complex_from_dict(simplex_file(7, swap=True))
+        assert X.auto_subdivided and simplex_count(X) == 94585
+
+    def test_torus_sd3_file_loads(self, tmp_path):
+        X = builtin("torus-reflection")
+        for _ in range(3):
+            X = barycentric_subdivide(X)
+        path = tmp_path / "torus-sd3.json"
+        path.write_text(json.dumps({
+            "vertices": X.vertex_count,
+            "simplices": [list(s) for s in X.maximal_simplices],
+            "involution": list(X.involution)}))
+        assert load_complex(str(path)) == X
+        assert simplex_count(X) == 15552
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_subdivision_size_is_exact(self, name):
+        X = builtin(name)
+        assert complexes._subdivision_size(X) == simplex_count(
+            barycentric_subdivide(X))
+
+    def test_cap_boundaries(self, monkeypatch):
+        # a triangle has 7 faces; the repair of the swapped edge has 5
+        monkeypatch.setattr(complexes, "MAX_SIMPLICES", 7)
+        complex_from_dict(simplex_file(3))
+        with pytest.raises(ComplexFormatError, match="at least 8 "):
+            complex_from_dict({"vertices": 4, "simplices": [[0, 1, 2], [3]],
+                               "involution": [0, 1, 2, 3]})
+        monkeypatch.setattr(complexes, "MAX_SIMPLICES", 5)
+        assert complex_from_dict(simplex_file(2, swap=True)).auto_subdivided
+        monkeypatch.setattr(complexes, "MAX_SIMPLICES", 4)
+        with pytest.raises(ComplexFormatError, match="would have 5 "):
+            complex_from_dict(simplex_file(2, swap=True))
 
 
 class TestCoeff:
