@@ -62,8 +62,8 @@ from .intlinalg import (
     IntMatrix,
     InternalError,
     LinAlgError,
-    LinearSolver,
     _canonical_matrix,
+    _solver,
     _subquotient,
     exact_at,
     hom_from_images,
@@ -541,7 +541,7 @@ def localize_homology(X, coeff, n):
     p_low = n - steps
     # below degree zero the inclusion of the fixed set is an isomorphism
     incl = pushforward_hom(fixed_inclusion(X), COEFF_Z2, p_low)
-    solver = LinearSolver(image_lattice(incl))
+    solver = _solver(image_lattice(incl))
     shift = _shift_matrix(reduced_total_complex_of(X, COEFF_Z2), n, steps)
     chains = []
     for gen in src.generators:
@@ -739,7 +739,7 @@ def fundamental_class(X, ring):
     # its one generator has coordinates (1,)
     top = (1,)
     edge = edge_morphism(X, coeff, d)
-    sol = LinearSolver(image_lattice(edge)).solve_vector(top)
+    sol = _solver(image_lattice(edge)).solve_vector(top)
     if sol is None:
         raise InternalError("edge morphism misses the fundamental cycle "
                             "(wrong twist parity?)")

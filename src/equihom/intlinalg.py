@@ -9,7 +9,7 @@ integers; no floating point is used anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, compress, groupby
 
 
@@ -442,8 +442,15 @@ class LinearSolver:
         return self.solve_matrix(B) is not None
 
 
+# the solver of a matrix, built once per matrix value; equal matrices
+# (IntMatrix hashes by value) share one
+_solver = lru_cache(maxsize=None)(LinearSolver)
+
+
+@lru_cache(maxsize=None)
 def kernel_basis(M):
-    """Columns form a basis of the integer kernel {x : M x = 0}."""
+    """Columns form a basis of the integer kernel {x : M x = 0}; one
+    result per matrix value."""
     snf = smith_normal_form(M)
     r = snf.rank
     return snf.V.take_columns(list(range(r, M.cols)))
@@ -453,7 +460,7 @@ def lattices_equal(A, B):
     """Whether the column lattices of A and B coincide (same ambient)."""
     if A.rows != B.rows:
         raise LinAlgError("lattices live in different ambients")
-    return LinearSolver(A).contains(B) and LinearSolver(B).contains(A)
+    return _solver(A).contains(B) and _solver(B).contains(A)
 
 
 class FGAbelianGroup:
@@ -598,7 +605,10 @@ def _cycle_coordinates(dcols, relrows, vicols, t, vec):
     return _combine(vicols, list(vec) + z, t)
 
 
+@lru_cache(maxsize=None)
 def _subquotient(d_out, d_in, rels_ambient, rels_target):
+    """The PresentedGroup {x : d_out x in span rels_target} / (im d_in +
+    span rels_ambient); equal matrices give one presentation object."""
     g = d_out.cols
     if d_in.rows != g:
         raise LinAlgError("d_in lands in the wrong ambient")
@@ -654,6 +664,7 @@ def homology_at(d_in, d_out, mod=0):
     (mod `mod` when it is nonzero), else ChainConditionError is raised.
     mod=0 works over Z.  mod=2 works over Z/2 and is the only place the
     modulus acts: the inputs are not reduced, relations 2 e_i are added.
+    Equal matrices and modulus give one presentation object.
     """
     g = d_out.cols
     return _subquotient(d_out, d_in,
@@ -693,8 +704,8 @@ class GroupHom:
 
     def compose(self, inner):
         """self o inner.  The middle group must be one presentation object
-        when either end is a PresentedGroup; plain layouts compare by
-        value."""
+        when either end is a PresentedGroup (presentations of equal
+        matrices are one object); plain layouts compare by value."""
         mid, src = inner.target, self.source
         if mid is not src and (mid != src or isinstance(mid, PresentedGroup)
                                or isinstance(src, PresentedGroup)):
@@ -762,12 +773,12 @@ def exact_at(incoming, outgoing):
 
     The two maps must share the *same presentation object* in the middle;
     isomorphic-but-differently-presented groups would make the comparison
-    meaningless.
+    meaningless.  Presentations built from equal matrices are one object.
     """
     if incoming.target is not outgoing.source:
         raise LinAlgError("maps do not share the middle presentation")
     if not outgoing.compose(incoming).is_zero():
         return False
     # a zero composite already puts the image inside the kernel
-    return LinearSolver(image_lattice(incoming)).contains(
+    return _solver(image_lattice(incoming)).contains(
         kernel_lattice(outgoing))

@@ -49,7 +49,7 @@ from .intlinalg import (
     IntMatrix,
     InternalError,
     LinAlgError,
-    LinearSolver,
+    _solver,
     image_lattice,
     kernel_lattice,
     lattices_equal,
@@ -248,7 +248,7 @@ def rho_surjectivity_criteria(X, variant):
         odd = [u for u in units if graded_degree_mod2(F, u)]
         targets = [u for u in units if u not in odd] + [
             [a + b for a, b in zip(u, v)] for u, v in zip(odd, odd[1:])]
-    rho_surjective = LinearSolver(image_lattice(loc)).contains(
+    rho_surjective = _solver(image_lattice(loc)).contains(
         IntMatrix.from_columns(n, targets))
     return criterion_zero, rho_surjective
 

@@ -64,7 +64,7 @@ from .intlinalg import (
     FGAbelianGroup,
     IntMatrix,
     LinAlgError,
-    LinearSolver,
+    _solver,
     image_lattice,
     kernel_lattice,
 )
@@ -171,9 +171,9 @@ def _negative_degree_localization_checks(results):
                 loc = proj.compose(localize_homology(X, Coeff("Z", k), n))
                 want = FGAbelianGroup(0, (2,) * parity_dims[parity])
                 iso = (src == want
-                       and LinearSolver(src.relation_columns()).contains(
+                       and _solver(src.relation_columns()).contains(
                            kernel_lattice(loc))
-                       and LinearSolver(image_lattice(loc)).contains(
+                       and _solver(image_lattice(loc)).contains(
                            image_lattice(proj)))
                 _check(results,
                        "negative-localization[%s,n=%d,k=%d]" % (name, n, k),
@@ -181,7 +181,7 @@ def _negative_degree_localization_checks(results):
                        % (src, parity_dims[parity]))
             loc2 = localize_homology(X, COEFF_Z2, n)
             _check(results, "negative-surjectivity-z2[%s,n=%d]" % (name, n),
-                   LinearSolver(image_lattice(loc2)).contains(
+                   _solver(image_lattice(loc2)).contains(
                        IntMatrix.identity(offsets[-1])))
 
 

@@ -779,9 +779,22 @@ class TestGroupCohomologyReduce:
                                     d_out, module.relation_columns(), rng)
 
 
+def equal_copy(M):
+    """An equal matrix that is a different object."""
+    return IntMatrix(M.rows, M.cols, M.data)
+
+
+# the exact kernel's memos, keyed by matrix value
+KERNEL_MEMOS = (intlinalg._subquotient, kernel_basis, intlinalg._solver)
+
+
 class TestTwoSmithForms:
     @pytest.fixture
     def snf_calls(self, monkeypatch):
+        # a cold build: an earlier test may have built the same
+        # presentation already
+        for memo in KERNEL_MEMOS:
+            memo.cache_clear()
         calls = []
 
         def counting(M):
@@ -797,11 +810,85 @@ class TestTwoSmithForms:
         assert len(snf_calls) == 2
         assert not any(isinstance(getattr(grp, name), LinearSolver)
                        for name in type(grp).__slots__)
+        # equal matrices: no Smith form, the same presentation object
+        assert homology_at(equal_copy(d_in), equal_copy(d_out)) is grp
+        assert len(snf_calls) == 2
 
     def test_group_cohomology(self, snf_calls):
         module, sigma = random_module(random.Random(32))
-        group_cohomology(module, sigma, 1)
+        grp = group_cohomology(module, sigma, 1)
         assert len(snf_calls) == 2
+        assert group_cohomology(module, equal_copy(sigma), 1) is grp
+        assert len(snf_calls) == 2
+
+
+class TestKernelMemoAgainstFreshBuilds:
+    """A memo hit returns what a fresh build of an equal input gives."""
+
+    @staticmethod
+    def check_presentation(args, rng):
+        memo = intlinalg._subquotient(*args)
+        fresh = intlinalg._subquotient.__wrapped__(*args)
+        assert intlinalg._subquotient(*map(equal_copy, args)) is memo
+        assert fresh is not memo
+        assert (memo.free_rank, memo.torsion, memo.generators) \
+            == (fresh.free_rank, fresh.torsion, fresh.generators)
+        for cycle, noise in random_cycles(fresh, rng, 10):
+            assert memo.reduce(cycle) == fresh.reduce(cycle)
+            try:
+                want = fresh.reduce(noise)
+            except LinAlgError:
+                with pytest.raises(LinAlgError):
+                    memo.reduce(noise)
+            else:
+                assert memo.reduce(noise) == want
+
+    @pytest.mark.parametrize("mod", [0, 2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chain_pairs(self, mod, seed):
+        rng = random.Random(7000 + 100 * mod + seed)
+        d_in, d_out = random_chain_pair(rng, mod)
+        # a complex over Z is one over Z/2 too: the same matrices, keys
+        # that differ only in the relations
+        for m in (0, 2) if mod == 0 else (2,):
+            self.check_presentation(
+                (d_out, d_in, intlinalg._mod_relations(d_out.cols, m),
+                 intlinalg._mod_relations(d_out.rows, m)), rng)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_modules(self, seed):
+        rng = random.Random(7500 + seed)
+        module, sigma = random_module(rng)
+        ident = IntMatrix.identity(module.ngens)
+        rels = module.relation_columns()
+        for sign in (1, -1):
+            self.check_presentation(
+                (ident - sigma.scale(sign), ident + sigma.scale(sign),
+                 rels, rels), rng)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kernel_basis_and_solver(self, seed):
+        rng = random.Random(7800 + seed)
+        M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), bound=2)
+        assert kernel_basis(M) == kernel_basis.__wrapped__(M)
+        assert kernel_basis(equal_copy(M)) is kernel_basis(M)
+        solver, fresh = intlinalg._solver(M), LinearSolver(M)
+        assert intlinalg._solver(equal_copy(M)) is solver
+        assert isinstance(solver, LinearSolver)
+        for _ in range(6):
+            b = [rng.randint(-3, 3) for _ in range(M.rows)]
+            assert solver.solve_vector(b) == fresh.solve_vector(b)
+
+    def test_bad_input_raises_on_every_call(self):
+        # d_out . d_in = 1: not a complex; exceptions are not memoized
+        one, none = IntMatrix.identity(1), IntMatrix.zeros(1, 0)
+        misses = intlinalg._subquotient.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(ChainConditionError):
+                homology_at(one, one)
+            with pytest.raises(ChainConditionError):
+                intlinalg._subquotient(one, one, none, none)
+        assert intlinalg._subquotient.cache_info().misses == misses + 4
 
 
 @pytest.mark.parametrize("rels_target", [

@@ -41,7 +41,8 @@ try:
     equivariant.pushforward_hom(identity_map(X), COEFF_Z2, 0)
 finally:
     tracer.uninstall()
-print(json.dumps(tracer.metrics()))
+print(json.dumps({"metrics": tracer.metrics(),
+                  "caches": tracer.cache_snapshot()}))
 """
 
 
@@ -52,7 +53,8 @@ def test_tracer_wraps_the_package():
          os.path.join(ROOT, "perfbench", "tracer.py")],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout)
+    out = json.loads(proc.stdout)
+    metrics = out["metrics"]
     # solve_vector and reduce are wrapped in their class __dict__s
     for key in ("equivariant.total_diff_calls", "intlinalg.snf_calls",
                 "intlinalg.subquotient_calls", "intlinalg.solve_columns",
@@ -63,3 +65,8 @@ def test_tracer_wraps_the_package():
     # classes are cycles of the reduced staircase, so nothing builds the
     # simplicial chain complex
     assert metrics["complexes.chain_complex_calls"] == 0
+    # the exact kernel's memos are in the snapshot every span file holds;
+    # the solver memo wraps the class, so it is listed under its name
+    for memo in ("intlinalg._subquotient", "intlinalg.kernel_basis",
+                 "intlinalg.LinearSolver"):
+        assert out["caches"][memo]["misses"] > 0, memo
