@@ -270,7 +270,7 @@ def group_cohomology(module, invol, p):
         d_in = IntMatrix.zeros(n, 0)
     else:
         d_in = ident + invol.scale(sign)
-    return _subquotient(d_out, d_in, rels, rels)
+    return _subquotient(d_out, d_in, module.orders, module.orders)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress, groupby
+from itertools import chain, compress, groupby, repeat
 
 
 class LinAlgError(ValueError):
@@ -503,10 +503,8 @@ class FGAbelianGroup:
     def relation_columns(self):
         """Columns spanning the relation lattice of the coordinate space,
         i.e. diag(orders) restricted to the torsion generators."""
-        n = self.ngens
-        return IntMatrix.from_columns(
-            n, [[d if i == j else 0 for i in range(n)]
-                for j, d in enumerate(self.orders) if d])
+        return IntMatrix.from_columns(self.ngens,
+                                      list(_relations(self.orders)))
 
     def f2_dim(self):
         """Dimension as a Z/2 vector space; only for elementary groups."""
@@ -545,17 +543,32 @@ class FGAbelianGroup:
         return cls(obj["free_rank"], obj["torsion"])
 
 
+def _relations(orders):
+    """The relations d.e_i of the lattice with these per-coordinate orders
+    (0 for no relation), one column per nonzero d, in coordinate order."""
+    for i, d in enumerate(orders):
+        if d:
+            yield [0] * i + [d] + [0] * (len(orders) - i - 1)
+
+
+def _reduced(values, orders):
+    """values with each entry reduced into [0, d) by its order d; an
+    entry of order 0 is kept as it is."""
+    return tuple([x % d if d else x for x, d in zip(values, orders)])
+
+
 class PresentedGroup(FGAbelianGroup):
     """A subquotient (ker d_out mod relations) / (im d_in + relations) of
     Z^ambient_rank, remembering enough structure to reduce arbitrary cycles
     to canonical generator coordinates and to lift coordinates back.
 
-    d_in and rels_ambient are its boundaries and relations, the columns
-    a map out of the group must send to boundaries.
+    d_in holds its boundaries as columns and ambient_orders the orders of
+    its relations d.e_i; a map out of the group must send both to
+    boundaries.
     """
 
     __slots__ = ("ambient_rank", "_cycles", "_coord_cols", "d_in",
-                 "rels_ambient")
+                 "ambient_orders")
 
     def reduce(self, vec):
         """Coordinates of an ambient cycle in the chosen generators.
@@ -566,8 +579,8 @@ class PresentedGroup(FGAbelianGroup):
         y = _cycle_coordinates(*self._cycles, vec)
         if y is None:
             raise LinAlgError("vector is not a cycle of this presentation")
-        out = _combine(self._coord_cols, y, self.ngens)
-        return tuple(u % d if d else u for u, d in zip(out, self.orders))
+        return _reduced(_combine(self._coord_cols, y, self.ngens),
+                        self.orders)
 
     def lift(self, coords):
         """An ambient cycle representing the given generator coordinates."""
@@ -585,50 +598,45 @@ class PresentedGroup(FGAbelianGroup):
         return IntMatrix.hstack(ker, self.relation_columns())
 
 
-def _cycle_coordinates(dcols, relrows, vicols, t, vec):
+def _cycle_coordinates(dcols, orders, vicols, t, vec):
     """Coordinates of the ambient vector x in the cycle basis, or None if x
-    is not a cycle.  Row i of R holds relation relrows[i] = (column, entry)
-    or none, so d_out . x + R . z = 0 gives z by division, and the
-    coordinates are V^-1[r:] . (x; z), whose columns are vicols."""
+    is not a cycle.  Row i of R holds the relation orders[i].e_i, or none
+    when orders[i] is 0, so d_out . x + R . z = 0 gives z by division, and
+    the coordinates are V^-1[r:] . (x; z), whose columns are vicols."""
     if len(vec) != len(dcols):
         raise LinAlgError("vector has wrong length for this presentation")
-    z = [0] * (len(vicols) - len(dcols))
-    b = _combine(dcols, vec, len(relrows))
+    z = [0] * len(orders)
+    b = _combine(dcols, vec, len(orders))
     for i in compress(range(len(b)), b):
-        if relrows[i] is None:
+        d = orders[i]
+        if not d:
             return None
-        j, d = relrows[i]
         q, rem = divmod(b[i], d)
         if rem:
             return None
-        z[j] = -q
-    return _combine(vicols, list(vec) + z, t)
+        z[i] = -q
+    return _combine(vicols, list(vec) + list(compress(z, orders)), t)
 
 
 @lru_cache(maxsize=None)
-def _subquotient(d_out, d_in, rels_ambient, rels_target):
-    """The PresentedGroup {x : d_out x in span rels_target} / (im d_in +
-    span rels_ambient); equal matrices give one presentation object."""
+def _subquotient(d_out, d_in, ambient_orders, target_orders):
+    """The PresentedGroup {x : d_out x in R_target} / (im d_in + R_ambient),
+    each relation lattice R spanned by the d.e_i over its per-coordinate
+    orders d (0 for none); equal inputs give one presentation object."""
     g = d_out.cols
     if d_in.rows != g:
         raise LinAlgError("d_in lands in the wrong ambient")
-    relrows = [None] * d_out.rows
-    for j, col in enumerate(_column_entries(rels_target.data,
-                                            rels_target.cols)):
-        if len(col) != 1 or relrows[col[0][0]] is not None:
-            raise InternalError("relation columns must be single entries "
-                                "on distinct rows")
-        relrows[col[0][0]] = (j, col[0][1])
     # with U . [d_out | R] . V = D of rank r, the cycles are the top g
     # rows of the kernel basis V[:, r:], and V^-1[r:] gives coordinates
-    snf = smith_normal_form(IntMatrix.hstack(d_out, rels_target))
+    snf = smith_normal_form(IntMatrix.hstack(d_out, IntMatrix.from_columns(
+        d_out.rows, list(_relations(target_orders)))))
     r = snf.rank
     t = snf.V.rows - r
     kmat = _matrix(g, t, tuple(row[r:] for row in snf.V.data[:g]))
-    cycles = (_column_entries(d_out.data, g), relrows,
+    cycles = (_column_entries(d_out.data, g), target_orders,
               _column_entries(snf.Vinv.data[r:], snf.V.rows), t)
     ycols = []
-    for col in d_in.columns() + rels_ambient.columns():
+    for col in chain(d_in.columns(), _relations(ambient_orders)):
         y = _cycle_coordinates(*cycles, col)
         if y is None:
             raise ChainConditionError(
@@ -647,14 +655,8 @@ def _subquotient(d_out, d_in, rels_ambient, rels_target):
     grp._cycles = cycles
     # the rows of U_y at the kept generators, as columns
     grp._coord_cols = _column_entries([sy.U.data[i] for i in kept], t)
-    grp.d_in, grp.rels_ambient = d_in, rels_ambient
+    grp.d_in, grp.ambient_orders = d_in, ambient_orders
     return grp
-
-
-def _mod_relations(rank, mod):
-    if mod:
-        return IntMatrix.identity(rank).scale(mod)
-    return IntMatrix.zeros(rank, 0)
 
 
 def homology_at(d_in, d_out, mod=0):
@@ -663,22 +665,18 @@ def homology_at(d_in, d_out, mod=0):
     d_in : Z^s -> Z^g and d_out : Z^g -> Z^h must satisfy d_out.d_in = 0
     (mod `mod` when it is nonzero), else ChainConditionError is raised.
     mod=0 works over Z.  mod=2 works over Z/2 and is the only place the
-    modulus acts: the inputs are not reduced, relations 2 e_i are added.
-    Equal matrices and modulus give one presentation object.
+    modulus acts: the inputs are not reduced, every coordinate of Z^g and
+    Z^h gets the order 2.  Equal matrices and modulus give one
+    presentation object.
     """
-    g = d_out.cols
-    return _subquotient(d_out, d_in,
-                        _mod_relations(g, mod), _mod_relations(d_out.rows, mod))
+    return _subquotient(d_out, d_in, (mod,) * d_out.cols, (mod,) * d_out.rows)
 
 
 def _canonical_matrix(target, mat):
-    data = []
-    orders = target.orders
-    for i in range(mat.rows):
-        d = orders[i]
-        row = mat.data[i]
-        data.append(tuple([x % d if d else x for x in row]))
-    return _matrix(mat.rows, mat.cols, tuple(data))
+    """mat with row i reduced by the i-th order of target."""
+    return _matrix(mat.rows, mat.cols,
+                   tuple([_reduced(row, repeat(d))
+                          for row, d in zip(mat.data, target.orders)]))
 
 
 @dataclass(frozen=True)
@@ -698,9 +696,7 @@ class GroupHom:
     def apply(self, coords):
         if len(coords) != self.matrix.cols:
             raise LinAlgError("coordinate vector has wrong length")
-        out = self.matrix.mul_vector(coords)
-        return tuple(x % d if d else x
-                     for x, d in zip(out, self.target.orders))
+        return _reduced(self.matrix.mul_vector(coords), self.target.orders)
 
     def compose(self, inner):
         """self o inner.  The middle group must be one presentation object
@@ -746,15 +742,17 @@ def hom_from_images(src, tgt, images, boundary_images):
 
 def induced_hom(chain_map, src, tgt):
     """The map on homology induced by a matrix from the ambient chains of
-    src to those of tgt, which must send cycles to cycles and boundaries
-    to boundaries."""
+    src to those of tgt, which must send cycles to cycles, and boundaries
+    and relations to boundaries.  The image of a relation d.e_i is d times
+    column i of the chain map."""
     if (chain_map.rows, chain_map.cols) != (tgt.ambient_rank,
                                             src.ambient_rank):
         raise LinAlgError("chain map has wrong shape for these presentations")
-    boundary_img = chain_map @ IntMatrix.hstack(src.d_in, src.rels_ambient)
+    relation_img = [[d * x for x in col] for col, d in
+                    zip(chain_map.columns(), src.ambient_orders) if d]
     return hom_from_images(
         src, tgt, [chain_map.mul_vector(gen) for gen in src.generators],
-        boundary_img.columns())
+        (chain_map @ src.d_in).columns() + relation_img)
 
 
 def image_lattice(hom):

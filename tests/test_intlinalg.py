@@ -63,7 +63,6 @@ from equihom.intlinalg import (
     FGAbelianGroup,
     GroupHom,
     IntMatrix,
-    InternalError,
     LinAlgError,
     LinearSolver,
     exact_at,
@@ -616,16 +615,26 @@ def reference_solve(M, b):
     return dense_solve(smith_normal_form(M), b)
 
 
-def reference_reducer(grp, d_out, rels_target):
+def relation_matrix(orders):
+    """The dense relation columns d.e_i over the nonzero orders d, built
+    here so that the references do not depend on the kernel's own."""
+    kept = [j for j, d in enumerate(orders) if d]
+    return IntMatrix(len(orders), len(kept),
+                     [[d if i == j else 0 for j in kept]
+                      for i, d in enumerate(orders)])
+
+
+def reference_reducer(grp, d_out, target_orders):
     """reduce by the dense formula, built once per group: solve in the
     cycle basis (the kernel of [d_out | R] cut to its top rows), apply the
     full U_y of the boundary Smith decomposition, keep the rows whose
     invariant factor is not 1.  The returned function gives None for a
     non-cycle."""
-    kmat = kernel_basis(IntMatrix.hstack(d_out, rels_target)) \
+    kmat = kernel_basis(IntMatrix.hstack(d_out,
+                                         relation_matrix(target_orders))) \
         .top_rows(d_out.cols)
     ks = smith_normal_form(kmat)
-    lmat = IntMatrix.hstack(grp.d_in, grp.rels_ambient)
+    lmat = IntMatrix.hstack(grp.d_in, relation_matrix(grp.ambient_orders))
     sols = [dense_solve(ks, col) for col in lmat.columns()]
     ymat = IntMatrix(kmat.cols, len(sols),
                      [[sol[i] for sol in sols] for i in range(kmat.cols)])
@@ -648,7 +657,7 @@ def random_cycles(grp, rng, rounds):
     random noise) over the ambient of grp."""
     g = grp.ambient_rank
     spanning = list(grp.generators) + grp.d_in.columns() \
-        + grp.rels_ambient.columns()
+        + relation_matrix(grp.ambient_orders).columns()
     for _ in range(rounds):
         cycle = [0] * g
         for vec in spanning:
@@ -657,11 +666,11 @@ def random_cycles(grp, rng, rounds):
         yield cycle, [rng.randint(-2, 2) for _ in range(g)]
 
 
-def check_against_reference(grp, d_out, rels_target, rng, rounds=10):
+def check_against_reference(grp, d_out, target_orders, rng, rounds=10):
     """Random cycles (combinations of generators, boundaries and relations)
     and random noise reduce as the dense reference does, a non-cycle
     raises, and the lift of every unit vector reduces back to it."""
-    reference = reference_reducer(grp, d_out, rels_target)
+    reference = reference_reducer(grp, d_out, target_orders)
     for cycle, noise in random_cycles(grp, rng, rounds):
         for vec in (cycle, noise):
             want = reference(vec)
@@ -742,7 +751,7 @@ class TestSolverAgainstDenseReference:
         d_in, d_out = random_chain_pair(rng, mod)
         check_against_reference(
             homology_at(d_in, d_out, mod=mod), d_out,
-            intlinalg._mod_relations(d_out.rows, mod), rng)
+            (mod,) * d_out.rows, rng)
 
 
 def random_module(rng):
@@ -776,7 +785,7 @@ class TestGroupCohomologyReduce:
         for p in range(4):
             d_out = ident - sigma.scale(-1 if p % 2 else 1)
             check_against_reference(group_cohomology(module, sigma, p),
-                                    d_out, module.relation_columns(), rng)
+                                    d_out, module.orders, rng)
 
 
 def equal_copy(M):
@@ -829,7 +838,10 @@ class TestKernelMemoAgainstFreshBuilds:
     def check_presentation(args, rng):
         memo = intlinalg._subquotient(*args)
         fresh = intlinalg._subquotient.__wrapped__(*args)
-        assert intlinalg._subquotient(*map(equal_copy, args)) is memo
+        d_out, d_in, ambient_orders, target_orders = args
+        assert intlinalg._subquotient(
+            equal_copy(d_out), equal_copy(d_in), tuple(list(ambient_orders)),
+            tuple(list(target_orders))) is memo
         assert fresh is not memo
         assert (memo.free_rank, memo.torsion, memo.generators) \
             == (fresh.free_rank, fresh.torsion, fresh.generators)
@@ -852,15 +864,14 @@ class TestKernelMemoAgainstFreshBuilds:
         # that differ only in the relations
         for m in (0, 2) if mod == 0 else (2,):
             self.check_presentation(
-                (d_out, d_in, intlinalg._mod_relations(d_out.cols, m),
-                 intlinalg._mod_relations(d_out.rows, m)), rng)
+                (d_out, d_in, (m,) * d_out.cols, (m,) * d_out.rows), rng)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_modules(self, seed):
         rng = random.Random(7500 + seed)
         module, sigma = random_module(rng)
         ident = IntMatrix.identity(module.ngens)
-        rels = module.relation_columns()
+        rels = module.orders
         for sign in (1, -1):
             self.check_presentation(
                 (ident - sigma.scale(sign), ident + sigma.scale(sign),
@@ -881,7 +892,7 @@ class TestKernelMemoAgainstFreshBuilds:
 
     def test_bad_input_raises_on_every_call(self):
         # d_out . d_in = 1: not a complex; exceptions are not memoized
-        one, none = IntMatrix.identity(1), IntMatrix.zeros(1, 0)
+        one, none = IntMatrix.identity(1), (0,)
         misses = intlinalg._subquotient.cache_info().misses
         for _ in range(2):
             with pytest.raises(ChainConditionError):
@@ -891,17 +902,32 @@ class TestKernelMemoAgainstFreshBuilds:
         assert intlinalg._subquotient.cache_info().misses == misses + 4
 
 
-@pytest.mark.parametrize("rels_target", [
-    [[2, 3]],     # two relations on one row
-    [[2], [2]],   # one relation with two nonzeros
-    [[0], [0]],   # one relation with none
-])
-def test_relation_columns_must_be_single_entries(rels_target):
-    rels_target = IntMatrix.from_rows(rels_target)
-    d_out = IntMatrix.zeros(rels_target.rows, 1)
-    with pytest.raises(InternalError, match="single entries"):
-        intlinalg._subquotient(d_out, IntMatrix.zeros(1, 0),
-                               IntMatrix.zeros(1, 0), rels_target)
+class TestRelationsAreOrders:
+    """A relation lattice enters the kernel only as its per-coordinate
+    orders (0 for no relation): homology_at and group_cohomology key the
+    presentation memo by orders tuples."""
+
+    @pytest.mark.parametrize("mod", [0, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_homology_at(self, mod, seed):
+        d_in, d_out = random_chain_pair(random.Random(7900 + seed), mod)
+        g, h = d_out.cols, d_out.rows
+        grp = homology_at(d_in, d_out, mod)
+        assert grp is intlinalg._subquotient(d_out, d_in, (mod,) * g,
+                                             (mod,) * h)
+        assert grp.ambient_orders == (mod,) * g
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_group_cohomology(self, seed):
+        module, sigma = random_module(random.Random(7950 + seed))
+        n = module.ngens
+        ident = IntMatrix.identity(n)
+        for p in range(3):
+            sign = -1 if p % 2 else 1
+            d_in = ident + sigma.scale(sign) if p else IntMatrix.zeros(n, 0)
+            assert group_cohomology(module, sigma, p) \
+                is intlinalg._subquotient(ident - sigma.scale(sign), d_in,
+                                          module.orders, module.orders)
 
 
 def random_g_complex(rng):
@@ -1024,10 +1050,11 @@ def check_against_unreduced(grp, d_in, d_out, reduced, iota, pi, mod, rng,
     assert (grp.free_rank, grp.torsion) == (ref.free_rank, ref.torsion)
     want = homology_at(*reduced, mod)
     assert (grp.free_rank, grp.torsion, grp.ambient_rank, grp.generators,
-            grp.d_in, grp.rels_ambient) == (
+            grp.d_in, grp.ambient_orders) == (
         want.free_rank, want.torsion, want.ambient_rank, want.generators,
-        want.d_in, want.rels_ambient)
-    for col in IntMatrix.hstack(grp.d_in, grp.rels_ambient).columns():
+        want.d_in, want.ambient_orders)
+    for col in IntMatrix.hstack(
+            grp.d_in, relation_matrix(grp.ambient_orders)).columns():
         assert not any(ref.reduce(iota.mul_vector(col)))
     n = grp.ngens
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
@@ -1057,8 +1084,7 @@ def check_reduction(X, rng, dense=False):
                                           iota, pi, coeff.mod, rng)
             if dense:
                 check_against_reference(
-                    ref, d_out,
-                    intlinalg._mod_relations(d_out.rows, coeff.mod), rng, 3)
+                    ref, d_out, (coeff.mod,) * d_out.rows, rng, 3)
 
 
 def oracle_complex(seed, max_simplices=80):
@@ -1113,7 +1139,7 @@ def simplicial_hom(chain_map, hom, d_in, mod, iota, pi):
     columns are the target coordinates of pi . chain_map . iota . gen over
     the generators of the source."""
     src, tgt = hom.source, hom.target
-    rels = intlinalg._mod_relations(d_in.rows, mod)
+    rels = relation_matrix((mod,) * d_in.rows)
     for col in (chain_map @ IntMatrix.hstack(d_in, rels)).columns():
         assert not any(tgt.reduce(pi.mul_vector(col)))
     return IntMatrix.from_columns(
@@ -1158,7 +1184,7 @@ def simplicial_localizations(X, coeff, n):
     p = n - steps
     incl = _blockwise(tcf, tcx, p, mats)
     solver = LinearSolver(IntMatrix.hstack(
-        incl, tcx.diff(p + 1), intlinalg._mod_relations(incl.rows, 2)))
+        incl, tcx.diff(p + 1), relation_matrix((2,) * incl.rows)))
     shift = _shift_matrix(tcx, n, steps)
 
     def graded(tc, degree, y, group, cochains):
