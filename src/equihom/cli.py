@@ -4,14 +4,15 @@ Commands: compute (equivariant groups and edge images over a degree
 range), e2 (render the second page), classify (the closed-form surface
 classifier), verify (property suites).  Every command emits either an
 aligned text report or JSON; identical inputs produce byte-identical JSON.
-Exit codes: 0 success, 1 verification failure or internal error, 2 input
-error.
+Exit codes: 0 success, 1 verification failure, internal error or a reader
+that closed the output early, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .complexes import (
@@ -304,7 +305,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(merged)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows here, not at the interpreter's exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the final
+        # flush of the interpreter cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, ComplexError, EnriquesTypeError, LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

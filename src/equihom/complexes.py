@@ -6,8 +6,8 @@ enforced; one barycentric subdivision always restores it.  Simplicial
 and Morse-reduced chains (morse.py) share one sparse layout, per degree the
 boundary and the untwisted involution (a signed permutation) as columns of
 (row, entry) pairs, one checker (check_chain_columns) and one view
-(GChainComplex, which adds the twist and densifies on read: chains are
-integral over Z/2 too, the modulus enters when a group is presented).
+(GChainComplex, which adds the twist: chains are integral over Z/2 too,
+the modulus enters when a group is presented).  Chain maps are such columns.
 """
 
 from __future__ import annotations
@@ -270,8 +270,8 @@ def _perm_sign(seq):
 class GChainComplex:
     """The chain complex of a G-complex with a twist, a view of the checked
     sparse chain layout columns (chain_columns(X) or the columns of
-    morse_reduction(X)) and the twist sign (-1)^k: boundary(q) and sigma(q),
-    with the orientation and twist signs, are densified when read."""
+    morse_reduction(X)) and the twist sign (-1)^k: boundary(q) is densified
+    when read, and sigma(q) is the twisted involution as sparse columns."""
 
     X: GComplex
     columns: tuple
@@ -284,10 +284,10 @@ class GChainComplex:
         return len(self._level(q)[1])
 
     def boundary(self, q):
-        return _dense(self.rank(q - 1), self._level(q)[0], 1)
+        return _dense(self.rank(q - 1), self._level(q)[0])
 
     def sigma(self, q):
-        return _dense(self.rank(q), self._level(q)[1], self.twist)
+        return [[(i, self.twist * s)] for (i, s), in self._level(q)[1]]
 
 
 def _view(X, coeff, columns):
@@ -376,12 +376,12 @@ def check_chain_columns(columns):
                                     "boundary")
 
 
-def _dense(rows, columns, scale):
-    """The rows x len(columns) matrix scale * (sparse columns)."""
+def _dense(rows, columns):
+    """The rows x len(columns) matrix with these sparse columns."""
     data = [[0] * len(columns) for _ in range(rows)]
     for col, entries in enumerate(columns):
         for row, x in entries:
-            data[row][col] = scale * x
+            data[row][col] = x
     return IntMatrix(rows, len(columns), data)
 
 

@@ -63,6 +63,7 @@ from .intlinalg import (
     InternalError,
     LinAlgError,
     _canonical_matrix,
+    _combine,
     _solver,
     _subquotient,
     exact_at,
@@ -121,16 +122,12 @@ class _Staircase:
         return self._blocks[p]
 
     def rank(self, p):
-        blocks = self.blocks(p)
-        if not blocks:
-            return 0
-        q, _, offset = blocks[-1]
-        return offset + self.cc.rank(q)
+        return sum(self.cc.rank(q) for q, _, _ in self.blocks(p))
 
     def _diff(self, p):
         if p in self._diffs:
             return self._diffs[p]
-        columns, twist = self.cc.columns, self.cc.twist
+        columns = self.cc.columns
         tgt = {c: off for _, c, off in self.blocks(p - self.STEP)}
         rows, cols = self.rank(p - self.STEP), self.rank(p)
         data = [[0] * cols for _ in range(rows)]
@@ -146,8 +143,8 @@ class _Staircase:
             # (-1)^q (1 - (-1)^c sigma) into the next column: sigma is a
             # symmetric signed permutation, so cochains take it as it is
             sign = -1 if q % 2 else 1
-            flip = sign * twist if c % 2 else -sign * twist
-            for j, ((i, s),) in enumerate(columns[q][1]):
+            flip = sign if c % 2 else -sign
+            for j, ((i, s),) in enumerate(self.cc.sigma(q)):
                 data[tgt[c + 1] + j][off + j] += sign
                 data[tgt[c + 1] + i][off + j] += flip * s
         self._diffs[p] = IntMatrix(rows, cols, data)
@@ -240,8 +237,8 @@ def homology_involution(X, coeff, q):
 def cohomology_involution(X, coeff, q):
     """The involution acting on ordinary cohomology (twist included)."""
     spot = cohomology(X, coeff, q)
-    sigma = reduced_chain_complex(X, coeff).sigma(q)
-    return induced_hom(sigma.transpose(), spot, spot)
+    # sigma is a symmetric signed permutation: it is its own transpose
+    return induced_hom(reduced_chain_complex(X, coeff).sigma(q), spot, spot)
 
 
 def group_cohomology(module, invol, p):
@@ -306,7 +303,8 @@ def _column_projection(tc, p):
     """Projection of the staircase in total degree p onto its column-0
     block, chain degree p: that block comes first when it exists, so the
     projection is the first tc.cc.rank(p) rows of the identity."""
-    return IntMatrix.identity(tc.rank(p)).top_rows(tc.cc.rank(p))
+    k = tc.cc.rank(p)
+    return [[(j, 1)] if j < k else [] for j in range(tc.rank(p))]
 
 
 @lru_cache(maxsize=None)
@@ -335,15 +333,14 @@ def edge_morphism_cohomology(X, coeff, p):
     return induced_hom(proj, src, tgt)
 
 
-@lru_cache(maxsize=None)
 def _shift_matrix(tc, p, steps=1):
-    """Ambient matrix of the column shift T_p -> T_{p-steps} of the chain
-    staircase tc, block (q, j) -> (q, j + steps).  The blocks of T_p are
-    the last blocks of T_{p-steps}, in the same order, so the shift is the
-    last tc.rank(p) columns of the identity; it depends on the ranks alone
-    and serves every coefficient system (the twist rises by steps)."""
-    n = tc.rank(p - steps)
-    return IntMatrix.identity(n).take_columns(range(n - tc.rank(p), n))
+    """The column shift T_p -> T_{p-steps} of the chain staircase tc,
+    block (q, j) -> (q, j + steps).  The blocks of T_p are the last blocks
+    of T_{p-steps}, in the same order, so the shift is the last tc.rank(p)
+    columns of the identity; it depends on the ranks alone and serves
+    every coefficient system (the twist rises by steps)."""
+    start = tc.rank(p - steps) - tc.rank(p)
+    return [[(start + j, 1)] for j in range(tc.rank(p))]
 
 
 @lru_cache(maxsize=None)
@@ -385,16 +382,13 @@ def _exact_nodes(sequence, p, maps):
 def _edge_connecting(X, coeff, p):
     """Connecting map H_p(X, A(k)) -> H_p(X; G, A(k-1)) of the column-0
     quotient sequence of total complexes: a cycle x goes to
-    (-1)^p (1 - sigma) x in column 0, placed there by the column-0
-    projection transposed (sign fixed by the construction, exposed only up
-    to sign)."""
-    prev = coeff.shift()
-    sigma = reduced_chain_complex(X, coeff).sigma(p)
-    proj = _column_projection(reduced_total_complex_of(X, prev), p)
-    one_minus_sigma = IntMatrix.identity(sigma.rows) - sigma
-    return induced_hom(
-        proj.transpose() @ one_minus_sigma.scale(-1 if p % 2 else 1),
-        homology(X, coeff, p), eq_homology(X, prev, p))
+    (-1)^p (1 - sigma) x in column 0, which comes first (sign fixed by the
+    construction, exposed only up to sign)."""
+    sign = -1 if p % 2 else 1
+    columns = [[(j, sign), (i, -sign * s)] for j, ((i, s),)
+               in enumerate(reduced_chain_complex(X, coeff).sigma(p))]
+    return induced_hom(columns, homology(X, coeff, p),
+                       eq_homology(X, coeff.shift(), p))
 
 
 def les_edge(X, coeff, p_min, p_max):
@@ -423,8 +417,8 @@ def les_edge(X, coeff, p_min, p_max):
 
 def _times_two(X, coeff, p):
     spot = eq_homology(X, coeff, p)
-    amb = IntMatrix.identity(spot.ambient_rank).scale(2)
-    return induced_hom(amb, spot, spot)
+    return induced_hom([[(j, 2)] for j in range(spot.ambient_rank)],
+                       spot, spot)
 
 
 def _mod2_reduction(X, coeff, p):
@@ -432,7 +426,7 @@ def _mod2_reduction(X, coeff, p):
     tgt = eq_homology(X, COEFF_Z2, p)
     if src.ambient_rank != tgt.ambient_rank:
         raise InternalError("mod-2 reduction changes the ambient rank")
-    return induced_hom(IntMatrix.identity(src.ambient_rank), src, tgt)
+    return induced_hom([[(j, 1)] for j in range(src.ambient_rank)], src, tgt)
 
 
 def _halved_boundary_hom(d, src, tgt):
@@ -545,7 +539,8 @@ def localize_homology(X, coeff, n):
     shift = _shift_matrix(reduced_total_complex_of(X, COEFF_Z2), n, steps)
     chains = []
     for gen in src.generators:
-        sol = solver.solve_vector(incl.target.reduce(shift.mul_vector(gen)))
+        sol = solver.solve_vector(incl.target.reduce(
+            _combine(shift, gen, incl.target.ambient_rank)))
         if sol is None:
             raise InternalError(
                 "inclusion of the fixed set could not be inverted")
@@ -564,9 +559,10 @@ def localize_cohomology(X, coeff, n):
     if F.vertex_count == 0:
         return GroupHom(src, FGAbelianGroup(0), IntMatrix.zeros(0, src.ngens))
     restrict = _pullback_matrix(fixed_inclusion(X), n)
+    tcf = reduced_total_cochain_complex_of(F, COEFF_Z2)
     return _fixed_classes(
-        src, reduced_total_cochain_complex_of(F, COEFF_Z2), n,
-        [restrict.mul_vector(gen) for gen in src.generators], cohomology)
+        src, tcf, n, [_combine(restrict, gen, tcf.rank(n))
+                      for gen in src.generators], cohomology)
 
 
 def _graded_hom(src, tgt, blocks):
@@ -603,12 +599,15 @@ def graded_bockstein(F):
 
 def _blockwise(tc_src, tc_tgt, p, mats):
     """The map T_p(source) -> T_p(target) of two staircases that acts by
-    mats[q] from each block of chain degree q to the same column."""
+    mats[q] from each block of chain degree q to the same column, and by
+    zero where mats or the target have no such block."""
     tgt_off = {j: off for _, j, off in tc_tgt.blocks(p)}
-    return IntMatrix.from_blocks(
-        tc_tgt.rank(p), tc_src.rank(p),
-        [(tgt_off[j], off, mats[q], 1) for q, j, off in tc_src.blocks(p)
-         if j in tgt_off and q < len(mats)])
+    out = [[] for _ in range(tc_src.rank(p))]
+    for q, j, off in tc_src.blocks(p):
+        if j in tgt_off and q < len(mats):
+            out[off:off + len(mats[q])] = [
+                [(tgt_off[j] + i, x) for i, x in col] for col in mats[q]]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -628,18 +627,18 @@ def ordinary_pushforward_hom(f, coeff, q):
     src = homology(f.source, coeff, q)
     tgt = homology(f.target, coeff, q)
     mats = reduced_gmap_matrices(f)
-    mat = mats[q] if q < len(mats) else IntMatrix.zeros(
-        tgt.ambient_rank, src.ambient_rank)
-    return induced_hom(mat, src, tgt)
+    # the source has no chains past its dimension
+    return induced_hom(mats[q] if q < len(mats) else [], src, tgt)
 
 
 @lru_cache(maxsize=None)
 def _pullback_matrix(f, p):
     """Pullback T^p(target) -> T^p(source) of reduced total cochain
-    complexes for every coefficient system: pi f iota transposed blockwise."""
-    return _blockwise(reduced_total_cochain_complex_of(f.target, COEFF_Z2),
-                      reduced_total_cochain_complex_of(f.source, COEFF_Z2), p,
-                      [m.transpose() for m in reduced_gmap_matrices(f)])
+    complexes for every coefficient system: pi f iota blockwise, transposed."""
+    tgt = reduced_total_cochain_complex_of(f.target, COEFF_Z2)
+    push = _blockwise(reduced_total_cochain_complex_of(f.source, COEFF_Z2),
+                      tgt, p, reduced_gmap_matrices(f))
+    return transpose(push, tgt.rank(p))
 
 
 def pullback_hom(f, coeff, p):
@@ -674,8 +673,9 @@ def graded_pullback(f):
     src = fixed_offsets(fg.target, cohomology)
     tgt = fixed_offsets(fg.source, cohomology)
     mats = reduced_gmap_matrices(fg)
+    cc = reduced_chain_complex(fg.target, COEFF_Z2)
     return _graded_hom(src, tgt, [
-        (q, q, induced_hom(mats[q].transpose(),
+        (q, q, induced_hom(transpose(mats[q], cc.rank(q)),
                            cohomology(fg.target, COEFF_Z2, q),
                            cohomology(fg.source, COEFF_Z2, q)).matrix)
         for q in range(min(len(src), len(tgt)) - 1)])

@@ -740,19 +740,20 @@ def hom_from_images(src, tgt, images, boundary_images):
     return GroupHom(src, tgt, IntMatrix.from_columns(tgt.ngens, cols))
 
 
-def induced_hom(chain_map, src, tgt):
-    """The map on homology induced by a matrix from the ambient chains of
-    src to those of tgt, which must send cycles to cycles, and boundaries
-    and relations to boundaries.  The image of a relation d.e_i is d times
-    column i of the chain map."""
-    if (chain_map.rows, chain_map.cols) != (tgt.ambient_rank,
-                                            src.ambient_rank):
+def induced_hom(columns, src, tgt):
+    """The map on homology induced by a chain map, given by its sparse
+    columns on the ambient chains of src with rows in those of tgt.  It
+    must send cycles to cycles, and boundaries and relations to
+    boundaries; the image of a relation d.e_i is d times column i."""
+    n = tgt.ambient_rank
+    if len(columns) != src.ambient_rank or not all(
+            0 <= i < n for col in columns for i, _ in col):
         raise LinAlgError("chain map has wrong shape for these presentations")
-    relation_img = [[d * x for x in col] for col, d in
-                    zip(chain_map.columns(), src.ambient_orders) if d]
+    relation_img = [_combine([col], [d], n)
+                    for col, d in zip(columns, src.ambient_orders) if d]
     return hom_from_images(
-        src, tgt, [chain_map.mul_vector(gen) for gen in src.generators],
-        (chain_map @ src.d_in).columns() + relation_img)
+        src, tgt, [_combine(columns, gen, n) for gen in src.generators],
+        [_combine(columns, z, n) for z in src.d_in.columns()] + relation_img)
 
 
 def image_lattice(hom):

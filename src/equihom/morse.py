@@ -36,7 +36,6 @@ from functools import lru_cache
 
 from .complexes import (
     _apply,
-    _dense,
     _view,
     chain_columns,
     check_chain_columns,
@@ -209,13 +208,13 @@ def reduced_chain_complex(X, coeff):
 @lru_cache(maxsize=None)
 def reduced_gmap_matrices(f):
     """The chain map of an equivariant simplicial map moved onto the
-    reduced complexes, pi f iota per degree, for every coefficient system."""
+    reduced complexes, pi f iota per degree as sparse columns, for every
+    coefficient system."""
     src, tgt = morse_reduction(f.source), morse_reduction(f.target)
     out = []
     for q, cols in enumerate(gmap_chain_columns(f)):
         # the map is zero in degrees the target does not have
         proj = tgt.projections[q] if q < len(tgt.cells) else []
-        out.append(_dense(len(tgt.cells[q]) if proj else 0,
-                          [_apply(proj, _apply(cols, lift).items()).items()
-                           for lift in src.lifts[q]], 1))
+        out.append([sorted(_apply(proj, _apply(cols, lift).items()).items())
+                    for lift in src.lifts[q]])
     return tuple(out)

@@ -40,6 +40,45 @@ def test_oversized_degree_span_exits_two(argv):
     assert err.startswith("error: ") and "cap %d" % MAX_DEGREES in err
 
 
+def test_complete_graph_pair_stays_fast(tmp_path):
+    """Two copies of the complete graph K_32 swapped by the involution: the
+    action is free, so H_1 over Z is that of the quotient K_32, Z^465.
+    Its 465 x 465 edge map is computed on sparse chain maps in seconds;
+    with dense ones it took 45 s on a 2-vCPU host, past the limit."""
+    n = 32
+    edges = [[a, b] for a in range(n) for b in range(a + 1, n)]
+    path = tmp_path / "k32-pair.json"
+    path.write_text(json.dumps({
+        "vertices": 2 * n,
+        "simplices": edges + [[a + n, b + n] for a, b in edges],
+        "involution": [(v + n) % (2 * n) for v in range(2 * n)]}))
+    code, out, _ = run_killed_after(30, "compute", "--file", str(path),
+                                    "--coeff", "Z", "--range=1..1", "--json")
+    assert code == 0
+    assert json.loads(out)["items"][0]["group_str"] == "Z^465"
+
+
+def test_closed_pipe_exits_one_without_a_traceback():
+    """A reader that stops early, as `| head -2` does, closes the pipe while
+    the report is written: the CLI exits 1 and prints nothing.  The report
+    is larger than a pipe buffer, so its write cannot finish first."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "equihom.cli", "classify", "--enumerate", "3",
+         "--json"], env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first == b"{\n"
+    assert b"Traceback" not in err and err == b""
+    assert code == 1
+
+
 def test_degree_cap_boundary():
     assert _parse_range("%d..0" % (1 - MAX_DEGREES)) == (1 - MAX_DEGREES, 0)
     with pytest.raises(InputError, match="cap"):

@@ -60,6 +60,8 @@ from equihom.intlinalg import (
 from equihom.verify import FIXED_POINT_BUILTINS
 from equihom.morse import reduced_chain_complex
 
+from chain_matrices import dense, sparse
+
 Z = FGAbelianGroup(1)
 Z2G = FGAbelianGroup(0, (2,))
 TRIVIAL = FGAbelianGroup(0)
@@ -180,12 +182,13 @@ def offset_edge_connecting(X, coeff, p):
     prev = coeff.shift()
     cc = reduced_chain_complex(X, coeff)
     tc_prev = reduced_total_complex_of(X, prev)
-    one_minus_sigma = IntMatrix.identity(cc.rank(p)) - cc.sigma(p)
+    one_minus_sigma = IntMatrix.identity(cc.rank(p)) - dense(cc.sigma(p),
+                                                              cc.rank(p))
     chain_map = IntMatrix.from_blocks(
         tc_prev.rank(p), cc.rank(p),
         [(off, 0, one_minus_sigma, -1 if p % 2 else 1)
          for _, j, off in tc_prev.blocks(p) if j == 0])
-    return induced_hom(chain_map, homology(X, coeff, p),
+    return induced_hom(sparse(chain_map), homology(X, coeff, p),
                        eq_homology(X, prev, p))
 
 
@@ -204,10 +207,12 @@ class TestStaircaseMapsReadTheLayout:
                 chains, cochains = TotalComplex(cc), TotalCochainComplex(cc)
                 for p in degrees:
                     for tc in (chains, cochains):
-                        assert _column_projection(tc, p) == \
+                        assert dense(_column_projection(tc, p),
+                                     tc.cc.rank(p)) == \
                             offset_column_projection(tc, p), (coeff, tc, p)
                     for steps in range(dim(X) + 2):
-                        assert _shift_matrix(chains, p, steps) == \
+                        assert dense(_shift_matrix(chains, p, steps),
+                                     chains.rank(p - steps)) == \
                             offset_shift_matrix(chains, p, steps), \
                             (coeff, p, steps)
             for p in degrees:
@@ -575,8 +580,8 @@ class TestIntegralMod2Presentations:
             assert (grp.free_rank, grp.torsion) == (ref.free_rank,
                                                     ref.torsion)
             ident = IntMatrix.identity(grp.ambient_rank)
-            there = induced_hom(ident, grp, ref)
-            back = induced_hom(ident, ref, grp)
+            there = induced_hom(sparse(ident), grp, ref)
+            back = induced_hom(sparse(ident), ref, grp)
             assert back.compose(there).matrix == IntMatrix.identity(grp.ngens)
             assert there.compose(back).matrix == IntMatrix.identity(grp.ngens)
 

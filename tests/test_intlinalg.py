@@ -15,7 +15,6 @@ from equihom.complexes import (
     COEFF_Z,
     COEFF_Z1,
     COEFF_Z2,
-    _dense,
     barycentric_subdivide,
     builtin,
     chain_complex,
@@ -74,6 +73,8 @@ from equihom.intlinalg import (
 )
 from equihom.morse import morse_reduction, reduced_chain_complex
 from equihom.verify import fuzz_complexes
+
+from chain_matrices import dense, sparse
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -514,17 +515,17 @@ class TestInducedHom:
 
     def test_identity(self):
         h1 = self._circle_h1()
-        hom = induced_hom(IntMatrix.identity(4), h1, h1)
+        hom = induced_hom(sparse(IntMatrix.identity(4)), h1, h1)
         assert hom.matrix == IntMatrix.identity(1)
 
     def test_zero(self):
         h1 = self._circle_h1()
-        hom = induced_hom(IntMatrix.zeros(4, 4), h1, h1)
+        hom = induced_hom(sparse(IntMatrix.zeros(4, 4)), h1, h1)
         assert hom.is_zero()
 
     def test_multiplication_by_two(self):
         h1 = self._circle_h1()
-        hom = induced_hom(IntMatrix.identity(4).scale(2), h1, h1)
+        hom = induced_hom(sparse(IntMatrix.identity(4).scale(2)), h1, h1)
         assert hom.matrix == mat([[2]])
         # direct evaluation on the fundamental cycle agrees
         gen = h1.generators[0]
@@ -537,7 +538,21 @@ class TestInducedHom:
         # the map sends the boundary lattice outside itself
         bad = mat([[0, 1], [1, 0]])
         with pytest.raises(LinAlgError):
-            induced_hom(bad, src, src)
+            induced_hom(sparse(bad), src, src)
+
+    @pytest.mark.parametrize("columns", [
+        [[(0, 1)], [(1, 1)], [(2, 1)]],
+        [[(0, 1)], [(1, 1)], [(2, 1)], [(3, 1)], []],
+        [[(0, 1)], [(1, 1)], [(2, 1)], [(4, 1)]],
+        [[(0, 1)], [(1, 1)], [(-1, 1)], [(3, 1)]],
+    ], ids=["column-short", "column-over", "row-at-ambient-rank",
+            "negative-row"])
+    def test_rejects_columns_outside_the_ambient(self, columns):
+        # h1 has ambient rank 4 (the edges), so the identity has four
+        # columns with rows 0..3
+        h1 = self._circle_h1()
+        with pytest.raises(LinAlgError, match="wrong shape"):
+            induced_hom(columns, h1, h1)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_functoriality_on_random_chain_maps(self, seed):
@@ -564,9 +579,9 @@ class TestInducedHom:
                 out = out @ rng.choice((rotation, reflection))
             return out
         f, g = word(), word()
-        hf = induced_hom(f, h1, h1)
-        hg = induced_hom(g, h1, h1)
-        hgf = induced_hom(g @ f, h1, h1)
+        hf = induced_hom(sparse(f), h1, h1)
+        hg = induced_hom(sparse(g), h1, h1)
+        hgf = induced_hom(sparse(g @ f), h1, h1)
         assert hg.compose(hf).matrix == hgf.matrix
         assert hgf.matrix.data[0][0] in (-1, 1)
 
@@ -981,8 +996,8 @@ def lift_matrix(X, degrees, cochains):
     as a dense matrix."""
     red, levels = morse_reduction(X), simplices_by_dim(X)
     return block_diagonal(
-        _dense(len(red.cells[q]), red.projections[q], 1).transpose()
-        if cochains else _dense(len(levels[q]), red.lifts[q], 1)
+        dense(red.projections[q], len(red.cells[q])).transpose()
+        if cochains else dense(red.lifts[q], len(levels[q]))
         for q in degrees)
 
 
@@ -991,8 +1006,8 @@ def projection_matrix(X, degrees, cochains):
     of iota on cochains), laid out as lift_matrix."""
     red, levels = morse_reduction(X), simplices_by_dim(X)
     return block_diagonal(
-        _dense(len(levels[q]), red.lifts[q], 1).transpose()
-        if cochains else _dense(len(red.cells[q]), red.projections[q], 1)
+        dense(red.lifts[q], len(levels[q])).transpose()
+        if cochains else dense(red.projections[q], len(red.cells[q]))
         for q in degrees)
 
 
@@ -1125,7 +1140,7 @@ def gmap_chain_matrices(f, coeff):
     """Per-degree dense chain matrices of a simplicial map with
     coefficients, reduced mod 2 over Z/2."""
     ranks = [len(level) for level in simplices_by_dim(f.target)]
-    mats = (_dense(ranks[q] if q < len(ranks) else 0, cols, 1)
+    mats = (dense(cols, ranks[q] if q < len(ranks) else 0)
             for q, cols in enumerate(gmap_chain_columns(f)))
     return tuple(m.mod(coeff.mod) if coeff.mod else m for m in mats)
 
@@ -1182,10 +1197,11 @@ def simplicial_localizations(X, coeff, n):
     tcx, tcf = TotalComplex(ccx), TotalComplex(ccf)
     steps = dim(X) + 1
     p = n - steps
-    incl = _blockwise(tcf, tcx, p, mats)
+    incl = dense(_blockwise(tcf, tcx, p, [sparse(m) for m in mats]),
+                 tcx.rank(p))
     solver = LinearSolver(IntMatrix.hstack(
         incl, tcx.diff(p + 1), relation_matrix((2,) * incl.rows)))
-    shift = _shift_matrix(tcx, n, steps)
+    shift = dense(_shift_matrix(tcx, n, steps), tcx.rank(n - steps))
 
     def graded(tc, degree, y, group, cochains):
         coords = {q: group(F, COEFF_Z2, q).reduce(
@@ -1205,7 +1221,9 @@ def simplicial_localizations(X, coeff, n):
         assert sol is not None
         images.append(graded(tcf, p, sol[:incl.cols], homology, False))
     cotcx, cotcf = TotalCochainComplex(ccx), TotalCochainComplex(ccf)
-    restrict = _blockwise(cotcx, cotcf, n, [m.transpose() for m in mats])
+    restrict = dense(_blockwise(cotcx, cotcf, n,
+                                [sparse(m.transpose()) for m in mats]),
+                     cotcf.rank(n))
     iota = lift_matrix(X, degrees(cotcx, n), True)
     return columns(homology, images), columns(cohomology, [
         graded(cotcf, n, restrict.mul_vector(iota.mul_vector(gen)),
@@ -1224,7 +1242,8 @@ def check_maps_against_simplicial(X):
         ch, co, mod = TotalComplex(c), TotalCochainComplex(c), coeff.mod
         prev = TotalComplex(cc[coeff.shift()])
         for p in range(-2, n + 2):
-            one_minus_sigma = IntMatrix.identity(c.rank(p)) - c.sigma(p)
+            sigma = dense(c.sigma(p), c.rank(p))
+            one_minus_sigma = IntMatrix.identity(c.rank(p)) - sigma
             connecting = IntMatrix.from_blocks(
                 prev.rank(p), c.rank(p),
                 [(off, 0, one_minus_sigma, -1 if p % 2 else 1)
@@ -1233,13 +1252,15 @@ def check_maps_against_simplicial(X):
             iota, pi = morse_maps(X, degrees(ch, p), False)
             pi_ord = projection_matrix(X, ordinary(X, p), False)
             cases = [
-                (edge_morphism(X, coeff, p), _column_projection(ch, p),
+                (edge_morphism(X, coeff, p),
+                 dense(_column_projection(ch, p), c.rank(p)),
                  ch.diff(p + 1), iota, pi_ord),
                 (edge_morphism_cohomology(X, coeff, p),
-                 _column_projection(co, p), co.diff(p - 1),
+                 dense(_column_projection(co, p), c.rank(p)), co.diff(p - 1),
                  lift_matrix(X, degrees(co, p), True), projection_matrix(X, ordinary(X, p), True)),
                 (eta_cap(X, coeff, p),
-                 _shift_matrix(TotalComplex(cc[COEFF_Z2]), p),
+                 dense(_shift_matrix(TotalComplex(cc[COEFF_Z2]), p),
+                       ch.rank(p - 1)),
                  ch.diff(p + 1), iota,
                  projection_matrix(X, degrees(ch, p - 1), False)),
                 (_edge_connecting(X, coeff, p), connecting,
@@ -1251,11 +1272,11 @@ def check_maps_against_simplicial(X):
                  pi)]
             if 0 <= p <= n:
                 cases += [
-                    (homology_involution(X, coeff, p), c.sigma(p),
+                    (homology_involution(X, coeff, p), sigma,
                      c.boundary(p + 1), lift_matrix(X, [p], False),
                      pi_ord),
                     (cohomology_involution(X, coeff, p),
-                     c.sigma(p).transpose(), c.boundary(p).transpose(),
+                     sigma.transpose(), c.boundary(p).transpose(),
                      *morse_maps(X, [p], True))]
             for hom, chain_map, d_in, lift, proj in cases:
                 assert hom.matrix == simplicial_hom(chain_map, hom, d_in,
@@ -1285,14 +1306,17 @@ def check_maps_against_simplicial(X):
             for p in range(-2, n + 2):
                 hom = pushforward_hom(f, coeff, p)
                 assert hom.matrix == simplicial_hom(
-                    _blockwise(ch_src, ch_tgt, p, mats), hom,
+                    dense(_blockwise(ch_src, ch_tgt, p,
+                                     [sparse(m) for m in mats]),
+                          ch_tgt.rank(p)), hom,
                     ch_src.diff(p + 1), coeff.mod,
                     lift_matrix(S, degrees(ch_src, p), False),
                     projection_matrix(T, degrees(ch_tgt, p), False))
                 hom = pullback_hom(f, coeff, p)
                 assert hom.matrix == simplicial_hom(
-                    _blockwise(co_tgt, co_src, p,
-                               [m.transpose() for m in mats]),
+                    dense(_blockwise(co_tgt, co_src, p,
+                                     [sparse(m.transpose()) for m in mats]),
+                          co_src.rank(p)),
                     hom, co_tgt.diff(p - 1), coeff.mod,
                     lift_matrix(T, degrees(co_tgt, p), True),
                     projection_matrix(S, degrees(co_src, p), True))
@@ -1422,13 +1446,13 @@ class TestExactness:
         ambient = IntMatrix.zeros(0, 1)
         z = homology_at(IntMatrix.zeros(1, 0), ambient)
         z2 = homology_at(IntMatrix.from_rows([[2]]), ambient)
-        times2 = induced_hom(IntMatrix.from_rows([[2]]), z, z)
-        proj = induced_hom(IntMatrix.identity(1), z, z2)
+        times2 = induced_hom(sparse(IntMatrix.from_rows([[2]])), z, z)
+        proj = induced_hom(sparse(IntMatrix.identity(1)), z, z2)
         assert exact_at(times2, proj)
-        not_exact = induced_hom(IntMatrix.from_rows([[4]]), z, z)
+        not_exact = induced_hom(sparse(IntMatrix.from_rows([[4]])), z, z)
         assert not exact_at(not_exact, proj)
         # a nonzero composite: the image is not even inside the kernel
-        identity = induced_hom(IntMatrix.identity(1), z, z)
+        identity = induced_hom(sparse(IntMatrix.identity(1)), z, z)
         assert not exact_at(identity, proj)
 
     def test_lattices_equal(self):

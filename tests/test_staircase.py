@@ -11,7 +11,6 @@ from equihom.complexes import (
     COEFF_Z,
     COEFF_Z1,
     COEFF_Z2,
-    _dense,
     barycentric_subdivide,
     builtin,
     chain_columns,
@@ -22,6 +21,8 @@ from equihom.complexes import (
 from equihom.equivariant import TotalCochainComplex, TotalComplex
 from equihom.intlinalg import IntMatrix
 from equihom.morse import morse_reduction, reduced_chain_complex
+
+from chain_matrices import dense
 
 EMPTY = "fixed set of free-pair"
 SPACES = BUILTIN_NAMES + ("circle-reflection+free-pair", EMPTY)
@@ -34,9 +35,9 @@ class DenseChainComplex:
     def __init__(self, columns, coeff):
         twist = -1 if coeff.k else 1
         ranks = [len(sigma) for _, sigma in columns]
-        self.boundaries = tuple(_dense(ranks[q - 1] if q else 0, boundary, 1)
+        self.boundaries = tuple(dense(boundary, ranks[q - 1] if q else 0)
                                 for q, (boundary, _) in enumerate(columns))
-        self.sigmas = tuple(_dense(ranks[q], sigma, twist)
+        self.sigmas = tuple(dense(sigma, ranks[q]).scale(twist)
                             for q, (_, sigma) in enumerate(columns))
 
     def rank(self, q):
@@ -53,19 +54,19 @@ class DenseChainComplex:
         return IntMatrix.zeros(0, 0)
 
 
-def reference_diff(tc, dense, p):
+def reference_diff(tc, ref, p):
     """The differential out of total degree p of the staircase tc, from
-    the dense blocks of dense: the vertical map, and the horizontal map
+    the dense blocks of ref: the vertical map, and the horizontal map
     (-1)^q (1 -+ sigma) with sigma transposed on cochains."""
     tgt = {c: off for _, c, off in tc.blocks(p - tc.STEP)}
     pieces = []
     for q, c, off in tc.blocks(p):
         if tc.STEP == 1:
-            vertical, sigma = dense.boundary(q), dense.sigma(q)
+            vertical, sigma = ref.boundary(q), ref.sigma(q)
         else:
-            vertical = dense.boundary(q + 1).transpose()
-            sigma = dense.sigma(q).transpose()
-        ident = IntMatrix.identity(dense.rank(q))
+            vertical = ref.boundary(q + 1).transpose()
+            sigma = ref.sigma(q).transpose()
+        ident = IntMatrix.identity(ref.rank(q))
         if c in tgt:
             pieces.append((tgt[c], off, vertical, 1))
         pieces.append((tgt[c + 1], off, ident + sigma if c % 2
@@ -92,12 +93,12 @@ def test_views_and_staircases_match_the_dense_path(name, subdivisions,
     view = reduced_chain_complex if reduced else chain_complex
     n = dim(X)
     for coeff in (COEFF_Z2, COEFF_Z, COEFF_Z1):
-        cc, dense = view(X, coeff), DenseChainComplex(columns, coeff)
+        cc, ref = view(X, coeff), DenseChainComplex(columns, coeff)
         for q in range(-2, n + 3):
-            assert cc.rank(q) == dense.rank(q)
-            assert cc.boundary(q) == dense.boundary(q)
-            assert cc.sigma(q) == dense.sigma(q)
+            assert cc.rank(q) == ref.rank(q)
+            assert cc.boundary(q) == ref.boundary(q)
+            assert dense(cc.sigma(q), cc.rank(q)) == ref.sigma(q)
         for staircase in (TotalComplex(cc), TotalCochainComplex(cc)):
             for p in range(-4, n + 4):
-                assert staircase.diff(p) == reference_diff(staircase, dense,
+                assert staircase.diff(p) == reference_diff(staircase, ref,
                                                            p), (coeff, p)
