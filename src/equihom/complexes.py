@@ -7,7 +7,8 @@ and Morse-reduced chains (morse.py) share one sparse layout, per degree the
 boundary and the untwisted involution (a signed permutation) as columns of
 (row, entry) pairs, one checker (check_chain_columns) and one view
 (GChainComplex, which adds the twist: chains are integral over Z/2 too,
-the modulus enters when a group is presented).  Chain maps are such columns.
+the modulus enters when a group is presented).  Chain maps are such columns;
+only the staircase of equivariant.py turns chain columns into a matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import IntMatrix, InternalError, _is_integer
+from .intlinalg import InternalError, _is_integer
 
 
 class ComplexError(ValueError):
@@ -270,8 +271,8 @@ def _perm_sign(seq):
 class GChainComplex:
     """The chain complex of a G-complex with a twist, a view of the checked
     sparse chain layout columns (chain_columns(X) or the columns of
-    morse_reduction(X)) and the twist sign (-1)^k: boundary(q) is densified
-    when read, and sigma(q) is the twisted involution as sparse columns."""
+    morse_reduction(X)) and the twist sign (-1)^k: sigma(q) is the twisted
+    involution as sparse columns, and the staircase reads the boundaries."""
 
     X: GComplex
     columns: tuple
@@ -282,9 +283,6 @@ class GChainComplex:
 
     def rank(self, q):
         return len(self._level(q)[1])
-
-    def boundary(self, q):
-        return _dense(self.rank(q - 1), self._level(q)[0])
 
     def sigma(self, q):
         return [[(i, self.twist * s)] for (i, s), in self._level(q)[1]]
@@ -374,15 +372,6 @@ def check_chain_columns(columns):
             if moved != sorted((c, sign * u) for c, u in boundary[image]):
                 raise InternalError("sigma does not commute with the "
                                     "boundary")
-
-
-def _dense(rows, columns):
-    """The rows x len(columns) matrix with these sparse columns."""
-    data = [[0] * len(columns) for _ in range(rows)]
-    for col, entries in enumerate(columns):
-        for row, x in entries:
-            data[row][col] = x
-    return IntMatrix(rows, len(columns), data)
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,8 @@ chain complex (morse.py), which has the same homology; generator lifts
 are vectors of that staircase.  A map within one complex is built on the
 reduced staircase, and a simplicial map f between two complexes is moved
 there as pi f iota.  The simplicial staircase (total_complex_of) is kept
-only as a public reference.
+only as a public reference.  Ordinary (co)homology and its maps run on the
+staircase cut to its first column, the column-0 quotient.
 
 An element of a group has one representation, its canonical generator
 coordinates (a class, EqClass, is such coordinates); a cycle enters only
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import (
+    COEFF_Z,
     COEFF_Z2,
     Coeff,
     chain_complex,
@@ -63,6 +65,7 @@ from .intlinalg import (
     InternalError,
     LinAlgError,
     _canonical_matrix,
+    _column_entries,
     _combine,
     _solver,
     _subquotient,
@@ -85,24 +88,25 @@ class ExactnessError(InternalError):
 # ---------------------------------------------------------------------------
 
 class _Staircase:
-    """Block layout shared by the total chain and cochain complexes.
+    """Block layout shared by the total chain and cochain complexes, cut to
+    the columns c < width if a width is given (width 1: ordinary chains).
 
     The blocks in total degree p are listed by column c = 0, 1, ...; the
     block in column c holds chain degree q = p + STEP * c, and only
     0 <= q <= dim X occurs.  The differential sends a block to the block
     one step down its column (the vertical map) and to the same chain
-    degree in the next column, by (-1)^q (1 - (-1)^c sigma).  Each
-    differential is one dense matrix whose entries are placed straight
-    from the sparse chain columns of the view cc, memoized per total
-    degree.
+    degree in the next column, if not cut, by (-1)^q (1 - (-1)^c sigma).
+    Each differential is one dense matrix placed straight from the sparse
+    chain columns of the view cc, memoized per total degree: the only
+    place where chain columns become a matrix.
     """
 
     STEP = 0  # +1 for chains, -1 for cochains
 
-    def __init__(self, cc):
-        self.X = cc.X
+    def __init__(self, cc, width=None):
         self.cc = cc
         self.n = dim(cc.X)
+        self.width = width
         self._diffs = {}
         self._blocks = {}
 
@@ -112,8 +116,10 @@ class _Staircase:
         if p not in self._blocks:
             out = []
             offset = 0
-            # the columns c >= 0 with 0 <= p + STEP * c <= n
+            # the columns c >= 0 with 0 <= p + STEP * c <= n, below the cut
             lo, hi = (-p, self.n - p) if self.STEP == 1 else (p - self.n, p)
+            if self.width is not None:
+                hi = min(hi, self.width - 1)
             for c in range(max(0, lo), hi + 1):
                 q = p + self.STEP * c
                 out.append((q, c, offset))
@@ -140,8 +146,10 @@ class _Staircase:
                 for j, col in enumerate(vertical):
                     for i, x in col:
                         data[tgt[c] + i][off + j] = x
-            # (-1)^q (1 - (-1)^c sigma) into the next column: sigma is a
-            # symmetric signed permutation, so cochains take it as it is
+            # (-1)^q (1 - (-1)^c sigma) into the next column unless cut:
+            # sigma is symmetric, so cochains take it as it is
+            if c + 1 not in tgt:
+                continue
             sign = -1 if q % 2 else 1
             flip = sign if c % 2 else -sign
             for j, ((i, s),) in enumerate(self.cc.sigma(q)):
@@ -181,14 +189,16 @@ def total_complex_of(X, coeff):
 
 
 @lru_cache(maxsize=None)
-def reduced_total_complex_of(X, coeff):
-    """The staircase on the critical cells of the Morse reduction of X."""
-    return TotalComplex(reduced_chain_complex(X, coeff))
+def reduced_total_complex_of(X, coeff, width=None):
+    """The staircase on the critical cells of the Morse reduction of X, cut
+    to `width` columns if given.  Ordinary chains are width 1 over COEFF_Z
+    for every coefficient system: no twist or modulus enters a boundary."""
+    return TotalComplex(reduced_chain_complex(X, coeff), width)
 
 
 @lru_cache(maxsize=None)
-def reduced_total_cochain_complex_of(X, coeff):
-    return TotalCochainComplex(reduced_chain_complex(X, coeff))
+def reduced_total_cochain_complex_of(X, coeff, width=None):
+    return TotalCochainComplex(reduced_chain_complex(X, coeff), width)
 
 
 def total_complex(X, coeff, p_min, p_max):
@@ -216,15 +226,14 @@ def eq_cohomology(X, coeff, p):
 
 @lru_cache(maxsize=None)
 def homology(X, coeff, q):
-    cc = reduced_chain_complex(X, coeff)
-    return homology_at(cc.boundary(q + 1), cc.boundary(q), coeff.mod)
+    tc = reduced_total_complex_of(X, COEFF_Z, 1)
+    return homology_at(tc.diff(q + 1), tc.diff(q), coeff.mod)
 
 
 @lru_cache(maxsize=None)
 def cohomology(X, coeff, q):
-    cc = reduced_chain_complex(X, coeff)
-    return homology_at(cc.boundary(q).transpose(),
-                       cc.boundary(q + 1).transpose(), coeff.mod)
+    tc = reduced_total_cochain_complex_of(X, COEFF_Z, 1)
+    return homology_at(tc.diff(q - 1), tc.diff(q), coeff.mod)
 
 
 @lru_cache(maxsize=None)
@@ -432,10 +441,12 @@ def _mod2_reduction(X, coeff, p):
 def _halved_boundary_hom(d, src, tgt):
     """Connecting map of a coefficient sequence whose kernel is
     multiplication by two: lift each mod-2 cycle of src integrally, apply
-    the integral differential d of its chains, halve, and reduce in tgt.
-    Mod-2 boundaries must halve to boundaries."""
+    the sparse columns of the integral differential d, halve, and reduce
+    in tgt.  Mod-2 boundaries must halve to boundaries."""
+    cols = _column_entries(d.data, d.cols)
+
     def halved(vec):
-        w = d.mul_vector(vec)
+        w = _combine(cols, vec, d.rows)
         if any(x % 2 for x in w):
             raise InternalError("mod-2 cycle has odd boundary")
         return [x // 2 for x in w]
@@ -476,7 +487,7 @@ def ordinary_bockstein(F, p):
     """Bockstein H_{p+1}(F, Z/2) -> H_p(F, Z/2) of 0->Z/2->Z/4->Z/2->0 on
     an ordinary complex, computed as (boundary of an integer lift)/2
     reduced mod 2."""
-    bnd = reduced_chain_complex(F, Coeff("Z", 0)).boundary(p + 1)
+    bnd = reduced_total_complex_of(F, COEFF_Z, 1).diff(p + 1)
     return _halved_boundary_hom(bnd, homology(F, COEFF_Z2, p + 1),
                                 homology(F, COEFF_Z2, p))
 
@@ -502,11 +513,11 @@ def _graded_group(offsets):
 
 
 def _fixed_classes(src, tcf, p, chains, group):
-    """The GroupHom from src to the graded mod-2 group(F) of F = tcf.X
+    """The GroupHom from src to the graded mod-2 group(F) of F = tcf.cc.X
     sending the i-th generator to the class whose degree-q part is that of
     the chain-degree-q block of chains[i], a vector of the reduced
     staircase tcf of F in total degree p."""
-    F = tcf.X
+    F = tcf.cc.X
     offsets = fixed_offsets(F, group)
     cols = []
     for y in chains:
@@ -624,20 +635,24 @@ def pushforward_hom(f, coeff, p):
 
 @lru_cache(maxsize=None)
 def ordinary_pushforward_hom(f, coeff, q):
+    """pushforward_hom on the staircases cut to column 0."""
     src = homology(f.source, coeff, q)
     tgt = homology(f.target, coeff, q)
-    mats = reduced_gmap_matrices(f)
-    # the source has no chains past its dimension
-    return induced_hom(mats[q] if q < len(mats) else [], src, tgt)
+    mat = _blockwise(reduced_total_complex_of(f.source, COEFF_Z, 1),
+                     reduced_total_complex_of(f.target, COEFF_Z, 1), q,
+                     reduced_gmap_matrices(f))
+    return induced_hom(mat, src, tgt)
 
 
 @lru_cache(maxsize=None)
-def _pullback_matrix(f, p):
+def _pullback_matrix(f, p, width=None):
     """Pullback T^p(target) -> T^p(source) of reduced total cochain
-    complexes for every coefficient system: pi f iota blockwise, transposed."""
-    tgt = reduced_total_cochain_complex_of(f.target, COEFF_Z2)
-    push = _blockwise(reduced_total_cochain_complex_of(f.source, COEFF_Z2),
-                      tgt, p, reduced_gmap_matrices(f))
+    complexes, cut to `width` columns when given, for every coefficient
+    system: pi f iota blockwise, transposed."""
+    tgt = reduced_total_cochain_complex_of(f.target, COEFF_Z, width)
+    push = _blockwise(
+        reduced_total_cochain_complex_of(f.source, COEFF_Z, width), tgt, p,
+        reduced_gmap_matrices(f))
     return transpose(push, tgt.rank(p))
 
 
@@ -672,10 +687,8 @@ def graded_pullback(f):
     fg = fixed_map(f)
     src = fixed_offsets(fg.target, cohomology)
     tgt = fixed_offsets(fg.source, cohomology)
-    mats = reduced_gmap_matrices(fg)
-    cc = reduced_chain_complex(fg.target, COEFF_Z2)
     return _graded_hom(src, tgt, [
-        (q, q, induced_hom(transpose(mats[q], cc.rank(q)),
+        (q, q, induced_hom(_pullback_matrix(fg, q, 1),
                            cohomology(fg.target, COEFF_Z2, q),
                            cohomology(fg.source, COEFF_Z2, q)).matrix)
         for q in range(min(len(src), len(tgt)) - 1)])

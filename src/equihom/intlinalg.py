@@ -144,9 +144,6 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch")
 
-    def transpose(self):
-        return IntMatrix.from_columns(self.cols, self.data)
-
     def mod(self, m):
         _check_scalar(m)
         return _matrix(self.rows, self.cols,

@@ -1,6 +1,7 @@
 """Conversion between the sparse columns of chain maps and dense matrices,
-owned by the tests so that their dense references do not depend on the
-package's own conversions.
+and the dense boundaries and transposes built from them, owned by the
+tests so that their dense references do not depend on the package's own
+conversions.
 
 Sparse columns are the package's format for chain-level maps: one list of
 (row, entry) pairs per source coordinate, entries at one row adding up.
@@ -23,3 +24,15 @@ def sparse(matrix):
     (row, entry), rows ascending."""
     return [[(i, x) for i, x in enumerate(col) if x]
             for col in matrix.columns()]
+
+
+def boundary(cc, q):
+    """The boundary C_q -> C_{q-1} of the chain complex view cc as a dense
+    matrix, the zero matrix of its shape outside degrees 0..dim."""
+    columns = cc.columns[q][0] if 0 <= q < len(cc.columns) else []
+    return dense(columns, cc.rank(q - 1))
+
+
+def transpose(matrix):
+    """The transpose of a dense matrix."""
+    return IntMatrix(matrix.cols, matrix.rows, matrix.columns())

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from equihom.complexes import (
@@ -13,10 +15,12 @@ from equihom.complexes import (
     fixed_inclusion,
     fixed_subcomplex,
     identity_map,
+    make_complex,
 )
 from equihom.equivariant import (
     TotalCochainComplex,
     TotalComplex,
+    _coefficient_bockstein,
     _column_projection,
     _edge_connecting,
     _shift_matrix,
@@ -42,6 +46,7 @@ from equihom.equivariant import (
     localize_cohomology,
     localize_homology,
     ordinary_degree,
+    ordinary_pushforward_hom,
     parity_projection,
     pushforward,
     reduced_total_cochain_complex_of,
@@ -57,10 +62,10 @@ from equihom.intlinalg import (
     homology_at,
     induced_hom,
 )
-from equihom.verify import FIXED_POINT_BUILTINS
+from equihom.verify import FIXED_POINT_BUILTINS, _naturality_maps
 from equihom.morse import reduced_chain_complex
 
-from chain_matrices import dense, sparse
+from chain_matrices import boundary, dense, sparse, transpose
 
 Z = FGAbelianGroup(1)
 Z2G = FGAbelianGroup(0, (2,))
@@ -360,13 +365,27 @@ class TestLongExactSequences:
                              0, -3, 3)) == 21
 
     def test_klein_bottle_bockstein_detects_torsion(self):
-        from equihom.equivariant import _coefficient_bockstein
         K = builtin("klein-bottle-trivial")
         assert len(les_coeff(K, 0, -2, 3)) == 18
         # the connecting map out of mod-2 degree 1 is nonzero: it sees the
         # Z/2 torsion of the integral first homology
         delta = _coefficient_bockstein(K, COEFF_Z, 1)
         assert not delta.is_zero()
+
+    def test_bockstein_costs_the_nonzeros_of_the_differential(self):
+        # two copies of K_24 swapped by the involution: the differential
+        # out of degree 0 is 508 x 508 with 1,016 nonzeros; applied as a
+        # dense matrix to every mod-2 generator and boundary, the
+        # Bockstein took about 4 s
+        n = 24
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        X = make_complex(2 * n, edges + [(a + n, b + n) for a, b in edges],
+                         [(v + n) % (2 * n) for v in range(2 * n)])
+        eq_homology(X, COEFF_Z2, 0)
+        eq_homology(X, COEFF_Z, -1)
+        start = time.process_time()
+        _coefficient_bockstein(X, COEFF_Z, 0)
+        assert time.process_time() - start < 1
 
 
 class TestLocalization:
@@ -557,11 +576,11 @@ def mod2_reference_presentations(X):
         yield eq_cohomology(X, COEFF_Z2, p), homology_at(
             cochains.diff(p - 1).mod(2), cochains.diff(p).mod(2), 2)
     for q in range(dim(X) + 1):
-        d_in, d_out = cc.boundary(q + 1), cc.boundary(q)
+        d_in, d_out = boundary(cc, q + 1), boundary(cc, q)
         yield homology(X, COEFF_Z2, q), homology_at(
             d_in.mod(2), d_out.mod(2), 2)
         yield cohomology(X, COEFF_Z2, q), homology_at(
-            d_out.transpose().mod(2), d_in.transpose().mod(2), 2)
+            transpose(d_out).mod(2), transpose(d_in).mod(2), 2)
 
 
 class TestIntegralMod2Presentations:
@@ -657,6 +676,17 @@ class TestPushforward:
         pushed = represented_class(j, "Z")
         assert eq_homology(X, COEFF_Z, 1) == Z2G
         assert pushed.coords == (1,)
+
+    def test_ordinary_pushforward_is_zero_off_the_chain_degrees(self):
+        # below degree 0 and past the source's dimension the source group
+        # is zero, so the map is zero, as pushforward_hom is there
+        for _, f in _naturality_maps():
+            for coeff in ALL_COEFFS:
+                for q in (-2, -1, dim(f.source) + 1):
+                    hom = ordinary_pushforward_hom(f, coeff, q)
+                    assert hom.source is homology(f.source, coeff, q)
+                    assert hom.target is homology(f.target, coeff, q)
+                    assert hom.source == TRIVIAL and hom.is_zero()
 
     def test_constant_map_gives_degree(self):
         X = builtin("circle-reflection")

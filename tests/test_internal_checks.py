@@ -157,3 +157,15 @@ def test_every_top_level_definition_is_used():
             used.add(node.name)
     dead = ["%s:%s" % d[:2] for d in defined if d[2] not in used]
     assert dead == [], "definitions nothing in src/ refers to: %s" % dead
+
+
+def test_chain_layer_keeps_the_sparse_layout():
+    # chains become a matrix only in the staircase (equivariant.py): the
+    # chain layer, complexes.py and morse.py, names no IntMatrix
+    dense = ["%s:%d" % (name, node.lineno) for name, node in src_nodes()
+             if name in ("complexes.py", "morse.py")
+             and (isinstance(node, ast.alias) and node.name == "IntMatrix"
+                  or isinstance(node, ast.Name) and node.id == "IntMatrix"
+                  or isinstance(node, ast.Attribute)
+                  and node.attr == "IntMatrix")]
+    assert dense == [], "dense matrices in the chain layer: %s" % dense

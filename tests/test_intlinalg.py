@@ -74,7 +74,7 @@ from equihom.intlinalg import (
 from equihom.morse import morse_reduction, reduced_chain_complex
 from equihom.verify import fuzz_complexes
 
-from chain_matrices import dense, sparse
+from chain_matrices import boundary, dense, sparse, transpose
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -200,7 +200,7 @@ class TestSmithNormalForm:
         square = random_matrix(rng, rng.randint(4, 8), rng.randint(4, 8),
                                bound=30)
         tall = random_matrix(rng, 15, 9, bound=30)
-        for M in (square, tall, tall.transpose()):
+        for M in (square, tall, transpose(tall)):
             dec = smith_normal_form(M)
             check_decomposition(M, dec)
             assert dec.Uinv @ dec.D @ dec.Vinv == M
@@ -477,7 +477,7 @@ class TestHomologyAt:
         d_in = random_matrix(rng, g, rng.randint(0, 4), bound=2)
         # make d_out vanish on im(d_in) by picking d_out from the left
         # kernel of d_in
-        left = kernel_basis(d_in.transpose()).transpose()
+        left = transpose(kernel_basis(transpose(d_in)))
         if left.rows == 0:
             left = IntMatrix.zeros(0, g)
         h = homology_at(d_in, left)
@@ -496,7 +496,7 @@ class TestHomologyAt:
         rng = random.Random(2000 + seed)
         g = rng.randint(1, 5)
         d_in = random_matrix(rng, g, rng.randint(0, 4), bound=2)
-        left = kernel_basis(d_in.transpose()).transpose()
+        left = transpose(kernel_basis(transpose(d_in)))
         h = homology_at(d_in, left)
         dim_ker = g - smith_normal_form(left).rank
         rank_im = smith_normal_form(d_in).rank
@@ -996,7 +996,7 @@ def lift_matrix(X, degrees, cochains):
     as a dense matrix."""
     red, levels = morse_reduction(X), simplices_by_dim(X)
     return block_diagonal(
-        dense(red.projections[q], len(red.cells[q])).transpose()
+        transpose(dense(red.projections[q], len(red.cells[q])))
         if cochains else dense(red.lifts[q], len(levels[q]))
         for q in degrees)
 
@@ -1006,7 +1006,7 @@ def projection_matrix(X, degrees, cochains):
     of iota on cochains), laid out as lift_matrix."""
     red, levels = morse_reduction(X), simplices_by_dim(X)
     return block_diagonal(
-        dense(red.lifts[q], len(levels[q])).transpose()
+        transpose(dense(red.lifts[q], len(levels[q])))
         if cochains else dense(red.projections[q], len(red.cells[q]))
         for q in degrees)
 
@@ -1042,12 +1042,12 @@ def unreduced_differentials(X, coeff):
                cochains.diff(p), rcochains.diff(p - 1), rcochains.diff(p),
                *morse_maps(X, degrees(cochains, p), True))
     for q in range(dim(X) + 1):
-        yield (homology(X, coeff, q), cc.boundary(q + 1), cc.boundary(q),
-               rc.boundary(q + 1), rc.boundary(q),
+        yield (homology(X, coeff, q), boundary(cc, q + 1), boundary(cc, q),
+               boundary(rc, q + 1), boundary(rc, q),
                *morse_maps(X, [q], False))
-        yield (cohomology(X, coeff, q), cc.boundary(q).transpose(),
-               cc.boundary(q + 1).transpose(), rc.boundary(q).transpose(),
-               rc.boundary(q + 1).transpose(), *morse_maps(X, [q], True))
+        yield (cohomology(X, coeff, q), transpose(boundary(cc, q)),
+               transpose(boundary(cc, q + 1)), transpose(boundary(rc, q)),
+               transpose(boundary(rc, q + 1)), *morse_maps(X, [q], True))
 
 
 def check_against_unreduced(grp, d_in, d_out, reduced, iota, pi, mod, rng,
@@ -1222,7 +1222,7 @@ def simplicial_localizations(X, coeff, n):
         images.append(graded(tcf, p, sol[:incl.cols], homology, False))
     cotcx, cotcf = TotalCochainComplex(ccx), TotalCochainComplex(ccf)
     restrict = dense(_blockwise(cotcx, cotcf, n,
-                                [sparse(m.transpose()) for m in mats]),
+                                [sparse(transpose(m)) for m in mats]),
                      cotcf.rank(n))
     iota = lift_matrix(X, degrees(cotcx, n), True)
     return columns(homology, images), columns(cohomology, [
@@ -1264,7 +1264,7 @@ def check_maps_against_simplicial(X):
                  ch.diff(p + 1), iota,
                  projection_matrix(X, degrees(ch, p - 1), False)),
                 (_edge_connecting(X, coeff, p), connecting,
-                 c.boundary(p + 1), lift_matrix(X, ordinary(X, p), False),
+                 boundary(c, p + 1), lift_matrix(X, ordinary(X, p), False),
                  pi),
                 (_times_two(X, coeff, p), ident.scale(2), ch.diff(p + 1),
                  iota, pi),
@@ -1273,10 +1273,10 @@ def check_maps_against_simplicial(X):
             if 0 <= p <= n:
                 cases += [
                     (homology_involution(X, coeff, p), sigma,
-                     c.boundary(p + 1), lift_matrix(X, [p], False),
+                     boundary(c, p + 1), lift_matrix(X, [p], False),
                      pi_ord),
                     (cohomology_involution(X, coeff, p),
-                     sigma.transpose(), c.boundary(p).transpose(),
+                     transpose(sigma), transpose(boundary(c, p)),
                      *morse_maps(X, [p], True))]
             for hom, chain_map, d_in, lift, proj in cases:
                 assert hom.matrix == simplicial_hom(chain_map, hom, d_in,
@@ -1292,7 +1292,7 @@ def check_maps_against_simplicial(X):
     for q in range(n):
         hom = ordinary_bockstein(X, q)
         assert hom.matrix == simplicial_halved(
-            cc[COEFF_Z].boundary(q + 1), hom, cc[COEFF_Z2].boundary(q + 2),
+            boundary(cc[COEFF_Z], q + 1), hom, boundary(cc[COEFF_Z2], q + 2),
             lift_matrix(X, [q + 1], False), projection_matrix(X, [q], False))
     for f in (fixed_inclusion(X), identity_map(X), constant_map(X),
               make_gmap(X, X, X.involution)):
@@ -1315,7 +1315,7 @@ def check_maps_against_simplicial(X):
                 hom = pullback_hom(f, coeff, p)
                 assert hom.matrix == simplicial_hom(
                     dense(_blockwise(co_tgt, co_src, p,
-                                     [sparse(m.transpose()) for m in mats]),
+                                     [sparse(transpose(m)) for m in mats]),
                           co_src.rank(p)),
                     hom, co_tgt.diff(p - 1), coeff.mod,
                     lift_matrix(T, degrees(co_tgt, p), True),
@@ -1323,7 +1323,7 @@ def check_maps_against_simplicial(X):
             for q in range(dim(S) + 1):
                 hom = ordinary_pushforward_hom(f, coeff, q)
                 assert hom.matrix == simplicial_hom(
-                    mats[q], hom, src.boundary(q + 1), coeff.mod,
+                    mats[q], hom, boundary(src, q + 1), coeff.mod,
                     lift_matrix(S, [q], False),
                     projection_matrix(T, ordinary(T, q), False))
 

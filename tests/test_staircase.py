@@ -2,7 +2,9 @@
 sparse chain columns, and the chain complex views, against the dense path
 they replaced: chain complexes densified eagerly per coefficient system,
 and per block the vertical map and the dense 1 -+ sigma placed by
-IntMatrix.from_blocks."""
+IntMatrix.from_blocks.  The staircases cut to one column are the ordinary
+chain and cochain complexes, whose differentials are the dense boundaries
+and their transposes."""
 
 import pytest
 
@@ -22,7 +24,7 @@ from equihom.equivariant import TotalCochainComplex, TotalComplex
 from equihom.intlinalg import IntMatrix
 from equihom.morse import morse_reduction, reduced_chain_complex
 
-from chain_matrices import dense
+from chain_matrices import dense, transpose
 
 EMPTY = "fixed set of free-pair"
 SPACES = BUILTIN_NAMES + ("circle-reflection+free-pair", EMPTY)
@@ -57,20 +59,22 @@ class DenseChainComplex:
 def reference_diff(tc, ref, p):
     """The differential out of total degree p of the staircase tc, from
     the dense blocks of ref: the vertical map, and the horizontal map
-    (-1)^q (1 -+ sigma) with sigma transposed on cochains."""
+    (-1)^q (1 -+ sigma) with sigma transposed on cochains, unless the next
+    column is cut."""
     tgt = {c: off for _, c, off in tc.blocks(p - tc.STEP)}
     pieces = []
     for q, c, off in tc.blocks(p):
         if tc.STEP == 1:
             vertical, sigma = ref.boundary(q), ref.sigma(q)
         else:
-            vertical = ref.boundary(q + 1).transpose()
-            sigma = ref.sigma(q).transpose()
+            vertical = transpose(ref.boundary(q + 1))
+            sigma = transpose(ref.sigma(q))
         ident = IntMatrix.identity(ref.rank(q))
         if c in tgt:
             pieces.append((tgt[c], off, vertical, 1))
-        pieces.append((tgt[c + 1], off, ident + sigma if c % 2
-                       else ident - sigma, -1 if q % 2 else 1))
+        if c + 1 in tgt:
+            pieces.append((tgt[c + 1], off, ident + sigma if c % 2
+                           else ident - sigma, -1 if q % 2 else 1))
     return IntMatrix.from_blocks(tc.rank(p - tc.STEP), tc.rank(p), pieces)
 
 
@@ -94,11 +98,14 @@ def test_views_and_staircases_match_the_dense_path(name, subdivisions,
     n = dim(X)
     for coeff in (COEFF_Z2, COEFF_Z, COEFF_Z1):
         cc, ref = view(X, coeff), DenseChainComplex(columns, coeff)
-        for q in range(-2, n + 3):
+        chains, cochains = TotalComplex(cc, 1), TotalCochainComplex(cc, 1)
+        for q in range(-2, n + 4):
             assert cc.rank(q) == ref.rank(q)
-            assert cc.boundary(q) == ref.boundary(q)
+            assert chains.diff(q) == ref.boundary(q)
+            assert cochains.diff(q - 1) == transpose(ref.boundary(q))
             assert dense(cc.sigma(q), cc.rank(q)) == ref.sigma(q)
-        for staircase in (TotalComplex(cc), TotalCochainComplex(cc)):
+        for staircase in (TotalComplex(cc), TotalCochainComplex(cc),
+                          chains, cochains):
             for p in range(-4, n + 4):
                 assert staircase.diff(p) == reference_diff(staircase, ref,
                                                            p), (coeff, p)
