@@ -29,7 +29,6 @@ from .enriques import (
     gm_status,
     h1_dims,
     make_type,
-    validate_type,
 )
 from .equivariant import (
     EqClass,

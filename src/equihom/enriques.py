@@ -49,16 +49,17 @@ class SurfaceComponent:
     orientable: bool
     genus: int
 
-    def violation(self):
+    def __post_init__(self):
         if self.genus < 0:
-            return "genus must be nonnegative"
+            raise EnriquesTypeError("genus must be nonnegative")
         if self.orientable and self.genus > 1:
-            return ("orientable component of genus %d: only the sphere and "
-                    "the torus occur" % self.genus)
+            raise EnriquesTypeError(
+                "orientable component of genus %d: only the sphere and the "
+                "torus occur" % self.genus)
         if not self.orientable and not 1 <= self.genus <= 11:
-            return ("nonorientable component of genus %d: the genus is "
-                    "between 1 and 11" % self.genus)
-        return None
+            raise EnriquesTypeError(
+                "nonorientable component of genus %d: the genus is between "
+                "1 and 11" % self.genus)
 
     @property
     def euler_characteristic(self):
@@ -126,20 +127,7 @@ def make_type(half1, half2):
     components first, and the halves ordered by size, then by rendered
     name, so that swapping the halves gives the same value."""
     halves = (_sorted(half1), _sorted(half2))
-    message = validate_type(EnriquesType(*halves))
-    if message is not None:
-        raise EnriquesTypeError(message)
     return EnriquesType(*sorted(halves, key=lambda h: (len(h), _render(h))))
-
-
-def validate_type(t):
-    """None when valid, else a message naming the first bad component."""
-    for label, half in (("half1", t.half1), ("half2", t.half2)):
-        for i, c in enumerate(half):
-            message = c.violation()
-            if message is not None:
-                return "%s[%d]: %s" % (label, i, message)
-    return None
 
 
 def h1_dims(t):
@@ -204,9 +192,6 @@ class ClassifierOutput:
 
 
 def classify(t):
-    message = validate_type(t)
-    if message is not None:
-        raise EnriquesTypeError(message)
     dim_h1, dim_h1_alg = h1_dims(t)
     is_gm, is_zgm = gm_status(t)
     return ClassifierOutput(dim_h1, dim_h1_alg, is_gm, is_zgm,
@@ -251,11 +236,10 @@ def _component_from_dict(obj, where):
         raise ComplexFormatError("%s.orientable: expected a boolean" % where)
     if not _is_integer(obj["genus"]):
         raise ComplexFormatError("%s.genus: expected an integer" % where)
-    c = SurfaceComponent(obj["orientable"], obj["genus"])
-    message = c.violation()
-    if message is not None:
-        raise ComplexFormatError("%s: %s" % (where, message))
-    return c
+    try:
+        return SurfaceComponent(obj["orientable"], obj["genus"])
+    except EnriquesTypeError as exc:
+        raise ComplexFormatError("%s: %s" % (where, exc)) from None
 
 
 def type_from_dict(obj):

@@ -67,6 +67,8 @@ from .intlinalg import (
     _canonical_matrix,
     _column_entries,
     _combine,
+    _is_integer,
+    _reduced,
     _solver,
     _subquotient,
     exact_at,
@@ -264,11 +266,12 @@ def group_cohomology(module, invol, p):
     n = module.ngens
     if invol.rows != n or invol.cols != n:
         raise LinAlgError("involution matrix has wrong shape")
-    rels = module.relation_columns()
+    orders = module.orders
     ident = IntMatrix.identity(n)
     # the relation lattice is diagonal, so membership is divisibility
     if not (_canonical_matrix(module, invol @ invol - ident).is_zero()
-            and _canonical_matrix(module, invol @ rels).is_zero()):
+            and not any(any(_reduced([d * x for x in col], orders))
+                        for col, d in zip(invol.columns(), orders))):
         raise LinAlgError("matrix is not an involution of the module")
     sign = -1 if p % 2 else 1
     d_out = ident - invol.scale(sign)
@@ -276,7 +279,7 @@ def group_cohomology(module, invol, p):
         d_in = IntMatrix.zeros(n, 0)
     else:
         d_in = ident + invol.scale(sign)
-    return _subquotient(d_out, d_in, module.orders, module.orders)
+    return _subquotient(d_out, d_in, orders, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +367,8 @@ def eta_cap(X, coeff, p):
 
 def cap_with_eta(cls, power=1):
     """Cap an explicit class with a power of the twist class."""
+    if not _is_integer(power) or power < 0:
+        raise LinAlgError("power must be a nonnegative integer")
     coeff, p, coords = cls.coeff, cls.p, cls.coords
     for _ in range(power):
         coords = eta_cap(cls.X, coeff, p).apply(coords)
@@ -555,7 +560,7 @@ def localize_homology(X, coeff, n):
         if sol is None:
             raise InternalError(
                 "inclusion of the fixed set could not be inverted")
-        chains.append(incl.source.lift(sol[:incl.source.ngens]))
+        chains.append(incl.source.lift(sol))
     return _fixed_classes(src, reduced_total_complex_of(F, COEFF_Z2), p_low,
                           chains, homology)
 
@@ -756,7 +761,7 @@ def fundamental_class(X, ring):
     if sol is None:
         raise InternalError("edge morphism misses the fundamental cycle "
                             "(wrong twist parity?)")
-    cls = class_from_coords(X, coeff, d, sol[:edge.source.ngens])
+    cls = class_from_coords(X, coeff, d, sol)
     if edge.apply(cls.coords) != top:
         raise InternalError("edge image mismatch")
     return cls

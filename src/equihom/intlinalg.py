@@ -4,6 +4,11 @@ Smith normal form with unimodular transforms, integer lattice solving, and
 finitely generated abelian groups presented as subquotients of Z^g with
 explicit generator lifts.  Everything runs on Python's arbitrary-precision
 integers; no floating point is used anywhere in this package.
+
+A lattice in a group's coordinates is a pair (columns, orders): the span
+of the columns plus the relations d.e_i over the per-coordinate orders d
+(0 for none).  _with_relations is the one place that appends the
+relations to a matrix as columns.
 """
 
 from __future__ import annotations
@@ -156,9 +161,6 @@ class IntMatrix:
         return _matrix(self.rows, len(indices),
                        tuple(tuple([row[j] for j in indices])
                              for row in self.data))
-
-    def top_rows(self, k):
-        return _matrix(k, self.cols, self.data[:k])
 
     @staticmethod
     def hstack(*mats):
@@ -391,26 +393,29 @@ def _combine(cols, coeffs, n):
 
 
 class LinearSolver:
-    """Solve M x = b over Z, reusing one Smith decomposition for many b.
+    """Solve M x = b modulo the relations of a lattice (M, orders) over Z,
+    reusing one Smith decomposition of [M | R] for many b.
 
     Only the nonzeros of the transforms are kept: every column of U, and
-    the columns of V at nonzero invariant factors (the others never enter
-    a solution).  A right-hand side costs time in proportion to the
-    nonzeros of the columns it touches, not to the size of M.
+    the columns of V at nonzero invariant factors, cut to the rows of x.
+    A right-hand side costs time in proportion to the nonzeros of the
+    columns it touches, not to the size of M.
     """
 
-    def __init__(self, M):
-        snf = smith_normal_form(M)
-        self.rows, self.cols = M.rows, M.cols
+    def __init__(self, lattice):
+        M, orders = lattice
+        snf = smith_normal_form(_with_relations(M, orders))
+        self.rows, self.cols, self.orders = M.rows, M.cols, tuple(orders)
         self._diag = snf.diag[:snf.rank]
         self._ucols = _column_entries(snf.U.data, self.rows)
-        self._vcols = _column_entries(snf.V.data, snf.rank)
+        self._vcols = _column_entries(snf.V.data[:self.cols], snf.rank)
 
     def solve_vector(self, b):
-        """An integer solution of M x = b, or None if there is none.
+        """Integer coefficients x of M's columns with M x = b modulo the
+        relations, or None if there are none.
 
-        With U M V = D: x = V z where D z = U b, so (U b)_i must be
-        divisible by d_i, and must vanish where d_i = 0."""
+        With U [M | R] V = D: (x; z) = V y where D y = U b, so (U b)_i
+        must be divisible by d_i, and must vanish where d_i = 0."""
         if len(b) != self.rows:
             raise LinAlgError("right-hand side has wrong length")
         c = _combine(self._ucols, b, self.rows)
@@ -425,7 +430,7 @@ class LinearSolver:
         return _combine(self._vcols, z, self.cols)
 
     def solve_matrix(self, B):
-        """X with M X = B, or None if some column is unsolvable."""
+        """X with M X = B modulo the relations, or None if unsolvable."""
         cols = []
         for col in B.columns():
             x = self.solve_vector(col)
@@ -434,29 +439,33 @@ class LinearSolver:
             cols.append(x)
         return IntMatrix.from_columns(self.cols, cols)
 
-    def contains(self, B):
-        """Whether every column of B lies in the column lattice of M."""
+    def contains(self, lattice):
+        """Whether the lattice (B, orders) lies in this one.  The two must
+        share their relations, so only the columns of B are solved."""
+        B, orders = lattice
+        if tuple(orders) != self.orders:
+            raise LinAlgError("lattices live in different ambients")
         return self.solve_matrix(B) is not None
 
 
-# the solver of a matrix, built once per matrix value; equal matrices
-# (IntMatrix hashes by value) share one
+# the solver of a lattice, built once per (matrix, orders) value; equal
+# lattices (IntMatrix hashes by value) share one
 _solver = lru_cache(maxsize=None)(LinearSolver)
 
 
 @lru_cache(maxsize=None)
-def kernel_basis(M):
-    """Columns form a basis of the integer kernel {x : M x = 0}; one
-    result per matrix value."""
-    snf = smith_normal_form(M)
+def kernel_basis(M, orders):
+    """Columns form a basis of {x : M x in R}, R the relations over the
+    orders of M's rows; one result per (matrix, orders) value.  They are
+    the top M.cols rows of the kernel basis V[:, r:] of [M | R]."""
+    snf = smith_normal_form(_with_relations(M, orders))
     r = snf.rank
-    return snf.V.take_columns(list(range(r, M.cols)))
+    return _matrix(M.cols, snf.V.cols - r,
+                   tuple(row[r:] for row in snf.V.data[:M.cols]))
 
 
 def lattices_equal(A, B):
-    """Whether the column lattices of A and B coincide (same ambient)."""
-    if A.rows != B.rows:
-        raise LinAlgError("lattices live in different ambients")
+    """Whether the lattices A and B (with the same orders) coincide."""
     return _solver(A).contains(B) and _solver(B).contains(A)
 
 
@@ -496,12 +505,6 @@ class FGAbelianGroup:
     def orders(self):
         """Per-generator order, 0 meaning infinite; torsion first."""
         return self.torsion + (0,) * self.free_rank
-
-    def relation_columns(self):
-        """Columns spanning the relation lattice of the coordinate space,
-        i.e. diag(orders) restricted to the torsion generators."""
-        return IntMatrix.from_columns(self.ngens,
-                                      list(_relations(self.orders)))
 
     def f2_dim(self):
         """Dimension as a Z/2 vector space; only for elementary groups."""
@@ -548,6 +551,16 @@ def _relations(orders):
             yield [0] * i + [d] + [0] * (len(orders) - i - 1)
 
 
+def _with_relations(M, orders):
+    """[M | R]: M followed by the relations d.e_i over the per-row orders
+    d of M, one column per nonzero d."""
+    if len(orders) != M.rows:
+        raise LinAlgError("%d relation orders for a matrix of %d rows"
+                          % (len(orders), M.rows))
+    return IntMatrix.hstack(
+        M, IntMatrix.from_columns(M.rows, list(_relations(orders))))
+
+
 def _reduced(values, orders):
     """values with each entry reduced into [0, d) by its order d; an
     entry of order 0 is kept as it is."""
@@ -588,11 +601,9 @@ class PresentedGroup(FGAbelianGroup):
         return tuple(_combine(gen_cols, coords, self.ambient_rank))
 
     def coordinate_kernel_lattice(self, matrix, target):
-        """Generators of {x in Z^ngens : matrix . x dies in target}, as a
-        sublattice of this group's coordinate space (contains relations)."""
-        stacked = IntMatrix.hstack(matrix, target.relation_columns())
-        ker = kernel_basis(stacked).top_rows(self.ngens)
-        return IntMatrix.hstack(ker, self.relation_columns())
+        """The lattice {x in Z^ngens : matrix . x dies in target} in this
+        group's coordinates, as (basis, orders)."""
+        return kernel_basis(matrix, target.orders), self.orders
 
 
 def _cycle_coordinates(dcols, orders, vicols, t, vec):
@@ -625,8 +636,7 @@ def _subquotient(d_out, d_in, ambient_orders, target_orders):
         raise LinAlgError("d_in lands in the wrong ambient")
     # with U . [d_out | R] . V = D of rank r, the cycles are the top g
     # rows of the kernel basis V[:, r:], and V^-1[r:] gives coordinates
-    snf = smith_normal_form(IntMatrix.hstack(d_out, IntMatrix.from_columns(
-        d_out.rows, list(_relations(target_orders)))))
+    snf = smith_normal_form(_with_relations(d_out, target_orders))
     r = snf.rank
     t = snf.V.rows - r
     kmat = _matrix(g, t, tuple(row[r:] for row in snf.V.data[:g]))
@@ -754,13 +764,12 @@ def induced_hom(columns, src, tgt):
 
 
 def image_lattice(hom):
-    """Columns spanning im(hom) + relations inside the target coordinates."""
-    return IntMatrix.hstack(hom.matrix, hom.target.relation_columns())
+    """im(hom) in the target coordinates, as (matrix, target orders)."""
+    return hom.matrix, hom.target.orders
 
 
 def kernel_lattice(hom):
-    """Columns spanning ker(hom) inside the source coordinates
-    (includes the source relations)."""
+    """ker(hom) in the source coordinates, as (basis, source orders)."""
     return hom.source.coordinate_kernel_lattice(hom.matrix, hom.target)
 
 

@@ -11,7 +11,7 @@ computed as an independent cross-check.
 The localizations are GroupHoms into the graded mod-2 group of the fixed
 set (equivariant.fixed_offsets), so every span and rank question about
 them is a lattice test of intlinalg, the integer kernel used everywhere
-else; the mod-2 relations 2e_i are columns of every image lattice.
+else, with the mod-2 relations 2e_i given by the orders of the target.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def rho_surjectivity_criteria(X, variant):
         targets = [u for u in units if u not in odd] + [
             [a + b for a, b in zip(u, v)] for u, v in zip(odd, odd[1:])]
     rho_surjective = _solver(image_lattice(loc)).contains(
-        IntMatrix.from_columns(n, targets))
+        (IntMatrix.from_columns(n, targets), loc.target.orders))
     return criterion_zero, rho_surjective
 
 
@@ -265,7 +265,7 @@ def edge_defect_witness(X):
     if coedge_surjective(X, COEFF_Z2, 2):
         return None
     e1 = edge_morphism_cohomology(X, COEFF_Z2, 1)
-    kernel = kernel_lattice(localize_cohomology(X, COEFF_Z2, 1))
+    kernel, _ = kernel_lattice(localize_cohomology(X, COEFF_Z2, 1))
     for col in kernel.columns():
         coords = tuple(x % 2 for x in col)
         if any(e1.apply(coords)):

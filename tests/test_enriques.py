@@ -18,7 +18,6 @@ from equihom.enriques import (
     make_type,
     nonorientable,
     type_from_dict,
-    validate_type,
 )
 from equihom.intlinalg import FGAbelianGroup
 
@@ -32,15 +31,28 @@ def elem2(n):
 
 class TestValidation:
     def test_sphere_alone_ok(self):
-        t = make_type([SPHERE], [])
-        assert validate_type(t) is None
+        t = make_type([SurfaceComponent(True, 0)], [])
+        assert t.components == (SPHERE,)
 
     def test_orientable_genus_two_rejected(self):
-        t = make_type([], [])
-        bad = SurfaceComponent(True, 2)
-        assert bad.violation() is not None
-        with pytest.raises(EnriquesTypeError):
-            make_type([bad], [])
+        with pytest.raises(EnriquesTypeError, match="^orientable component "
+                           "of genus 2: only the sphere and the torus "
+                           "occur$"):
+            SurfaceComponent(True, 2)
+
+    @pytest.mark.parametrize("orientable, genus, message", [
+        (True, -1, "genus must be nonnegative"),
+        (False, -1, "genus must be nonnegative"),
+        (False, 0, "nonorientable component of genus 0: the genus is "
+                   "between 1 and 11"),
+        (False, 12, "nonorientable component of genus 12: the genus is "
+                    "between 1 and 11"),
+    ])
+    def test_construction_rejects_genus_out_of_range(self, orientable, genus,
+                                                     message):
+        with pytest.raises(EnriquesTypeError) as err:
+            SurfaceComponent(orientable, genus)
+        assert str(err.value) == message
 
     def test_nonorientable_genus_twelve_rejected(self):
         with pytest.raises(EnriquesTypeError):

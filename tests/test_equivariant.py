@@ -331,6 +331,16 @@ class TestEtaCap:
                     assert direct.coords == twice.apply(coords)
                     assert (direct.coeff, direct.p) == (coeff, p - 2)
 
+    def test_power_zero_is_the_class(self):
+        cls = fundamental_class(builtin("circle-reflection"), "Z2")
+        assert cap_with_eta(cls, 0) == cls
+
+    @pytest.mark.parametrize("power", [-1, -3, 1.0, 0.5, True, "2"])
+    def test_power_must_be_a_nonnegative_integer(self, power):
+        cls = fundamental_class(builtin("circle-reflection"), "Z2")
+        with pytest.raises(LinAlgError, match="nonnegative integer"):
+            cap_with_eta(cls, power)
+
     def test_free_pair_cap_is_zero(self):
         fp = builtin("free-pair")
         for coeff in ALL_COEFFS:

@@ -66,8 +66,10 @@ from equihom.intlinalg import (
     LinearSolver,
     exact_at,
     homology_at,
+    image_lattice,
     induced_hom,
     kernel_basis,
+    kernel_lattice,
     lattices_equal,
     smith_normal_form,
 )
@@ -394,7 +396,7 @@ class TestLazyTransformsAgainstReference:
 class TestKernel:
     def test_kernel_of_projection(self):
         M = mat([[1, 0, 0], [0, 1, 0]])
-        K = kernel_basis(M)
+        K = integer_kernel(M)
         assert K.cols == 1
         assert (M @ K).is_zero()
 
@@ -402,7 +404,7 @@ class TestKernel:
     def test_kernel_random(self, seed):
         rng = random.Random(100 + seed)
         M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        K = kernel_basis(M)
+        K = integer_kernel(M)
         assert (M @ K).is_zero()
         # basis: the columns are part of a unimodular matrix, hence primitive
         if K.cols:
@@ -477,7 +479,7 @@ class TestHomologyAt:
         d_in = random_matrix(rng, g, rng.randint(0, 4), bound=2)
         # make d_out vanish on im(d_in) by picking d_out from the left
         # kernel of d_in
-        left = transpose(kernel_basis(transpose(d_in)))
+        left = transpose(integer_kernel(transpose(d_in)))
         if left.rows == 0:
             left = IntMatrix.zeros(0, g)
         h = homology_at(d_in, left)
@@ -496,7 +498,7 @@ class TestHomologyAt:
         rng = random.Random(2000 + seed)
         g = rng.randint(1, 5)
         d_in = random_matrix(rng, g, rng.randint(0, 4), bound=2)
-        left = transpose(kernel_basis(transpose(d_in)))
+        left = transpose(integer_kernel(transpose(d_in)))
         h = homology_at(d_in, left)
         dim_ker = g - smith_normal_form(left).rank
         rank_im = smith_normal_form(d_in).rank
@@ -639,15 +641,33 @@ def relation_matrix(orders):
                       for i, d in enumerate(orders)])
 
 
+def integer_kernel(M):
+    """A basis of the plain integer kernel {x : M x = 0}."""
+    return kernel_basis(M, (0,) * M.rows)
+
+
+def stacked_kernel(M, orders):
+    """The dense reference of kernel_basis(M, orders): the integer kernel
+    of [M | R], R = relation_matrix(orders), cut to its top M.cols
+    rows."""
+    K = integer_kernel(IntMatrix.hstack(M, relation_matrix(orders)))
+    return IntMatrix(M.cols, K.cols, K.data[:M.cols])
+
+
+def stacked_solve(M, orders, b):
+    """The dense reference of solving M x = b modulo the relations over
+    orders: the coefficients of M's columns in a solution on [M | R]."""
+    sol = reference_solve(IntMatrix.hstack(M, relation_matrix(orders)), b)
+    return None if sol is None else sol[:M.cols]
+
+
 def reference_reducer(grp, d_out, target_orders):
     """reduce by the dense formula, built once per group: solve in the
     cycle basis (the kernel of [d_out | R] cut to its top rows), apply the
     full U_y of the boundary Smith decomposition, keep the rows whose
     invariant factor is not 1.  The returned function gives None for a
     non-cycle."""
-    kmat = kernel_basis(IntMatrix.hstack(d_out,
-                                         relation_matrix(target_orders))) \
-        .top_rows(d_out.cols)
+    kmat = stacked_kernel(d_out, target_orders)
     ks = smith_normal_form(kmat)
     lmat = IntMatrix.hstack(grp.d_in, relation_matrix(grp.ambient_orders))
     sols = [dense_solve(ks, col) for col in lmat.columns()]
@@ -735,7 +755,7 @@ class TestSolverAgainstDenseReference:
         m, n, diag, zr, zc = SOLVER_CASES[case]
         M = with_zero_lines(rng, matrix_with_invariants(rng, m, n, diag),
                             zr, zc)
-        solver = LinearSolver(M)
+        solver = LinearSolver((M, (0,) * M.rows))
         outcomes = set()
         for _ in range(12):
             x = [rng.randint(-3, 3) for _ in range(M.cols)]
@@ -752,7 +772,7 @@ class TestSolverAgainstDenseReference:
     @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
     def test_solve_vector_empty_shapes(self, m, n):
         M = IntMatrix.zeros(m, n)
-        solver = LinearSolver(M)
+        solver = LinearSolver((M, (0,) * m))
         assert solver.solve_vector([0] * m) == reference_solve(M, [0] * m) \
             == [0] * n
         if m:
@@ -896,10 +916,14 @@ class TestKernelMemoAgainstFreshBuilds:
     def test_kernel_basis_and_solver(self, seed):
         rng = random.Random(7800 + seed)
         M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), bound=2)
-        assert kernel_basis(M) == kernel_basis.__wrapped__(M)
-        assert kernel_basis(equal_copy(M)) is kernel_basis(M)
-        solver, fresh = intlinalg._solver(M), LinearSolver(M)
-        assert intlinalg._solver(equal_copy(M)) is solver
+        orders = tuple(random.Random(7850 + seed).choice((0, 2, 4))
+                       for _ in range(M.rows))
+        lattice = (M, orders)
+        copy = (equal_copy(M), tuple(list(orders)))
+        assert kernel_basis(*lattice) == kernel_basis.__wrapped__(*lattice)
+        assert kernel_basis(*copy) is kernel_basis(*lattice)
+        solver, fresh = intlinalg._solver(lattice), LinearSolver(lattice)
+        assert intlinalg._solver(copy) is solver
         assert isinstance(solver, LinearSolver)
         for _ in range(6):
             b = [rng.randint(-3, 3) for _ in range(M.rows)]
@@ -943,6 +967,113 @@ class TestRelationsAreOrders:
             assert group_cohomology(module, sigma, p) \
                 is intlinalg._subquotient(ident - sigma.scale(sign), d_in,
                                           module.orders, module.orders)
+
+
+def mixed_orders(rng, n, mix):
+    """n relation orders: all 0, all 2, all 4, or drawn from 0, 2 and 4."""
+    if mix == "mixed":
+        return tuple(rng.choice((0, 2, 4)) for _ in range(n))
+    return (mix,) * n
+
+
+ORDER_MIXES = [0, 2, 4, "mixed"]
+
+
+def elementary_hom(rng, n, m):
+    """A random map (Z/2)^n -> (Z/2)^m, the source presented as the mod-2
+    homology of n cycles and no boundaries."""
+    src = homology_at(IntMatrix.zeros(n, 0), IntMatrix.zeros(0, n), mod=2)
+    return GroupHom(src, FGAbelianGroup(0, (2,) * m),
+                    random_matrix(rng, m, n, bound=1).mod(2))
+
+
+class TestLatticesCarryTheirOrders:
+    """A lattice in a group's coordinates is (columns, orders): the kernel,
+    the solver and the lattice tests take the relations d.e_i as orders,
+    and agree with the dense reference on [M | R]."""
+
+    @pytest.mark.parametrize("mix", ORDER_MIXES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solve_vector(self, mix, seed):
+        rng = random.Random(8100 + seed)
+        M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), bound=3)
+        orders = mixed_orders(rng, M.rows, mix)
+        solver = LinearSolver((M, orders))
+        for _ in range(12):
+            x = [rng.randint(-3, 3) for _ in range(M.cols)]
+            b = [v + d * rng.randint(-2, 2)
+                 for v, d in zip(M.mul_vector(x), orders)]
+            noise = [rng.randint(-5, 5) for _ in b]
+            assert solver.solve_vector(b) is not None
+            for rhs in (b, noise):
+                got = solver.solve_vector(rhs)
+                assert got == stacked_solve(M, orders, rhs)
+                if got is not None:
+                    assert len(got) == M.cols
+                    assert all((v - w) % d == 0 if d else v == w
+                               for v, w, d in zip(M.mul_vector(got), rhs,
+                                                  orders))
+
+    @pytest.mark.parametrize("mix", ORDER_MIXES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_basis(self, mix, seed):
+        rng = random.Random(8200 + seed)
+        M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), bound=3)
+        orders = mixed_orders(rng, M.rows, mix)
+        K = kernel_basis(M, orders)
+        assert K == stacked_kernel(M, orders)
+        assert K.rows == M.cols
+        for col in (M @ K).columns():
+            assert all(v % d == 0 if d else v == 0
+                       for v, d in zip(col, orders))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_elementary_kernel_lattice_has_n_columns(self, seed):
+        rng = random.Random(8300 + seed)
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        hom = elementary_hom(rng, n, m)
+        basis, orders = kernel_lattice(hom)
+        assert orders == (2,) * n
+        assert (basis.rows, basis.cols) == (n, n)
+        assert (hom.matrix @ basis).mod(2).is_zero()
+        # the basis alone spans the relations 2e_i too: its index in Z^n
+        # is the size 2^rank of the image mod 2
+        rank = sum(1 for d in smith_normal_form(hom.matrix).diag if d % 2)
+        assert math.prod(smith_normal_form(basis).diag) == 2 ** rank
+
+    def test_image_lattice_is_the_matrix(self):
+        hom = elementary_hom(random.Random(8400), 3, 2)
+        lattice = image_lattice(hom)
+        assert lattice[0] is hom.matrix
+        assert lattice[1] == (2, 2)
+
+    def test_lattices_equal_modulo_relations(self):
+        orders = (2, 0)
+        e0 = (mat([[1], [0]]), orders)
+        assert lattices_equal(e0, (mat([[3], [0]]), orders))
+        assert not lattices_equal(e0, (mat([[1], [2]]), orders))
+
+    @pytest.mark.parametrize("other", [
+        (IntMatrix.identity(2), (0, 0)),
+        (IntMatrix.identity(2), (2, 4)),
+        (IntMatrix.identity(3), (2, 0, 0)),
+    ])
+    def test_different_orders_raise(self, other):
+        lattice = (IntMatrix.identity(2), (2, 0))
+        with pytest.raises(LinAlgError, match="different ambients"):
+            LinearSolver(lattice).contains(other)
+        with pytest.raises(LinAlgError, match="different ambients"):
+            lattices_equal(lattice, other)
+        with pytest.raises(LinAlgError, match="different ambients"):
+            lattices_equal(other, lattice)
+
+    @pytest.mark.parametrize("orders", [(), (2,), (2, 0, 0)])
+    def test_orders_must_match_the_rows(self, orders):
+        M = IntMatrix.identity(2)
+        with pytest.raises(LinAlgError, match="relation orders"):
+            kernel_basis(M, orders)
+        with pytest.raises(LinAlgError, match="relation orders"):
+            LinearSolver((M, orders))
 
 
 def random_g_complex(rng):
@@ -1199,8 +1330,9 @@ def simplicial_localizations(X, coeff, n):
     p = n - steps
     incl = dense(_blockwise(tcf, tcx, p, [sparse(m) for m in mats]),
                  tcx.rank(p))
-    solver = LinearSolver(IntMatrix.hstack(
-        incl, tcx.diff(p + 1), relation_matrix((2,) * incl.rows)))
+    stacked = IntMatrix.hstack(incl, tcx.diff(p + 1),
+                               relation_matrix((2,) * incl.rows))
+    solver = LinearSolver((stacked, (0,) * stacked.rows))
     shift = dense(_shift_matrix(tcx, n, steps), tcx.rank(n - steps))
 
     def graded(tc, degree, y, group, cochains):
@@ -1456,8 +1588,9 @@ class TestExactness:
         assert not exact_at(identity, proj)
 
     def test_lattices_equal(self):
-        a = IntMatrix.from_rows([[2, 0], [0, 3]])
-        b = IntMatrix.from_rows([[2, 2], [3, 0]])
+        free = (0, 0)
+        a = (IntMatrix.from_rows([[2, 0], [0, 3]]), free)
+        b = (IntMatrix.from_rows([[2, 2], [3, 0]]), free)
         assert lattices_equal(a, b)
-        c = IntMatrix.from_rows([[2, 0], [0, 6]])
+        c = (IntMatrix.from_rows([[2, 0], [0, 6]]), free)
         assert not lattices_equal(a, c)
