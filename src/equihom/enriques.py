@@ -50,6 +50,12 @@ class SurfaceComponent:
     genus: int
 
     def __post_init__(self):
+        if not isinstance(self.orientable, bool):
+            raise EnriquesTypeError("orientable must be a boolean, got %r"
+                                    % (self.orientable,))
+        if not _is_integer(self.genus):
+            raise EnriquesTypeError("genus must be an integer, got %r"
+                                    % (self.genus,))
         if self.genus < 0:
             raise EnriquesTypeError("genus must be nonnegative")
         if self.orientable and self.genus > 1:

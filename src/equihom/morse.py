@@ -23,16 +23,27 @@ complex over Z with the untwisted involution: the twist only flips the sign
 of sigma, and Z/2 is the same integral data, so one reduction serves every
 coefficient system.
 
+The elimination updates the boundary only.  It logs each cancellation
+with the boundary of b and the cofaces of a as they were then, and the
+composite maps are read off that log backwards (_flow): the row of iota
+at b is -u sum <dx, a> row(x) over the other cofaces x of a, the column
+of pi at a is -u sum <db, y> column(y) over the other faces y of b, and
+both vanish at the other cell of the pair.  Every cell on a right-hand
+side outlives the cancellation, so its row or column is final when the
+log is replayed from its end.
+
 A MorseReduction holds the critical cells, the reduced complex C' as its
 columns (d', sigma') in the sparse chain layout of simplicial chains, and
 iota and pi as sparse columns.  So C' is checked by the same
-check_chain_columns and viewed by the same GChainComplex as C.
+check_chain_columns and viewed by the same GChainComplex as C.  d', sigma'
+and iota are built and checked with the reduction; pi, which only maps
+between complexes read, is replayed and checked on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .complexes import (
     _apply,
@@ -55,30 +66,33 @@ class MorseReduction:
     columns[q]: the pair (d'_q, sigma'_q) of sparse columns, in the chain
       layout of complexes.chain_columns;
     lifts[q]: iota_q, one column over the q-simplices per critical cell;
-    projections[q]: pi_q, one column over the critical cells per q-simplex.
+    projections[q]: pi_q, one column over the critical cells per q-simplex,
+      replayed from the log of cancellations and checked on first read,
+      then kept.  Concurrent first reads replay the same immutable log.
     """
 
     cells: tuple
     columns: tuple
     lifts: tuple
-    projections: tuple
+    # the simplicial chain columns, and per cancellation the step of the
+    # pi replay: (degree of a, a, u, the boundary of b)
+    _chains: tuple = field(repr=False, compare=False)
+    _log: tuple = field(repr=False, compare=False)
 
-
-def _add_sparse(dst, src, c):
-    """dst += c * src on sparse dicts, dropping the entries that cancel."""
-    for i, x in src.items():
-        y = dst.get(i, 0) + c * x
-        if y:
-            dst[i] = y
-        else:
-            del dst[i]
+    @cached_property
+    def projections(self):
+        cols = _flow(self.cells, [len(bnd) for bnd, _ in self._chains],
+                     ((q, a, u, fb.items())
+                      for q, a, u, fb in reversed(self._log)))
+        proj = tuple([sorted(v.items()) for v in level] for level in cols)
+        _check_projections(self._chains, self, proj)
+        return proj
 
 
 class _Elimination:
     """The current complex while pairs are cancelled: per degree the
-    boundary of each live cell ({face: incidence}, None once cancelled),
-    its transpose, and the column of iota and the row of pi at each live
-    cell, all as dicts over the simplices."""
+    boundary of each live cell ({face: incidence}, None once cancelled)
+    and its transpose, and the log of the cancellations."""
 
     def __init__(self, columns):
         self.faces = [[dict(col) for col in boundary]
@@ -89,19 +103,19 @@ class _Elimination:
                 for a, u in col.items():
                     self.cofaces[q - 1][a][b] = u
         self.sigma = [[col[0] for col in sigma] for _, sigma in columns]
-        self.lift = [[{c: 1} for c in range(len(boundary))]
-                     for boundary, _ in columns]
-        self.proj = [[{c: 1} for c in range(len(boundary))]
-                     for boundary, _ in columns]
+        self.log = []
 
     def cancel(self, q, a, b):
-        """Cancel the face a (degree q - 1) of b (degree q)."""
+        """Cancel the face a (degree q - 1) of b (degree q), and log
+        (q, a, b, u, boundary of b, cofaces of a).  The boundary of b is
+        not changed afterwards."""
         fb = self.faces[q][b]
         u = fb.get(a, 0)
         if u not in (1, -1):
             raise InternalError("Morse pair (%d, %d) in degree %d has "
                                 "incidence %d, not a unit" % (a, b, q, u))
-        for x, alpha in list(self.cofaces[q - 1][a].items()):
+        cof = list(self.cofaces[q - 1][a].items())
+        for x, alpha in cof:
             if x == b:
                 continue
             c = -alpha * u
@@ -112,11 +126,7 @@ class _Elimination:
                     fx[y] = self.cofaces[q - 1][y][x] = w
                 else:
                     del fx[y], self.cofaces[q - 1][y][x]
-            _add_sparse(self.lift[q][x], self.lift[q][b], c)
-        pa = self.proj[q - 1][a]
-        for y, v in fb.items():
-            if y != a:
-                _add_sparse(self.proj[q - 1][y], pa, -u * v)
+        for y in fb:
             del self.cofaces[q - 1][y][b]
         if q + 1 < len(self.faces):
             for z in self.cofaces[q][b]:
@@ -126,7 +136,7 @@ class _Elimination:
                 del self.cofaces[q - 2][y][a]
         for d, c in ((q - 1, a), (q, b)):
             self.faces[d][c] = self.cofaces[d][c] = None
-            self.lift[d][c] = self.proj[d][c] = None
+        self.log.append((q, a, b, u, fb, cof))
 
     def sweep(self, free):
         """Cancel every pair of the stage (free orbits, or fixed cells)
@@ -151,6 +161,27 @@ class _Elimination:
         return found
 
 
+def _flow(cells, sizes, steps):
+    """Per degree q, one sparse vector over the critical cells for each of
+    the sizes[q] cells, as a dict of nonzeros: {i: 1} at the i-th
+    critical cell and, for each step (q, c, u, entries) in the order
+    given, minus u times the sum of e * vector(x) over the (x, e) in
+    entries at c.  Every other cell keeps the zero vector, and so does c
+    until its step, so its own entry adds nothing."""
+    vecs = [[{}] * n for n in sizes]
+    for level, vq in zip(cells, vecs):
+        for i, c in enumerate(level):
+            vq[c] = {i: 1}
+    for q, c, u, entries in steps:
+        vq = vecs[q]
+        out = {}
+        for x, e in entries:
+            for i, y in vq[x].items():
+                out[i] = out.get(i, 0) - u * e * y
+        vq[c] = {i: y for i, y in out.items() if y}
+    return vecs
+
+
 @lru_cache(maxsize=None)
 def morse_reduction(X):
     """The equivariant Morse reduction of the chains of X (memoized per
@@ -162,6 +193,9 @@ def morse_reduction(X):
     cells = tuple(tuple(c for c, fc in enumerate(faces) if fc is not None)
                   for faces in elim.faces)
     index = [{c: i for i, c in enumerate(level)} for level in cells]
+    rows = _flow(cells, [len(faces) for faces in elim.faces],
+                 ((q, b, u, cof)
+                  for q, a, b, u, fb, cof in reversed(elim.log)))
     red = MorseReduction(
         cells=cells,
         columns=tuple(
@@ -170,12 +204,10 @@ def morse_reduction(X):
              [[(index[q][elim.sigma[q][c][0]], elim.sigma[q][c][1])]
               for c in level])
             for q, level in enumerate(cells)),
-        lifts=tuple([sorted(elim.lift[q][c].items()) for c in level]
-                    for q, level in enumerate(cells)),
-        projections=tuple(
-            transpose([sorted(elim.proj[q][c].items()) for c in level],
-                      len(elim.faces[q]))
-            for q, level in enumerate(cells)))
+        lifts=tuple(transpose(map(dict.items, level), len(crit))
+                    for level, crit in zip(rows, cells)),
+        _chains=columns,
+        _log=tuple((q - 1, a, u, fb) for q, a, b, u, fb, cof in elim.log))
     _check_reduction(columns, red)
     return red
 
@@ -183,16 +215,22 @@ def morse_reduction(X):
 def _check_reduction(columns, red):
     """The reduced columns pass check_chain_columns, iota_0 is the
     inclusion of the critical vertices (so a reduced 0-chain has the
-    degree of its lift), iota and pi are chain maps that commute with the
-    involutions, and pi iota = 1."""
+    degree of its lift), and iota is a chain map that commutes with the
+    involutions."""
     check_chain_columns(red.columns)
     if red.lifts and any(col != [(c, 1)] for c, col
                          in zip(red.cells[0], red.lifts[0])):
         raise InternalError("iota_0 is not the inclusion of the critical "
                             "vertices")
     check_chain_map("iota", red.lifts, red.columns, columns)
-    check_chain_map("pi", red.projections, columns, red.columns)
-    for proj, lifts in zip(red.projections, red.lifts):
+
+
+def _check_projections(columns, red, projections):
+    """pi, given as projections, is a chain map from the simplicial
+    columns to red.columns that commutes with the involutions, and
+    pi iota = 1."""
+    check_chain_map("pi", projections, columns, red.columns)
+    for proj, lifts in zip(projections, red.lifts):
         for i, lift in enumerate(lifts):
             if _apply(proj, lift) != {i: 1}:
                 raise InternalError("pi iota is not the identity")

@@ -54,6 +54,20 @@ class TestValidation:
             SurfaceComponent(orientable, genus)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("orientable, genus, message", [
+        (False, 1.5, "genus must be an integer, got 1.5"),
+        (False, True, "genus must be an integer, got True"),
+        (True, "0", "genus must be an integer, got '0'"),
+        (True, True, "genus must be an integer, got True"),
+        (1, 0, "orientable must be a boolean, got 1"),
+        (None, 1, "orientable must be a boolean, got None"),
+    ])
+    def test_construction_rejects_wrong_types(self, orientable, genus,
+                                              message):
+        with pytest.raises(EnriquesTypeError) as err:
+            SurfaceComponent(orientable, genus)
+        assert str(err.value) == message
+
     def test_nonorientable_genus_twelve_rejected(self):
         with pytest.raises(EnriquesTypeError):
             make_type([], [SurfaceComponent(False, 12)])

@@ -42,8 +42,12 @@ def negated(by_degree):
 def check(space, red, **fields):
     return lambda: morse._check_reduction(chain_columns(space),
                                           replace(red, **fields))
-results.append(raises_internal(check(X, red, projections=negated(
-    red.projections))))
+results.append(raises_internal(lambda: morse._check_projections(
+    chain_columns(X), red, negated(red.projections)), "pi iota"))
+# pi replayed from a log whose pivots lost their sign fails the pi check
+# on the first read of the projections
+results.append(raises_internal(lambda: replace(red, _log=tuple(
+    (q, a, -u, fb) for q, a, u, fb in red._log)).projections, "pi"))
 # sigma' negated through the reduced columns is still an involution that
 # commutes with d', but iota no longer commutes with it
 results.append(raises_internal(check(X, red, columns=tuple(
@@ -99,7 +103,7 @@ def test_forced_violations_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", FORCED_VIOLATIONS],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] + ["[True,"] + ["True,"] * 11 \
+    assert proc.stdout.split() == ["1"] + ["[True,"] + ["True,"] * 12 \
         + ["True]"]
 
 
