@@ -216,6 +216,9 @@ def enumerate_types(max_components):
     distinct canonical values (so up to reordering within halves and
     swapping the halves), sorted by component count, then name, each with
     its classifier output."""
+    if not _is_integer(max_components):
+        raise EnriquesTypeError("component bound must be an integer, got %r"
+                                % (max_components,))
     if max_components < 0:
         raise EnriquesTypeError("component bound must be nonnegative")
     if max_components > MAX_ENUMERATION_COMPONENTS:

@@ -26,9 +26,9 @@ An element of a group has one representation, its canonical generator
 coordinates (a class, EqClass, is such coordinates); a cycle enters only
 through the group's reduce.  A map has one representation, a GroupHom.
 The mod-2 homology (or cohomology) of the fixed set, summed over degrees,
-is one group (Z/2)^N laid out by fixed_offsets: the localizations land
-there, and the graded pushforward, pullback, Bockstein and parity
-projections are block GroupHoms on it.
+is one presented group (Z/2)^N laid out by fixed_offsets: the
+localizations land there, and the graded pushforward, pullback, Bockstein
+and parity projections are block GroupHoms on it.
 
 Everything below: edge morphisms (column-0 projection), the eta cap
 (column shift raising the twist), the two long exact sequences, the
@@ -148,17 +148,25 @@ class _Staircase:
                 for j, col in enumerate(vertical):
                     for i, x in col:
                         data[tgt[c] + i][off + j] = x
-            # (-1)^q (1 - (-1)^c sigma) into the next column unless cut:
-            # sigma is symmetric, so cochains take it as it is
+            # the horizontal map into the next column unless cut: sigma is
+            # symmetric, so cochains take it as it is
             if c + 1 not in tgt:
                 continue
-            sign = -1 if q % 2 else 1
-            flip = sign if c % 2 else -sign
-            for j, ((i, s),) in enumerate(self.cc.sigma(q)):
-                data[tgt[c + 1] + j][off + j] += sign
-                data[tgt[c + 1] + i][off + j] += flip * s
+            for j, col in enumerate(_horizontal(self.cc, q, c)):
+                for i, x in col:
+                    data[tgt[c + 1] + i][off + j] += x
         self._diffs[p] = IntMatrix(rows, cols, data)
         return self._diffs[p]
+
+
+def _horizontal(cc, q, c):
+    """The horizontal map (-1)^q (1 - (-1)^c sigma) out of the block of
+    chain degree q in column c, as sparse columns with the rows of that
+    block; the two entries of a column add up where sigma fixes the cell."""
+    sign = -1 if q % 2 else 1
+    flip = sign if c % 2 else -sign
+    return [[(j, sign), (i, flip * s)]
+            for j, ((i, s),) in enumerate(cc.sigma(q))]
 
 
 class TotalComplex(_Staircase):
@@ -396,12 +404,11 @@ def _exact_nodes(sequence, p, maps):
 def _edge_connecting(X, coeff, p):
     """Connecting map H_p(X, A(k)) -> H_p(X; G, A(k-1)) of the column-0
     quotient sequence of total complexes: a cycle x goes to
-    (-1)^p (1 - sigma) x in column 0, which comes first (sign fixed by the
-    construction, exposed only up to sign)."""
-    sign = -1 if p % 2 else 1
-    columns = [[(j, sign), (i, -sign * s)] for j, ((i, s),)
-               in enumerate(reduced_chain_complex(X, coeff).sigma(p))]
-    return induced_hom(columns, homology(X, coeff, p),
+    (-1)^p (1 - sigma) x in column 0, which comes first: the horizontal
+    map out of column 0 (sign fixed by the construction, exposed only up
+    to sign)."""
+    return induced_hom(_horizontal(reduced_chain_complex(X, coeff), p, 0),
+                       homology(X, coeff, p),
                        eq_homology(X, coeff.shift(), p))
 
 
@@ -513,8 +520,12 @@ def fixed_offsets(F, group):
     return tuple(offsets)
 
 
-def _graded_group(offsets):
-    return FGAbelianGroup(0, (2,) * offsets[-1])
+@lru_cache(maxsize=None)
+def _graded_group(n):
+    """(Z/2)^n presented mod 2 with no boundaries and no outgoing map:
+    generators and coordinates are the identity.  One object per n, so
+    maps onto graded groups of equal rank compose."""
+    return homology_at(IntMatrix.zeros(n, 0), IntMatrix.zeros(0, n), 2)
 
 
 def _fixed_classes(src, tcf, p, chains, group):
@@ -532,7 +543,7 @@ def _fixed_classes(src, tcf, p, chains, group):
             col[offsets[q]:offsets[q + 1]] = spot.reduce(
                 y[off:off + spot.ambient_rank])
         cols.append(col)
-    return GroupHom(src, _graded_group(offsets),
+    return GroupHom(src, _graded_group(offsets[-1]),
                     IntMatrix.from_columns(offsets[-1], cols))
 
 
@@ -544,9 +555,6 @@ def localize_homology(X, coeff, n):
     (an isomorphism in negative degrees), and project away the twist
     columns.  The zero map when the fixed set is empty."""
     src = eq_homology(X, coeff, n)
-    F = fixed_subcomplex(X)
-    if F.vertex_count == 0:
-        return GroupHom(src, FGAbelianGroup(0), IntMatrix.zeros(0, src.ngens))
     steps = dim(X) + 1
     p_low = n - steps
     # below degree zero the inclusion of the fixed set is an isomorphism
@@ -561,8 +569,8 @@ def localize_homology(X, coeff, n):
             raise InternalError(
                 "inclusion of the fixed set could not be inverted")
         chains.append(incl.source.lift(sol))
-    return _fixed_classes(src, reduced_total_complex_of(F, COEFF_Z2), p_low,
-                          chains, homology)
+    tcf = reduced_total_complex_of(fixed_subcomplex(X), COEFF_Z2)
+    return _fixed_classes(src, tcf, p_low, chains, homology)
 
 
 @lru_cache(maxsize=None)
@@ -571,11 +579,8 @@ def localize_cohomology(X, coeff, n):
     the fixed set: restrict to the fixed set, reduce mod two, split off
     the twist columns.  The zero map when the fixed set is empty."""
     src = eq_cohomology(X, coeff, n)
-    F = fixed_subcomplex(X)
-    if F.vertex_count == 0:
-        return GroupHom(src, FGAbelianGroup(0), IntMatrix.zeros(0, src.ngens))
     restrict = _pullback_matrix(fixed_inclusion(X), n)
-    tcf = reduced_total_cochain_complex_of(F, COEFF_Z2)
+    tcf = reduced_total_cochain_complex_of(fixed_subcomplex(X), COEFF_Z2)
     return _fixed_classes(
         src, tcf, n, [_combine(restrict, gen, tcf.rank(n))
                       for gen in src.generators], cohomology)
@@ -585,10 +590,12 @@ def _graded_hom(src, tgt, blocks):
     """The GroupHom between the graded mod-2 groups with layouts src and
     tgt that acts by the matrix m from the degree-q block of the source to
     the degree-r block of the target, for each (r, q, m) in blocks."""
-    return GroupHom(_graded_group(src), _graded_group(tgt),
-                    IntMatrix.from_blocks(
-                        tgt[-1], src[-1],
-                        [(tgt[r], src[q], m, 1) for r, q, m in blocks]))
+    cols = [[0] * tgt[-1] for _ in range(src[-1])]
+    for r, q, m in blocks:
+        for j, col in enumerate(m.columns(), src[q]):
+            cols[j][tgt[r]:tgt[r] + m.rows] = col
+    return GroupHom(_graded_group(src[-1]), _graded_group(tgt[-1]),
+                    IntMatrix.from_columns(tgt[-1], cols))
 
 
 def parity_projection(F, group, parity):

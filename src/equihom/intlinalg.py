@@ -88,20 +88,6 @@ class IntMatrix:
     def zeros(cls, rows, cols):
         return _matrix(rows, cols, ((0,) * cols,) * rows)
 
-    @classmethod
-    def from_blocks(cls, rows, cols, blocks):
-        """The rows x cols matrix that is the sum of sign * block placed
-        with its top-left entry at (row offset, column offset), for each
-        (row offset, column offset, block, sign) in blocks."""
-        data = [[0] * cols for _ in range(rows)]
-        for roff, coff, block, sign in blocks:
-            for r, row in enumerate(block.data):
-                out = data[roff + r]
-                for c, x in enumerate(row):
-                    if x:
-                        out[coff + c] += sign * x
-        return _matrix(rows, cols, tuple(map(tuple, data)))
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise LinAlgError("shape mismatch in product: %dx%d @ %dx%d"
@@ -472,14 +458,14 @@ def lattices_equal(A, B):
 class FGAbelianGroup:
     """Isomorphism class Z^free_rank + sum Z/d_i, d_i >= 2, d_i | d_{i+1}.
 
-    Optionally carries chosen generator lifts in an ambient basis (torsion
-    generators first, then free ones).  Equality and hashing look only at
-    the isomorphism data: generator choices are explicitly non-canonical.
+    The isomorphism type only; PresentedGroup adds generators.  Equality
+    and hashing look only at the type, also between presentations:
+    generator choices are explicitly non-canonical.
     """
 
-    __slots__ = ("free_rank", "torsion", "generators")
+    __slots__ = ("free_rank", "torsion")
 
-    def __init__(self, free_rank, torsion=(), generators=None):
+    def __init__(self, free_rank, torsion=()):
         torsion = tuple(torsion)
         if not all(map(_is_integer, (free_rank,) + torsion)):
             raise LinAlgError("free rank and invariant factors must be "
@@ -494,8 +480,6 @@ class FGAbelianGroup:
             raise LinAlgError("invariant factors must be >= 2")
         self.free_rank = free_rank
         self.torsion = torsion
-        self.generators = (None if generators is None
-                           else tuple(tuple(g) for g in generators))
 
     @property
     def ngens(self):
@@ -572,13 +556,15 @@ class PresentedGroup(FGAbelianGroup):
     Z^ambient_rank, remembering enough structure to reduce arbitrary cycles
     to canonical generator coordinates and to lift coordinates back.
 
-    d_in holds its boundaries as columns and ambient_orders the orders of
-    its relations d.e_i; a map out of the group must send both to
-    boundaries.
+    Every GroupHom endpoint is one.  generators holds one ambient cycle
+    per generator, torsion generators first, then free ones, and lift
+    reads them as sparse columns built once.  d_in holds its boundaries
+    as columns and ambient_orders the orders of its relations d.e_i; a
+    map out of the group must send both to boundaries.
     """
 
-    __slots__ = ("ambient_rank", "_cycles", "_coord_cols", "d_in",
-                 "ambient_orders")
+    __slots__ = ("ambient_rank", "generators", "_gen_cols", "_cycles",
+                 "_coord_cols", "d_in", "ambient_orders")
 
     def reduce(self, vec):
         """Coordinates of an ambient cycle in the chosen generators.
@@ -597,8 +583,7 @@ class PresentedGroup(FGAbelianGroup):
         coords = list(coords)
         if len(coords) != self.ngens:
             raise LinAlgError("coordinate vector has wrong length")
-        gen_cols = _column_entries(zip(*self.generators), self.ngens)
-        return tuple(_combine(gen_cols, coords, self.ambient_rank))
+        return tuple(_combine(self._gen_cols, coords, self.ambient_rank))
 
     def coordinate_kernel_lattice(self, matrix, target):
         """The lattice {x in Z^ngens : matrix . x dies in target} in this
@@ -656,9 +641,10 @@ def _subquotient(d_out, d_in, ambient_orders, target_orders):
     torsion = tuple(d for d in orders_all if d >= 2)
     free_rank = orders_all.count(0)
 
-    grp = PresentedGroup(free_rank, torsion,
-                         generators=gens_ambient.columns())
+    grp = PresentedGroup(free_rank, torsion)
     grp.ambient_rank = g
+    grp.generators = tuple(gens_ambient.columns())
+    grp._gen_cols = _column_entries(gens_ambient.data, gens_ambient.cols)
     grp._cycles = cycles
     # the rows of U_y at the kept generators, as columns
     grp._coord_cols = _column_entries([sy.U.data[i] for i in kept], t)
@@ -691,8 +677,8 @@ class GroupHom:
     """Homomorphism between presented groups, as a matrix acting on
     generator coordinates (target coords x source coords)."""
 
-    source: FGAbelianGroup
-    target: FGAbelianGroup
+    source: PresentedGroup
+    target: PresentedGroup
     matrix: IntMatrix
 
     def __post_init__(self):
@@ -706,12 +692,10 @@ class GroupHom:
         return _reduced(self.matrix.mul_vector(coords), self.target.orders)
 
     def compose(self, inner):
-        """self o inner.  The middle group must be one presentation object
-        when either end is a PresentedGroup (presentations of equal
-        matrices are one object); plain layouts compare by value."""
-        mid, src = inner.target, self.source
-        if mid is not src and (mid != src or isinstance(mid, PresentedGroup)
-                               or isinstance(src, PresentedGroup)):
+        """self o inner.  The middle group must be one presentation object,
+        as for exact_at: isomorphic presentations have unrelated generators
+        (presentations of equal matrices are one object)."""
+        if inner.target is not self.source:
             raise LinAlgError("composition endpoint mismatch")
         return GroupHom(inner.source, self.target,
                         _canonical_matrix(self.target,

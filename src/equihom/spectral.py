@@ -49,6 +49,7 @@ from .intlinalg import (
     IntMatrix,
     InternalError,
     LinAlgError,
+    _is_integer,
     _solver,
     image_lattice,
     kernel_lattice,
@@ -77,8 +78,9 @@ def e2_page(X, coeff, depth=None):
     and constant over Z/2."""
     if depth is None:
         depth = dim(X) + 2
-    if depth < 0:
-        raise LinAlgError("depth must be nonnegative, got %d" % depth)
+    if not _is_integer(depth) or depth < 0:
+        raise LinAlgError("depth must be a nonnegative integer, got %r"
+                          % (depth,))
     entries = {}
     for q in range(dim(X) + 1):
         hq = homology(X, coeff, q)

@@ -1,7 +1,7 @@
 """Conversion between the sparse columns of chain maps and dense matrices,
-and the dense boundaries and transposes built from them, owned by the
-tests so that their dense references do not depend on the package's own
-conversions.
+the dense boundaries and transposes built from them, and dense block
+placement, owned by the tests so that their dense references do not
+depend on the package's own conversions.
 
 Sparse columns are the package's format for chain-level maps: one list of
 (row, entry) pairs per source coordinate, entries at one row adding up.
@@ -36,3 +36,15 @@ def boundary(cc, q):
 def transpose(matrix):
     """The transpose of a dense matrix."""
     return IntMatrix(matrix.cols, matrix.rows, matrix.columns())
+
+
+def from_blocks(rows, cols, blocks):
+    """The rows x cols matrix that is the sum of sign * block placed with
+    its top-left entry at (row offset, column offset), for each
+    (row offset, column offset, block, sign) in blocks."""
+    data = [[0] * cols for _ in range(rows)]
+    for roff, coff, block, sign in blocks:
+        for r, row in enumerate(block.data):
+            for c, x in enumerate(row):
+                data[roff + r][coff + c] += sign * x
+    return IntMatrix(rows, cols, data)

@@ -232,6 +232,11 @@ class TestEnumeration:
         with pytest.raises(EnriquesTypeError):
             enumerate_types(-1)
 
+    @pytest.mark.parametrize("bound", [2.5, True, False, "2", None])
+    def test_bound_must_be_an_integer(self, bound):
+        with pytest.raises(EnriquesTypeError, match="integer"):
+            enumerate_types(bound)
+
 
 class TestTypeJson:
     def test_roundtrip(self):

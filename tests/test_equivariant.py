@@ -23,6 +23,7 @@ from equihom.equivariant import (
     _coefficient_bockstein,
     _column_projection,
     _edge_connecting,
+    _graded_group,
     _shift_matrix,
     cap_with_eta,
     class_from_coords,
@@ -59,13 +60,17 @@ from equihom.intlinalg import (
     FGAbelianGroup,
     IntMatrix,
     LinAlgError,
+    LinearSolver,
+    PresentedGroup,
+    exact_at,
     homology_at,
     induced_hom,
+    kernel_lattice,
 )
 from equihom.verify import FIXED_POINT_BUILTINS, _naturality_maps
 from equihom.morse import reduced_chain_complex
 
-from chain_matrices import boundary, dense, sparse, transpose
+from chain_matrices import boundary, dense, from_blocks, sparse, transpose
 
 Z = FGAbelianGroup(1)
 Z2G = FGAbelianGroup(0, (2,))
@@ -167,7 +172,7 @@ def offset_column_projection(tc, p):
     """The column-0 projection found by looking up the column offsets, as
     it was written before the staircase maps read the block layout."""
     rank = tc.cc.rank(p)
-    return IntMatrix.from_blocks(
+    return from_blocks(
         rank, tc.rank(p), [(0, off, IntMatrix.identity(rank), 1)
                            for _, c, off in tc.blocks(p) if c == 0])
 
@@ -175,7 +180,7 @@ def offset_column_projection(tc, p):
 def offset_shift_matrix(tc, p, steps):
     """The column shift by offset lookup: block (q, j) -> (q, j + steps)."""
     tgt_off = {j: off for _, j, off in tc.blocks(p - steps)}
-    return IntMatrix.from_blocks(
+    return from_blocks(
         tc.rank(p - steps), tc.rank(p),
         [(tgt_off[j + steps], off, IntMatrix.identity(tc.cc.rank(q)), 1)
          for q, j, off in tc.blocks(p)])
@@ -189,7 +194,7 @@ def offset_edge_connecting(X, coeff, p):
     tc_prev = reduced_total_complex_of(X, prev)
     one_minus_sigma = IntMatrix.identity(cc.rank(p)) - dense(cc.sigma(p),
                                                               cc.rank(p))
-    chain_map = IntMatrix.from_blocks(
+    chain_map = from_blocks(
         tc_prev.rank(p), cc.rank(p),
         [(off, 0, one_minus_sigma, -1 if p % 2 else 1)
          for _, j, off in tc_prev.blocks(p) if j == 0])
@@ -399,6 +404,19 @@ class TestLongExactSequences:
 
 
 class TestLocalization:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_targets_are_the_graded_presentation(self, name):
+        X = builtin(name)
+        F = fixed_subcomplex(X)
+        for localize, group in ((localize_homology, homology),
+                                (localize_cohomology, cohomology)):
+            graded = _graded_group(fixed_offsets(F, group)[-1])
+            assert isinstance(graded, PresentedGroup)
+            for coeff in ALL_COEFFS:
+                for n in range(dim(X) + 1):
+                    assert localize(X, coeff, n).target is graded, \
+                        (localize.__name__, coeff, n)
+
     def test_empty_fixed_set_gives_zero_map(self):
         X = builtin("circle-antipodal")
         loc = localize_homology(X, COEFF_Z2, 1)
@@ -499,6 +517,32 @@ class TestGradedMaps:
                            (graded_pullback(f), cohomology)):
             n = fixed_offsets(F, group)[-1]
             assert hom.matrix == IntMatrix.identity(n)
+
+    def test_kernel_lattices_of_the_graded_maps(self, space):
+        F = fixed_subcomplex(space)
+        homs = [graded_bockstein(F)]
+        for f in (identity_map(space), constant_map(space)):
+            homs += [graded_pushforward(f), graded_pullback(f)]
+        homs += [parity_projection(F, group, parity)
+                 for group in (homology, cohomology) for parity in (0, 1)]
+        for hom in homs:
+            kernel = kernel_lattice(hom)
+            basis, orders = kernel
+            assert orders == (2,) * hom.source.ngens
+            # the kernel dies, and holds every generator that dies
+            assert (hom.matrix @ basis).mod(2).is_zero()
+            solver = LinearSolver(kernel)
+            for i, col in enumerate(hom.matrix.columns()):
+                if not any(x % 2 for x in col):
+                    unit = [1 if j == i else 0 for j in range(len(orders))]
+                    assert solver.solve_vector(unit) is not None
+
+    def test_parity_projections_are_exact(self, space):
+        F = fixed_subcomplex(space)
+        for group in (homology, cohomology):
+            even, odd = (parity_projection(F, group, parity)
+                         for parity in (0, 1))
+            assert exact_at(even, odd) and exact_at(odd, even)
 
     def test_parity_projections_sum_to_the_identity(self, space):
         F = fixed_subcomplex(space)

@@ -37,6 +37,7 @@ from equihom.equivariant import (
     _coefficient_bockstein,
     _column_projection,
     _edge_connecting,
+    _graded_group,
     _mod2_reduction,
     _shift_matrix,
     _times_two,
@@ -47,6 +48,8 @@ from equihom.equivariant import (
     eq_cohomology,
     eq_homology,
     eta_cap,
+    fixed_offsets,
+    graded_bockstein,
     group_cohomology,
     homology,
     homology_involution,
@@ -54,6 +57,7 @@ from equihom.equivariant import (
     localize_homology,
     ordinary_bockstein,
     ordinary_pushforward_hom,
+    parity_projection,
     pullback_hom,
     pushforward_hom,
 )
@@ -76,7 +80,7 @@ from equihom.intlinalg import (
 from equihom.morse import morse_reduction, reduced_chain_complex
 from equihom.verify import fuzz_complexes
 
-from chain_matrices import boundary, dense, sparse, transpose
+from chain_matrices import boundary, dense, from_blocks, sparse, transpose
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -1118,7 +1122,7 @@ def block_diagonal(blocks):
     for block in blocks:
         out.append((rows, cols, block, 1))
         rows, cols = rows + block.rows, cols + block.cols
-    return IntMatrix.from_blocks(rows, cols, out)
+    return from_blocks(rows, cols, out)
 
 
 def lift_matrix(X, degrees, cochains):
@@ -1376,7 +1380,7 @@ def check_maps_against_simplicial(X):
         for p in range(-2, n + 2):
             sigma = dense(c.sigma(p), c.rank(p))
             one_minus_sigma = IntMatrix.identity(c.rank(p)) - sigma
-            connecting = IntMatrix.from_blocks(
+            connecting = from_blocks(
                 prev.rank(p), c.rank(p),
                 [(off, 0, one_minus_sigma, -1 if p % 2 else 1)
                  for _, j, off in prev.blocks(p) if j == 0])
@@ -1562,14 +1566,28 @@ class TestComposeAcrossPresentations:
         sigma = homology_involution(X, COEFF_Z2, 0)
         assert sigma.compose(edge).matrix == edge.matrix
 
-    def test_plain_layouts_compare_by_value(self):
+    def test_equal_layouts_compose_only_as_one_object(self):
         a, b = FGAbelianGroup(0, (2, 2)), FGAbelianGroup(0, (2, 2))
         swap = GroupHom(b, b, mat([[0, 1], [1, 0]]))
         into = GroupHom(a, a, IntMatrix.identity(2))
-        assert swap.compose(into).matrix == swap.matrix
+        assert swap.compose(swap).matrix == IntMatrix.identity(2)
+        # equal isomorphism types are not one group
+        with pytest.raises(LinAlgError, match="endpoint"):
+            swap.compose(into)
         with pytest.raises(LinAlgError, match="endpoint"):
             swap.compose(GroupHom(a, FGAbelianGroup(0, (2,)),
                                   mat([[1, 0]])))
+        # the graded mod-2 groups of the fixed sets are one object per
+        # rank, so maps onto them compose whichever layout built them
+        X = builtin("torus-reflection")
+        F = fixed_subcomplex(X)
+        n = fixed_offsets(F, homology)[-1]
+        assert n == fixed_offsets(F, cohomology)[-1] == 4
+        assert _graded_group(n) is graded_bockstein(F).source \
+            is localize_cohomology(X, COEFF_Z, 1).target
+        loc = localize_homology(X, COEFF_Z2, 0)
+        assert parity_projection(F, homology, 0).compose(loc).target \
+            is loc.target
 
 
 class TestExactness:

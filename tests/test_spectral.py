@@ -54,6 +54,11 @@ class TestE2Page:
         # row q=1 is empty for the sphere
         assert page.entry(0, 1) == TRIVIAL
 
+    @pytest.mark.parametrize("depth", [1.5, True, "2"])
+    def test_depth_must_be_a_nonnegative_integer(self, depth):
+        with pytest.raises(LinAlgError, match="depth"):
+            e2_page(builtin("point"), COEFF_Z2, depth)
+
     def test_periodicity_is_asserted_constructively(self):
         # building a page runs the periodicity assertion internally
         e2_page(builtin("torus-reflection"), COEFF_Z)

@@ -1,8 +1,8 @@
 """The staircase differentials, whose entries are placed straight from the
 sparse chain columns, and the chain complex views, against the dense path
 they replaced: chain complexes densified eagerly per coefficient system,
-and per block the vertical map and the dense 1 -+ sigma placed by
-IntMatrix.from_blocks.  The staircases cut to one column are the ordinary
+and per block the vertical map and the dense 1 -+ sigma placed by the
+tests' own from_blocks.  The staircases cut to one column are the ordinary
 chain and cochain complexes, whose differentials are the dense boundaries
 and their transposes."""
 
@@ -24,7 +24,7 @@ from equihom.equivariant import TotalCochainComplex, TotalComplex
 from equihom.intlinalg import IntMatrix
 from equihom.morse import morse_reduction, reduced_chain_complex
 
-from chain_matrices import dense, transpose
+from chain_matrices import dense, from_blocks, transpose
 
 EMPTY = "fixed set of free-pair"
 SPACES = BUILTIN_NAMES + ("circle-reflection+free-pair", EMPTY)
@@ -75,7 +75,7 @@ def reference_diff(tc, ref, p):
         if c + 1 in tgt:
             pieces.append((tgt[c + 1], off, ident + sigma if c % 2
                            else ident - sigma, -1 if q % 2 else 1))
-    return IntMatrix.from_blocks(tc.rank(p - tc.STEP), tc.rank(p), pieces)
+    return from_blocks(tc.rank(p - tc.STEP), tc.rank(p), pieces)
 
 
 def space(name, subdivisions):
