@@ -48,7 +48,6 @@ from .equivariant import (
     localize_homology,
     pushforward,
     represented_class,
-    total_complex,
 )
 from .intlinalg import (
     FGAbelianGroup,

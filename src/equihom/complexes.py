@@ -6,9 +6,10 @@ enforced; one barycentric subdivision always restores it.  Simplicial
 and Morse-reduced chains (morse.py) share one sparse layout, per degree the
 boundary and the untwisted involution (a signed permutation) as columns of
 (row, entry) pairs, one checker (check_chain_columns) and one view
-(GChainComplex, which adds the twist: chains are integral over Z/2 too,
-the modulus enters when a group is presented).  Chain maps are such columns;
-only the staircase of equivariant.py turns chain columns into a matrix.
+(GChainComplex, which adds the twist k = 0 or 1, the only coefficient here:
+chains are integral over Z/2 too, the modulus entering in presentations).
+Chain maps are such columns; only the staircase of equivariant.py turns
+chain columns into a matrix.
 """
 
 from __future__ import annotations
@@ -288,9 +289,11 @@ class GChainComplex:
         return [[(i, self.twist * s)] for (i, s), in self._level(q)[1]]
 
 
-def _view(X, coeff, columns):
-    """The GChainComplex of the chain layout columns of X under coeff."""
-    return GChainComplex(X, columns, -1 if coeff.k else 1)
+def _view(X, k, columns):
+    """The view of the chain layout columns of X with twist k, 0 or 1."""
+    if k not in (0, 1):
+        raise ComplexError("twist must be 0 or 1, got %r" % (k,))
+    return GChainComplex(X, columns, -1 if k else 1)
 
 
 def transpose(cols, n):
@@ -375,9 +378,9 @@ def check_chain_columns(columns):
 
 
 @lru_cache(maxsize=None)
-def chain_complex(X, coeff):
-    """The chain complex of X, a view of its checked chain_columns."""
-    return _view(X, coeff, chain_columns(X))
+def chain_complex(X, k):
+    """The chain complex of X with twist k, a view of its chain_columns."""
+    return _view(X, k, chain_columns(X))
 
 
 @dataclass(frozen=True)

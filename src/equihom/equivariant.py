@@ -18,9 +18,12 @@ Groups are eliminated and presented on the staircase of the Morse-reduced
 chain complex (morse.py), which has the same homology; generator lifts
 are vectors of that staircase.  A map within one complex is built on the
 reduced staircase, and a simplicial map f between two complexes is moved
-there as pi f iota.  The simplicial staircase (total_complex_of) is kept
-only as a public reference.  Ordinary (co)homology and its maps run on the
+there as pi f iota.  Ordinary (co)homology and its maps run on the
 staircase cut to its first column, the column-0 quotient.
+
+Staircases are keyed by the twist k alone: A(k) enters a differential only
+as the sign of sigma and the modulus only in homology_at, so Z/2 and Z
+share one staircase, and what reads only the block layout takes k = 0.
 
 An element of a group has one representation, its canonical generator
 coordinates (a class, EqClass, is such coordinates); a cycle enters only
@@ -35,9 +38,9 @@ Everything below: edge morphisms (column-0 projection), the eta cap
 localization maps to the mod-2 homology/cohomology of the fixed set,
 degree maps, and fundamental classes of closed G-manifolds.
 
-All inputs are immutable and the computations are pure; groups, total
-complexes and the maps that are asked for again are memoized per (complex,
-coefficient system, degree), and the caches are safe for concurrent readers.
+All inputs are immutable and the computations are pure; groups and the maps
+asked for again are memoized per (complex, coefficient system, degree), total
+complexes per twist, and the caches are safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -46,10 +49,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import (
-    COEFF_Z,
     COEFF_Z2,
     Coeff,
-    chain_complex,
     constant_map,
     dim,
     fixed_inclusion,
@@ -193,29 +194,16 @@ class TotalCochainComplex(_Staircase):
 
 
 @lru_cache(maxsize=None)
-def total_complex_of(X, coeff):
-    """The staircase on the simplicial chains of X."""
-    return TotalComplex(chain_complex(X, coeff))
+def reduced_total_complex_of(X, k, width=None):
+    """The staircase on the critical cells of the Morse reduction of X with
+    twist k, cut to `width` columns if given.  Ordinary chains are width 1
+    and untwisted: no twist or modulus enters a boundary."""
+    return TotalComplex(reduced_chain_complex(X, k), width)
 
 
 @lru_cache(maxsize=None)
-def reduced_total_complex_of(X, coeff, width=None):
-    """The staircase on the critical cells of the Morse reduction of X, cut
-    to `width` columns if given.  Ordinary chains are width 1 over COEFF_Z
-    for every coefficient system: no twist or modulus enters a boundary."""
-    return TotalComplex(reduced_chain_complex(X, coeff), width)
-
-
-@lru_cache(maxsize=None)
-def reduced_total_cochain_complex_of(X, coeff, width=None):
-    return TotalCochainComplex(reduced_chain_complex(X, coeff), width)
-
-
-def total_complex(X, coeff, p_min, p_max):
-    """Windowed view with prebuilt differentials; windows agree wherever
-    they overlap because everything is derived from one construction."""
-    tc = total_complex_of(X, coeff)
-    return {p: tc.diff(p) for p in range(p_min, p_max + 1)}
+def reduced_total_cochain_complex_of(X, k, width=None):
+    return TotalCochainComplex(reduced_chain_complex(X, k), width)
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +212,25 @@ def total_complex(X, coeff, p_min, p_max):
 
 @lru_cache(maxsize=None)
 def eq_homology(X, coeff, p):
-    tc = reduced_total_complex_of(X, coeff)
+    tc = reduced_total_complex_of(X, coeff.k)
     return homology_at(tc.diff(p + 1), tc.diff(p), coeff.mod)
 
 
 @lru_cache(maxsize=None)
 def eq_cohomology(X, coeff, p):
-    tc = reduced_total_cochain_complex_of(X, coeff)
+    tc = reduced_total_cochain_complex_of(X, coeff.k)
     return homology_at(tc.diff(p - 1), tc.diff(p), coeff.mod)
 
 
 @lru_cache(maxsize=None)
 def homology(X, coeff, q):
-    tc = reduced_total_complex_of(X, COEFF_Z, 1)
+    tc = reduced_total_complex_of(X, 0, 1)
     return homology_at(tc.diff(q + 1), tc.diff(q), coeff.mod)
 
 
 @lru_cache(maxsize=None)
 def cohomology(X, coeff, q):
-    tc = reduced_total_cochain_complex_of(X, COEFF_Z, 1)
+    tc = reduced_total_cochain_complex_of(X, 0, 1)
     return homology_at(tc.diff(q - 1), tc.diff(q), coeff.mod)
 
 
@@ -250,14 +238,14 @@ def cohomology(X, coeff, q):
 def homology_involution(X, coeff, q):
     """The involution acting on ordinary homology (twist included)."""
     spot = homology(X, coeff, q)
-    return induced_hom(reduced_chain_complex(X, coeff).sigma(q), spot, spot)
+    return induced_hom(reduced_chain_complex(X, coeff.k).sigma(q), spot, spot)
 
 
 def cohomology_involution(X, coeff, q):
     """The involution acting on ordinary cohomology (twist included)."""
     spot = cohomology(X, coeff, q)
     # sigma is a symmetric signed permutation: it is its own transpose
-    return induced_hom(reduced_chain_complex(X, coeff).sigma(q), spot, spot)
+    return induced_hom(reduced_chain_complex(X, coeff.k).sigma(q), spot, spot)
 
 
 def group_cohomology(module, invol, p):
@@ -335,7 +323,7 @@ def edge_morphism(X, coeff, p):
     (checked)."""
     src = eq_homology(X, coeff, p)
     tgt = homology(X, coeff, p)
-    proj = _column_projection(reduced_total_complex_of(X, coeff), p)
+    proj = _column_projection(reduced_total_complex_of(X, 0), p)
     hom = induced_hom(proj, src, tgt)
     if tgt.ngens:
         sigma_star = homology_involution(X, coeff, p)
@@ -349,7 +337,7 @@ def edge_morphism_cohomology(X, coeff, p):
     """e^p : H^p(X; G, A(k)) -> H^p(X, A(k)), the column-0 component."""
     src = eq_cohomology(X, coeff, p)
     tgt = cohomology(X, coeff, p)
-    proj = _column_projection(reduced_total_cochain_complex_of(X, coeff), p)
+    proj = _column_projection(reduced_total_cochain_complex_of(X, 0), p)
     return induced_hom(proj, src, tgt)
 
 
@@ -369,7 +357,7 @@ def eta_cap(X, coeff, p):
     realized by the column shift."""
     src = eq_homology(X, coeff, p)
     tgt = eq_homology(X, coeff.shift(), p - 1)
-    shift = _shift_matrix(reduced_total_complex_of(X, COEFF_Z2), p)
+    shift = _shift_matrix(reduced_total_complex_of(X, 0), p)
     return induced_hom(shift, src, tgt)
 
 
@@ -407,7 +395,7 @@ def _edge_connecting(X, coeff, p):
     (-1)^p (1 - sigma) x in column 0, which comes first: the horizontal
     map out of column 0 (sign fixed by the construction, exposed only up
     to sign)."""
-    return induced_hom(_horizontal(reduced_chain_complex(X, coeff), p, 0),
+    return induced_hom(_horizontal(reduced_chain_complex(X, coeff.k), p, 0),
                        homology(X, coeff, p),
                        eq_homology(X, coeff.shift(), p))
 
@@ -471,7 +459,7 @@ def _halved_boundary_hom(d, src, tgt):
 def _coefficient_bockstein(X, coeff, p):
     """Connecting map H_p(X;G,Z/2) -> H_{p-1}(X;G,Z(k)) of the sequence
     0 -> Z(k) --2--> Z(k) -> Z/2 -> 0."""
-    return _halved_boundary_hom(reduced_total_complex_of(X, coeff).diff(p),
+    return _halved_boundary_hom(reduced_total_complex_of(X, coeff.k).diff(p),
                                 eq_homology(X, COEFF_Z2, p),
                                 eq_homology(X, coeff, p - 1))
 
@@ -499,7 +487,7 @@ def ordinary_bockstein(F, p):
     """Bockstein H_{p+1}(F, Z/2) -> H_p(F, Z/2) of 0->Z/2->Z/4->Z/2->0 on
     an ordinary complex, computed as (boundary of an integer lift)/2
     reduced mod 2."""
-    bnd = reduced_total_complex_of(F, COEFF_Z, 1).diff(p + 1)
+    bnd = reduced_total_complex_of(F, 0, 1).diff(p + 1)
     return _halved_boundary_hom(bnd, homology(F, COEFF_Z2, p + 1),
                                 homology(F, COEFF_Z2, p))
 
@@ -560,7 +548,7 @@ def localize_homology(X, coeff, n):
     # below degree zero the inclusion of the fixed set is an isomorphism
     incl = pushforward_hom(fixed_inclusion(X), COEFF_Z2, p_low)
     solver = _solver(image_lattice(incl))
-    shift = _shift_matrix(reduced_total_complex_of(X, COEFF_Z2), n, steps)
+    shift = _shift_matrix(reduced_total_complex_of(X, 0), n, steps)
     chains = []
     for gen in src.generators:
         sol = solver.solve_vector(incl.target.reduce(
@@ -569,7 +557,7 @@ def localize_homology(X, coeff, n):
             raise InternalError(
                 "inclusion of the fixed set could not be inverted")
         chains.append(incl.source.lift(sol))
-    tcf = reduced_total_complex_of(fixed_subcomplex(X), COEFF_Z2)
+    tcf = reduced_total_complex_of(fixed_subcomplex(X), 0)
     return _fixed_classes(src, tcf, p_low, chains, homology)
 
 
@@ -580,7 +568,7 @@ def localize_cohomology(X, coeff, n):
     the twist columns.  The zero map when the fixed set is empty."""
     src = eq_cohomology(X, coeff, n)
     restrict = _pullback_matrix(fixed_inclusion(X), n)
-    tcf = reduced_total_cochain_complex_of(fixed_subcomplex(X), COEFF_Z2)
+    tcf = reduced_total_cochain_complex_of(fixed_subcomplex(X), 0)
     return _fixed_classes(
         src, tcf, n, [_combine(restrict, gen, tcf.rank(n))
                       for gen in src.generators], cohomology)
@@ -639,8 +627,8 @@ def pushforward_hom(f, coeff, p):
     pi f iota block by block on the reduced staircases."""
     src = eq_homology(f.source, coeff, p)
     tgt = eq_homology(f.target, coeff, p)
-    mat = _blockwise(reduced_total_complex_of(f.source, coeff),
-                     reduced_total_complex_of(f.target, coeff), p,
+    mat = _blockwise(reduced_total_complex_of(f.source, coeff.k),
+                     reduced_total_complex_of(f.target, coeff.k), p,
                      reduced_gmap_matrices(f))
     return induced_hom(mat, src, tgt)
 
@@ -650,8 +638,8 @@ def ordinary_pushforward_hom(f, coeff, q):
     """pushforward_hom on the staircases cut to column 0."""
     src = homology(f.source, coeff, q)
     tgt = homology(f.target, coeff, q)
-    mat = _blockwise(reduced_total_complex_of(f.source, COEFF_Z, 1),
-                     reduced_total_complex_of(f.target, COEFF_Z, 1), q,
+    mat = _blockwise(reduced_total_complex_of(f.source, 0, 1),
+                     reduced_total_complex_of(f.target, 0, 1), q,
                      reduced_gmap_matrices(f))
     return induced_hom(mat, src, tgt)
 
@@ -661,10 +649,9 @@ def _pullback_matrix(f, p, width=None):
     """Pullback T^p(target) -> T^p(source) of reduced total cochain
     complexes, cut to `width` columns when given, for every coefficient
     system: pi f iota blockwise, transposed."""
-    tgt = reduced_total_cochain_complex_of(f.target, COEFF_Z, width)
-    push = _blockwise(
-        reduced_total_cochain_complex_of(f.source, COEFF_Z, width), tgt, p,
-        reduced_gmap_matrices(f))
+    tgt = reduced_total_cochain_complex_of(f.target, 0, width)
+    push = _blockwise(reduced_total_cochain_complex_of(f.source, 0, width),
+                      tgt, p, reduced_gmap_matrices(f))
     return transpose(push, tgt.rank(p))
 
 

@@ -672,10 +672,11 @@ def _canonical_matrix(target, mat):
                           for row, d in zip(mat.data, target.orders)]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupHom:
     """Homomorphism between presented groups, as a matrix acting on
-    generator coordinates (target coords x source coords)."""
+    generator coordinates (target coords x source coords); equal maps
+    share both endpoint objects, as compose and exact_at require."""
 
     source: PresentedGroup
     target: PresentedGroup
@@ -685,6 +686,14 @@ class GroupHom:
         if self.matrix.rows != self.target.ngens \
                 or self.matrix.cols != self.source.ngens:
             raise LinAlgError("homomorphism matrix has wrong shape")
+
+    def __eq__(self, other):
+        return (isinstance(other, GroupHom) and self.source is other.source
+                and self.target is other.target
+                and self.matrix == other.matrix)
+
+    def __hash__(self):
+        return hash((id(self.source), id(self.target), self.matrix))
 
     def apply(self, coords):
         if len(coords) != self.matrix.cols:

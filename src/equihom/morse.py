@@ -21,7 +21,7 @@ The involution of C' is the signed permutation of C restricted to the cells
 left (the critical cells).  The pairing and both maps are computed once per
 complex over Z with the untwisted involution: the twist only flips the sign
 of sigma, and Z/2 is the same integral data, so one reduction serves every
-coefficient system.
+coefficient system, viewed with the twist k alone (reduced_chain_complex).
 
 The elimination updates the boundary only.  It logs each cancellation
 with the boundary of b and the cofaces of a as they were then, and the
@@ -237,10 +237,10 @@ def _check_projections(columns, red, projections):
 
 
 @lru_cache(maxsize=None)
-def reduced_chain_complex(X, coeff):
+def reduced_chain_complex(X, k):
     """The G-chain complex on the critical cells of morse_reduction(X),
-    a view of its columns with the coefficient twist."""
-    return _view(X, coeff, morse_reduction(X).columns)
+    a view of its columns with twist k."""
+    return _view(X, k, morse_reduction(X).columns)
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,17 @@
 """Conversion between the sparse columns of chain maps and dense matrices,
-the dense boundaries and transposes built from them, and dense block
-placement, owned by the tests so that their dense references do not
-depend on the package's own conversions.
+the dense boundaries and transposes built from them, dense block
+placement, and the staircase on the simplicial (unreduced) chains, owned
+by the tests so that their dense references do not depend on the
+package's own conversions or on its Morse reduction.
 
 Sparse columns are the package's format for chain-level maps: one list of
 (row, entry) pairs per source coordinate, entries at one row adding up.
 """
 
+from functools import lru_cache
+
+from equihom.complexes import chain_complex
+from equihom.equivariant import TotalComplex
 from equihom.intlinalg import IntMatrix
 
 
@@ -48,3 +53,17 @@ def from_blocks(rows, cols, blocks):
             for c, x in enumerate(row):
                 data[roff + r][coff + c] += sign * x
     return IntMatrix(rows, cols, data)
+
+
+@lru_cache(maxsize=None)
+def total_complex_of(X, k):
+    """The staircase on the simplicial chains of X with twist k, the
+    reference for the staircase on the Morse-reduced chains."""
+    return TotalComplex(chain_complex(X, k))
+
+
+def total_complex(X, k, p_min, p_max):
+    """The differentials of total_complex_of(X, k) in the total degrees
+    p_min..p_max, by degree; windows agree wherever they overlap."""
+    tc = total_complex_of(X, k)
+    return {p: tc.diff(p) for p in range(p_min, p_max + 1)}

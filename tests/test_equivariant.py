@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -7,6 +11,7 @@ from equihom.complexes import (
     COEFF_Z,
     COEFF_Z1,
     COEFF_Z2,
+    ComplexError,
     barycentric_subdivide,
     builtin,
     chain_complex,
@@ -53,8 +58,6 @@ from equihom.equivariant import (
     reduced_total_cochain_complex_of,
     reduced_total_complex_of,
     represented_class,
-    total_complex,
-    total_complex_of,
 )
 from equihom.intlinalg import (
     FGAbelianGroup,
@@ -70,7 +73,15 @@ from equihom.intlinalg import (
 from equihom.verify import FIXED_POINT_BUILTINS, _naturality_maps
 from equihom.morse import reduced_chain_complex
 
-from chain_matrices import boundary, dense, from_blocks, sparse, transpose
+from chain_matrices import (
+    boundary,
+    dense,
+    from_blocks,
+    sparse,
+    total_complex,
+    total_complex_of,
+    transpose,
+)
 
 Z = FGAbelianGroup(1)
 Z2G = FGAbelianGroup(0, (2,))
@@ -116,17 +127,17 @@ class TestGroupCohomology:
 
 class TestTotalComplex:
     def test_point_untwisted_maps(self):
-        window = total_complex(builtin("point"), COEFF_Z, -2, 0)
+        window = total_complex(builtin("point"), 0, -2, 0)
         assert [window[p].data for p in (0, -1, -2)] == \
             [((0,),), ((2,),), ((0,),)]
 
     def test_point_twisted_maps(self):
-        window = total_complex(builtin("point"), COEFF_Z1, -2, 0)
+        window = total_complex(builtin("point"), 1, -2, 0)
         assert [window[p].data for p in (0, -1, -2)] == \
             [((2,),), ((0,),), ((2,),)]
 
     def test_free_pair_degree_zero(self):
-        tc = total_complex_of(builtin("free-pair"), COEFF_Z)
+        tc = total_complex_of(builtin("free-pair"), 0)
         d0 = tc.diff(0)
         assert d0.rows == 2 and d0.cols == 2
         # (1 - swap): the swap-difference matrix
@@ -134,8 +145,8 @@ class TestTotalComplex:
 
     def test_window_independence(self):
         X = builtin("circle-reflection")
-        small = total_complex(X, COEFF_Z, -1, 1)
-        large = total_complex(X, COEFF_Z, -3, 2)
+        small = total_complex(X, 0, -1, 1)
+        large = total_complex(X, 0, -3, 2)
         for p in (-1, 0, 1):
             assert small[p] == large[p]
 
@@ -143,8 +154,7 @@ class TestTotalComplex:
     def test_block_layout_matches_a_scan_of_every_column(self, name):
         X = (fixed_subcomplex(builtin("free-pair")) if name == "empty"
              else builtin(name))
-        for cc in (chain_complex(X, COEFF_Z),
-                   reduced_chain_complex(X, COEFF_Z)):
+        for cc in (chain_complex(X, 0), reduced_chain_complex(X, 0)):
             for tc in (TotalComplex(cc), TotalCochainComplex(cc)):
                 for p in range(-50, dim(X) + 51):
                     out, offset = [], 0
@@ -160,12 +170,81 @@ class TestTotalComplex:
                      "torus-reflection"):
             X = builtin(name)
             for coeff in ALL_COEFFS:
-                tc = total_complex_of(X, coeff)
+                tc = total_complex_of(X, coeff.k)
                 for p in range(-2, dim(X) + 1):
                     sq = tc.diff(p) @ tc.diff(p + 1)
                     if coeff.mod:
                         sq = sq.mod(coeff.mod)
                     assert sq.is_zero(), (name, coeff, p)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+# a fresh process per builtin: presentations are memoized by the values of
+# their matrices, so in a process that presented equal matrices before, a
+# group may hold the differential of another complex or degree
+SHARED_STAIRCASE = r"""
+import json
+import sys
+from equihom.complexes import (
+    COEFF_Z, COEFF_Z2, barycentric_subdivide, builtin, dim)
+from equihom.equivariant import (
+    eq_cohomology, eq_homology, reduced_total_cochain_complex_of,
+    reduced_total_complex_of)
+
+def staircases():
+    return [reduced_total_complex_of.cache_info().currsize,
+            reduced_total_cochain_complex_of.cache_info().currsize]
+
+failures, seen = [], set()
+X = builtin(sys.argv[1])
+for sd in (0, 1):
+    # a 0-dimensional complex is its own subdivision
+    new = 0 if X in seen else 1
+    seen.add(X)
+    before = staircases()
+    for p in range(-3, dim(X) + 3):
+        for group in (eq_homology, eq_cohomology):
+            if group(X, COEFF_Z2, p).d_in is not group(X, COEFF_Z, p).d_in:
+                failures.append([sd, group.__name__, p])
+    # the groups over Z/2 and Z asked for one staircase each way, and it
+    # is the untwisted one
+    reduced_total_complex_of(X, 0)
+    reduced_total_cochain_complex_of(X, 0)
+    grown = [a - b for a, b in zip(staircases(), before)]
+    if grown != [new, new]:
+        failures.append([sd, "staircases", grown])
+    X = barycentric_subdivide(X)
+print(json.dumps(failures))
+"""
+
+
+class TestTwistKeysTheChainLayer:
+    """The chain layer is keyed by the twist alone: Z/2 and Z share the
+    untwisted view, its staircase and its differentials, and a coefficient
+    system or any twist but 0 and 1 is refused there."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_z2_and_z_share_the_untwisted_staircase(self, name):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", SHARED_STAIRCASE, name],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    @pytest.mark.parametrize("sd", [0, 1])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_a_coefficient_system_is_no_twist(self, name, sd):
+        X = builtin(name)
+        for _ in range(sd):
+            X = barycentric_subdivide(X)
+        for view, k in ((chain_complex, COEFF_Z), (chain_complex, COEFF_Z2),
+                        (reduced_chain_complex, 2),
+                        (reduced_chain_complex, -1),
+                        (reduced_total_complex_of, COEFF_Z1)):
+            with pytest.raises(ComplexError, match="twist must be 0 or 1"):
+                view(X, k)
 
 
 def offset_column_projection(tc, p):
@@ -190,8 +269,8 @@ def offset_edge_connecting(X, coeff, p):
     """The connecting map of the column-0 quotient sequence, with
     (-1)^p (1 - sigma) placed at the offset of column 0."""
     prev = coeff.shift()
-    cc = reduced_chain_complex(X, coeff)
-    tc_prev = reduced_total_complex_of(X, prev)
+    cc = reduced_chain_complex(X, coeff.k)
+    tc_prev = reduced_total_complex_of(X, prev.k)
     one_minus_sigma = IntMatrix.identity(cc.rank(p)) - dense(cc.sigma(p),
                                                               cc.rank(p))
     chain_map = from_blocks(
@@ -212,8 +291,8 @@ class TestStaircaseMapsReadTheLayout:
         X = builtin(name)
         degrees = range(-4, dim(X) + 3)
         for coeff in ALL_COEFFS:
-            for cc in (chain_complex(X, coeff),
-                       reduced_chain_complex(X, coeff)):
+            for cc in (chain_complex(X, coeff.k),
+                       reduced_chain_complex(X, coeff.k)):
                 chains, cochains = TotalComplex(cc), TotalCochainComplex(cc)
                 for p in degrees:
                     for tc in (chains, cochains):
@@ -621,9 +700,9 @@ def mod2_reference_presentations(X):
     """(group, reference) for every Z/2 group of X in degrees -4..dim+2
     (ordinary ones in 0..dim): the reference is presented by homology_at
     on the same differentials reduced mod 2."""
-    chains = reduced_total_complex_of(X, COEFF_Z2)
-    cochains = reduced_total_cochain_complex_of(X, COEFF_Z2)
-    cc = reduced_chain_complex(X, COEFF_Z2)
+    chains = reduced_total_complex_of(X, 0)
+    cochains = reduced_total_cochain_complex_of(X, 0)
+    cc = reduced_chain_complex(X, 0)
     for p in range(-4, dim(X) + 3):
         yield eq_homology(X, COEFF_Z2, p), homology_at(
             chains.diff(p + 1).mod(2), chains.diff(p).mod(2), 2)
@@ -666,7 +745,7 @@ class TestClassVectors:
         X = builtin("sphere-octahedron-reflection")
         mu = fundamental_class(X, "Z")
         spot = eq_homology(X, mu.coeff, mu.p)
-        length = total_complex_of(X, mu.coeff).rank(mu.p)
+        length = total_complex_of(X, mu.coeff.k).rank(mu.p)
         assert length != spot.ambient_rank
         with pytest.raises(LinAlgError, match="wrong length"):
             spot.reduce((0,) * length)
@@ -677,7 +756,7 @@ class TestClassVectors:
         X = builtin("circle-antipodal")
         rejected = 0
         for coeff in ALL_COEFFS:
-            tc = reduced_total_complex_of(X, coeff)
+            tc = reduced_total_complex_of(X, coeff.k)
             for p in range(-1, 2):
                 spot = eq_homology(X, coeff, p)
                 n = tc.rank(p)

@@ -31,7 +31,7 @@ def raises_internal(fn, match=""):
 X = builtin("circle-reflection")
 # an order-three vertex permutation is no involution
 rotation = GComplex(3, ((0,), (1,), (2,)), (1, 2, 0))
-results = [raises_internal(lambda: chain_complex(rotation, COEFF_Z)),
+results = [raises_internal(lambda: chain_complex(rotation, 0)),
            raises_internal(lambda: morse.morse_reduction(rotation))]
 # a Morse reduction with pi or sigma' off by a sign: pi iota = -1, and
 # iota no longer commutes with the involution
@@ -88,7 +88,7 @@ results.append(raises_internal(lambda: complexes.gmap_chain_columns(flip)))
 # sends the edge (1, 2) to -(0, 3))
 Y = builtin("circle-antipodal")
 results += [raises_internal(fn, "commute") for fn in (
-    lambda: chain_complex(Y, COEFF_Z), lambda: morse.morse_reduction(Y))]
+    lambda: chain_complex(Y, 0), lambda: morse.morse_reduction(Y))]
 print(sys.flags.optimize, results)
 """
 

@@ -1166,7 +1166,7 @@ def unreduced_differentials(X, coeff):
     every presentation the package builds on X with these coefficients in
     degrees -2..dim+1 (ordinary ones in 0..dim), the differentials taken
     from simplicial and reduced staircases built here."""
-    cc, rc = chain_complex(X, coeff), reduced_chain_complex(X, coeff)
+    cc, rc = chain_complex(X, coeff.k), reduced_chain_complex(X, coeff.k)
     chains, cochains = TotalComplex(cc), TotalCochainComplex(cc)
     rchains, rcochains = TotalComplex(rc), TotalCochainComplex(rc)
     for p in range(-2, dim(X) + 2):
@@ -1328,7 +1328,7 @@ def simplicial_localizations(X, coeff, n):
         return (IntMatrix.zeros(0, src.ngens),
                 IntMatrix.zeros(0, cosrc.ngens))
     mats = gmap_chain_matrices(fixed_inclusion(X), COEFF_Z2)
-    ccx, ccf = chain_complex(X, COEFF_Z2), chain_complex(F, COEFF_Z2)
+    ccx, ccf = chain_complex(X, 0), chain_complex(F, 0)
     tcx, tcf = TotalComplex(ccx), TotalComplex(ccf)
     steps = dim(X) + 1
     p = n - steps
@@ -1373,7 +1373,7 @@ def check_maps_against_simplicial(X):
     localization, against the same computation on the simplicial
     chains."""
     n = dim(X)
-    cc = {c: chain_complex(X, c) for c in (COEFF_Z2, COEFF_Z, COEFF_Z1)}
+    cc = {c: chain_complex(X, c.k) for c in (COEFF_Z2, COEFF_Z, COEFF_Z1)}
     for coeff, c in cc.items():
         ch, co, mod = TotalComplex(c), TotalCochainComplex(c), coeff.mod
         prev = TotalComplex(cc[coeff.shift()])
@@ -1435,8 +1435,8 @@ def check_maps_against_simplicial(X):
         S, T = f.source, f.target
         for coeff in cc:
             mats = gmap_chain_matrices(f, coeff)
-            src = chain_complex(S, coeff)
-            tgt = chain_complex(T, coeff)
+            src = chain_complex(S, coeff.k)
+            tgt = chain_complex(T, coeff.k)
             ch_src, ch_tgt = TotalComplex(src), TotalComplex(tgt)
             co_src, co_tgt = TotalCochainComplex(src), TotalCochainComplex(tgt)
             for p in range(-2, n + 2):
@@ -1588,6 +1588,27 @@ class TestComposeAcrossPresentations:
         loc = localize_homology(X, COEFF_Z2, 0)
         assert parity_projection(F, homology, 0).compose(loc).target \
             is loc.target
+
+
+    def test_maps_are_equal_only_on_one_pair_of_endpoints(self):
+        # H_1 of both circles over Z/2 is Z/2 and sigma acts by 1 on each,
+        # but the two presentations are different objects
+        reflection = homology_involution(builtin("circle-reflection"),
+                                         COEFF_Z2, 1)
+        antipodal = homology_involution(builtin("circle-antipodal"),
+                                        COEFF_Z2, 1)
+        assert reflection.matrix == antipodal.matrix
+        assert reflection.source == antipodal.source
+        assert reflection.source is not antipodal.source
+        with pytest.raises(LinAlgError, match="endpoint"):
+            reflection.compose(antipodal)
+        assert reflection != antipodal and not reflection == antipodal
+        m = reflection.matrix
+        copy = GroupHom(reflection.source, reflection.target,
+                        IntMatrix(m.rows, m.cols, m.data))
+        assert copy == reflection and hash(copy) == hash(reflection)
+        assert copy.compose(reflection) == reflection.compose(copy)
+        assert len({reflection, antipodal, copy}) == 2
 
 
 class TestExactness:

@@ -97,7 +97,7 @@ def test_views_and_staircases_match_the_dense_path(name, subdivisions,
     view = reduced_chain_complex if reduced else chain_complex
     n = dim(X)
     for coeff in (COEFF_Z2, COEFF_Z, COEFF_Z1):
-        cc, ref = view(X, coeff), DenseChainComplex(columns, coeff)
+        cc, ref = view(X, coeff.k), DenseChainComplex(columns, coeff)
         chains, cochains = TotalComplex(cc, 1), TotalCochainComplex(cc, 1)
         for q in range(-2, n + 4):
             assert cc.rank(q) == ref.rank(q)
