@@ -9,6 +9,11 @@ A lattice in a group's coordinates is a pair (columns, orders): the span
 of the columns plus the relations d.e_i over the per-coordinate orders d
 (0 for none).  _with_relations is the one place that appends the
 relations to a matrix as columns.
+
+One interface, two paths.  Where every order is 2 a lattice is a subspace
+of F2^n, and _subquotient, LinearSolver and coordinate_kernel_lattice work
+on bit masks by one XOR elimination, _f2_eliminate; Z/2 generators are
+then its echelon choices.  Z and mixed orders run on smith_normal_form.
 """
 
 from __future__ import annotations
@@ -378,20 +383,112 @@ def _combine(cols, coeffs, n):
     return out
 
 
-class LinearSolver:
-    """Solve M x = b modulo the relations of a lattice (M, orders) over Z,
-    reusing one Smith decomposition of [M | R] for many b.
+# -- F2: vectors mod 2 as bit masks, bit i for coordinate i ---------------
 
-    Only the nonzeros of the transforms are kept: every column of U, and
-    the columns of V at nonzero invariant factors, cut to the rows of x.
-    A right-hand side costs time in proportion to the nonzeros of the
+def _all_two(orders):
+    """Whether every coordinate has the order 2, so the lattice of these
+    relations is worked over F2."""
+    return all(d == 2 for d in orders)
+
+
+def _f2_mask(values):
+    """The bit mask of the odd entries of values."""
+    mask = 0
+    for i in compress(range(len(values)), values):
+        if values[i] & 1:
+            mask |= 1 << i
+    return mask
+
+
+def _f2_columns(M):
+    """The columns of M mod 2 as bit masks."""
+    return [_f2_mask(c) for c in M.columns()]
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _f2_vector(mask, n):
+    """The 0/1 list of length n with the bits of mask."""
+    out = [0] * n
+    for i in _bits(mask):
+        out[i] = 1
+    return out
+
+
+def _f2_eliminate(cols):
+    """Column elimination over F2 of the bit-mask columns cols, by XOR.
+
+    Returns (pivots, kernel).  pivots maps the top bit of each nonzero
+    reduced column to that column and its combination, the mask of the
+    input columns whose sum it is; no two share a top bit, so a mask
+    reduces by pivots top bit first.  kernel holds the combinations that
+    sum to zero, a basis of the kernel whose top bits are distinct: the
+    index of the column each was found at."""
+    pivots = {}
+    kernel = []
+    for j, c in enumerate(cols):
+        m = 1 << j
+        while c:
+            top = c.bit_length() - 1
+            hit = pivots.get(top)
+            if hit is None:
+                pivots[top] = (c, m)
+                break
+            c ^= hit[0]
+            m ^= hit[1]
+        else:
+            kernel.append(m)
+    return pivots, kernel
+
+
+def _f2_fully_reduced(vectors):
+    """The span of vectors, masks with distinct top bits, as a dict from
+    lead (a top bit) to the basis vector of that lead, ascending, where no
+    vector has another vector's lead set.  So a vector x of the span is
+    the sum of the basis vectors at the leads set in x."""
+    basis = {}
+    leads = 0
+    for v in sorted(vectors):
+        for lead in _bits(v & leads):
+            v ^= basis[lead]
+        top = v.bit_length() - 1
+        basis[top] = v
+        leads |= 1 << top
+    return basis
+
+
+def _f2_kernel(M):
+    """The kernel of M mod 2, fully reduced (_f2_fully_reduced)."""
+    return _f2_fully_reduced(_f2_eliminate(_f2_columns(M))[1])
+
+
+class LinearSolver:
+    """Solve M x = b modulo the relations of a lattice (M, orders) over Z.
+
+    When every order is 2 the system is one over F2: M's columns are
+    eliminated once as bit masks, and a right-hand side reduces by their
+    pivots.  Otherwise one Smith decomposition of [M | R] serves every b,
+    and only the nonzeros of its transforms are kept: every column of U,
+    and the columns of V at nonzero invariant factors, cut to the rows of
+    x.  A right-hand side costs time in proportion to the nonzeros of the
     columns it touches, not to the size of M.
     """
 
     def __init__(self, lattice):
         M, orders = lattice
-        snf = smith_normal_form(_with_relations(M, orders))
         self.rows, self.cols, self.orders = M.rows, M.cols, tuple(orders)
+        # orders of the wrong length go on to _with_relations, which raises
+        if len(self.orders) == M.rows and _all_two(self.orders):
+            self._pivots = _f2_eliminate(_f2_columns(M))[0]
+            return
+        self._pivots = None
+        snf = smith_normal_form(_with_relations(M, orders))
         self._diag = snf.diag[:snf.rank]
         self._ucols = _column_entries(snf.U.data, self.rows)
         self._vcols = _column_entries(snf.V.data[:self.cols], snf.rank)
@@ -400,10 +497,21 @@ class LinearSolver:
         """Integer coefficients x of M's columns with M x = b modulo the
         relations, or None if there are none.
 
-        With U [M | R] V = D: (x; z) = V y where D y = U b, so (U b)_i
-        must be divisible by d_i, and must vanish where d_i = 0."""
+        Over F2, b reduces by the pivots and x is the sum of their
+        combinations.  Otherwise, with U [M | R] V = D: (x; z) = V y where
+        D y = U b, so (U b)_i must be divisible by d_i, and must vanish
+        where d_i = 0."""
         if len(b) != self.rows:
             raise LinAlgError("right-hand side has wrong length")
+        if self._pivots is not None:
+            b, x = _f2_mask(b), 0
+            while b:
+                hit = self._pivots.get(b.bit_length() - 1)
+                if hit is None:
+                    return None
+                b ^= hit[0]
+                x ^= hit[1]
+            return _f2_vector(x, self.cols)
         c = _combine(self._ucols, b, self.rows)
         if any(c[len(self._diag):]):
             return None
@@ -448,6 +556,15 @@ def kernel_basis(M, orders):
     r = snf.rank
     return _matrix(M.cols, snf.V.cols - r,
                    tuple(row[r:] for row in snf.V.data[:M.cols]))
+
+
+@lru_cache(maxsize=None)
+def _f2_kernel_basis(M):
+    """Columns, of 0s and 1s, form a basis of the kernel of M mod 2; with
+    the relations 2.e_i of a source of order 2 they span the lattice that
+    kernel_basis(M, (2,) * M.rows) spans."""
+    return IntMatrix.from_columns(
+        M.cols, [_f2_vector(v, M.cols) for v in _f2_kernel(M).values()])
 
 
 def lattices_equal(A, B):
@@ -580,15 +697,30 @@ class PresentedGroup(FGAbelianGroup):
 
     def lift(self, coords):
         """An ambient cycle representing the given generator coordinates."""
-        coords = list(coords)
-        if len(coords) != self.ngens:
-            raise LinAlgError("coordinate vector has wrong length")
-        return tuple(_combine(self._gen_cols, coords, self.ambient_rank))
+        return tuple(_combine(self._gen_cols, _coordinates(coords, self.ngens),
+                              self.ambient_rank))
 
     def coordinate_kernel_lattice(self, matrix, target):
         """The lattice {x in Z^ngens : matrix . x dies in target} in this
-        group's coordinates, as (basis, orders)."""
+        group's coordinates, as (basis, orders).  When both groups have
+        every order 2 that is a kernel over F2; otherwise it is the
+        integral one, which the relations of the target may enlarge (a
+        source Z needs the 2.e_i of a target Z/2)."""
+        if _all_two(self.orders) and _all_two(target.orders):
+            return _f2_kernel_basis(matrix), self.orders
         return kernel_basis(matrix, target.orders), self.orders
+
+
+def _coordinates(coords, n):
+    """coords as a list, checked to be n exact integers: generator
+    coordinates entering from outside (lift, GroupHom.apply)."""
+    coords = list(coords)
+    if len(coords) != n:
+        raise LinAlgError("coordinate vector has wrong length")
+    if not all(map(_is_integer, coords)):
+        raise LinAlgError("coordinates must be exact integers, got %r"
+                          % (coords,))
+    return coords
 
 
 def _cycle_coordinates(dcols, orders, vicols, t, vec):
@@ -615,10 +747,16 @@ def _cycle_coordinates(dcols, orders, vicols, t, vec):
 def _subquotient(d_out, d_in, ambient_orders, target_orders):
     """The PresentedGroup {x : d_out x in R_target} / (im d_in + R_ambient),
     each relation lattice R spanned by the d.e_i over its per-coordinate
-    orders d (0 for none); equal inputs give one presentation object."""
+    orders d (0 for none); equal inputs give one presentation object.
+    When every order is 2 the group is worked over F2 (_f2_subquotient),
+    otherwise by two Smith normal forms."""
     g = d_out.cols
     if d_in.rows != g:
         raise LinAlgError("d_in lands in the wrong ambient")
+    if (len(ambient_orders), len(target_orders)) != (g, d_out.rows):
+        raise LinAlgError("relation orders do not match the ambients")
+    if _all_two(ambient_orders) and _all_two(target_orders):
+        return _f2_subquotient(d_out, d_in, ambient_orders, target_orders)
     # with U . [d_out | R] . V = D of rank r, the cycles are the top g
     # rows of the kernel basis V[:, r:], and V^-1[r:] gives coordinates
     snf = smith_normal_form(_with_relations(d_out, target_orders))
@@ -627,27 +765,71 @@ def _subquotient(d_out, d_in, ambient_orders, target_orders):
     kmat = _matrix(g, t, tuple(row[r:] for row in snf.V.data[:g]))
     cycles = (_column_entries(d_out.data, g), target_orders,
               _column_entries(snf.Vinv.data[r:], snf.V.rows), t)
-    ycols = []
-    for col in chain(d_in.columns(), _relations(ambient_orders)):
-        y = _cycle_coordinates(*cycles, col)
-        if y is None:
-            raise ChainConditionError(
-                "boundaries do not lie in the cycle lattice")
-        ycols.append(y)
+    ycols = [_boundary_coordinates(cycles, col) for col in
+             chain(d_in.columns(), _relations(ambient_orders))]
     sy = smith_normal_form(IntMatrix.from_columns(t, ycols))
     orders_all = sy.diag + (0,) * (t - len(sy.diag))
     kept = [i for i in range(t) if orders_all[i] != 1]
     gens_ambient = kmat @ sy.Uinv.take_columns(kept)
-    torsion = tuple(d for d in orders_all if d >= 2)
-    free_rank = orders_all.count(0)
+    # the coordinates are the rows of U_y at the kept generators
+    coord_cols = _column_entries([sy.U.data[i] for i in kept], t)
+    return _presented([d for d in orders_all if d >= 2],
+                      orders_all.count(0), gens_ambient.columns(), cycles,
+                      coord_cols, d_in, ambient_orders)
 
+
+def _f2_subquotient(d_out, d_in, ambient_orders, target_orders):
+    """_subquotient when every order is 2: ker(d_out) / im(d_in) over F2.
+
+    The cycles are a fully reduced basis of the kernel of d_out mod 2, so
+    the cycle coordinates of x are x at their leads, which
+    _cycle_coordinates reads as a V^-1 with one unit per lead.  The
+    boundaries,
+    in those coordinates, get a fully reduced basis too: the cycles at
+    its non-pivots are the generators, and the coordinates of y are y
+    plus the boundaries at its pivots, read at the non-pivots."""
+    g = d_out.cols
+    cycle_basis = _f2_kernel(d_out)
+    leads = list(cycle_basis)
+    t = len(leads)
+    vicols = [[] for _ in range(g + d_out.rows)]
+    for j, lead in enumerate(leads):
+        vicols[lead] = [(j, 1)]
+    cycles = (_column_entries(d_out.data, g), target_orders, vicols, t)
+    pivots, _ = _f2_eliminate([_f2_mask(_boundary_coordinates(cycles, col))
+                               for col in d_in.columns()])
+    image = _f2_fully_reduced(c for c, _ in pivots.values())
+    kept = [j for j in range(t) if j not in image]
+    index = {j: n for n, j in enumerate(kept)}
+    coord_cols = [[(index[i], 1) for i in _bits(image[j]) if i != j]
+                  if j in image else [(index[j], 1)] for j in range(t)]
+    return _presented(
+        [2] * len(kept), 0,
+        [_f2_vector(cycle_basis[leads[j]], g) for j in kept], cycles,
+        coord_cols, d_in, ambient_orders)
+
+
+def _boundary_coordinates(cycles, col):
+    """The cycle coordinates of a boundary or relation column; raises
+    unless it is a cycle."""
+    y = _cycle_coordinates(*cycles, col)
+    if y is None:
+        raise ChainConditionError(
+            "boundaries do not lie in the cycle lattice")
+    return y
+
+
+def _presented(torsion, free_rank, generators, cycles, coord_cols, d_in,
+               ambient_orders):
+    """The PresentedGroup of these fields; generators are ambient
+    vectors, read by lift as sparse columns."""
     grp = PresentedGroup(free_rank, torsion)
-    grp.ambient_rank = g
-    grp.generators = tuple(gens_ambient.columns())
-    grp._gen_cols = _column_entries(gens_ambient.data, gens_ambient.cols)
+    grp.ambient_rank = d_in.rows
+    grp.generators = tuple(map(tuple, generators))
+    grp._gen_cols = [list(compress(enumerate(gen), gen))
+                     for gen in grp.generators]
     grp._cycles = cycles
-    # the rows of U_y at the kept generators, as columns
-    grp._coord_cols = _column_entries([sy.U.data[i] for i in kept], t)
+    grp._coord_cols = coord_cols
     grp.d_in, grp.ambient_orders = d_in, ambient_orders
     return grp
 
@@ -659,8 +841,8 @@ def homology_at(d_in, d_out, mod=0):
     (mod `mod` when it is nonzero), else ChainConditionError is raised.
     mod=0 works over Z.  mod=2 works over Z/2 and is the only place the
     modulus acts: the inputs are not reduced, every coordinate of Z^g and
-    Z^h gets the order 2.  Equal matrices and modulus give one
-    presentation object.
+    Z^h gets the order 2, and the group is worked over F2.  Equal matrices
+    and modulus give one presentation object.
     """
     return _subquotient(d_out, d_in, (mod,) * d_out.cols, (mod,) * d_out.rows)
 
@@ -696,9 +878,9 @@ class GroupHom:
         return hash((id(self.source), id(self.target), self.matrix))
 
     def apply(self, coords):
-        if len(coords) != self.matrix.cols:
-            raise LinAlgError("coordinate vector has wrong length")
-        return _reduced(self.matrix.mul_vector(coords), self.target.orders)
+        return _reduced(
+            self.matrix.mul_vector(_coordinates(coords, self.matrix.cols)),
+            self.target.orders)
 
     def compose(self, inner):
         """self o inner.  The middle group must be one presentation object,

@@ -47,6 +47,7 @@ from equihom.equivariant import (
     graded_pushforward,
     group_cohomology,
     homology,
+    homology_involution,
     les_coeff,
     les_edge,
     localize_cohomology,
@@ -67,6 +68,7 @@ from equihom.intlinalg import (
     PresentedGroup,
     exact_at,
     homology_at,
+    image_lattice,
     induced_hom,
     kernel_lattice,
 )
@@ -502,29 +504,40 @@ class TestLocalization:
         assert loc.is_zero() and loc.target == TRIVIAL
 
     def test_circle_reflection_degree_pattern(self):
-        # each degree-zero generator localizes to a point class whose
-        # mod-2 degree matches the equivariant degree
+        # each degree-zero class localizes to a point class whose mod-2
+        # degree matches the equivariant degree, and each of the two
+        # fixed points is the localization of a class, found by solving
+        # rather than read off a generator
         X = builtin("circle-reflection")
         F = fixed_subcomplex(X)
         assert fixed_offsets(F, homology) == (0, 2)
         loc = localize_homology(X, COEFF_Z2, 0)
         spot = eq_homology(X, COEFF_Z2, 0)
-        seen = set()
+        assert spot.ngens == 2
         for i in range(spot.ngens):
             coords = tuple(1 if j == i else 0 for j in range(spot.ngens))
             cls = class_from_coords(X, COEFF_Z2, 0, coords)
-            image = loc.apply(coords)
-            assert graded_degree_mod2(F, image) == \
+            assert graded_degree_mod2(F, loc.apply(coords)) == \
                 equivariant_degree(cls) % 2
-            seen.add(image)
-        assert seen == {(0, 1), (1, 0)}
+        solver = LinearSolver(image_lattice(loc))
+        for point in ((1, 0), (0, 1)):
+            cls = class_from_coords(X, COEFF_Z2, 0,
+                                    solver.solve_vector(point))
+            assert loc.apply(cls.coords) == point
+            assert graded_degree_mod2(F, point) == \
+                equivariant_degree(cls) % 2 == 1
 
     def test_sum_of_fixed_point_classes_has_degree_zero(self):
         X = builtin("circle-reflection")
         F = fixed_subcomplex(X)
         loc = localize_homology(X, COEFF_Z2, 0)
-        total = loc.apply((1, 1))
-        assert graded_degree_mod2(F, total) == 0
+        solver = LinearSolver(image_lattice(loc))
+        points = [solver.solve_vector(point) for point in ((1, 0), (0, 1))]
+        total = class_from_coords(X, COEFF_Z2, 0,
+                                  [a + b for a, b in zip(*points)])
+        assert loc.apply(total.coords) == (1, 1)
+        assert graded_degree_mod2(F, loc.apply(total.coords)) == 0
+        assert equivariant_degree(total) % 2 == 0
 
     def test_fundamental_class_localizes_to_equator(self):
         X = builtin("sphere-octahedron-reflection")
@@ -564,12 +577,42 @@ class TestRestrictionLocalization:
         X = builtin("circle-reflection")
         assert fixed_offsets(fixed_subcomplex(X), cohomology) == (0, 2)
         beta = localize_cohomology(X, COEFF_Z2, 1)
-        assert set(beta.matrix.columns()) == {(0, 1), (1, 0)}
+        # two generators, and each point class is the image of a class
+        # found by solving: beta is a bijection onto the two points
+        assert beta.source.ngens == 2
+        solver = LinearSolver(image_lattice(beta))
+        for point in ((1, 0), (0, 1)):
+            coords = solver.solve_vector(point)
+            assert coords is not None and beta.apply(coords) == point
 
     def test_free_action_zero(self):
         X = builtin("sphere-octahedron-antipodal")
         beta = localize_cohomology(X, COEFF_Z2, 2)
         assert beta.is_zero() and beta.target == TRIVIAL
+
+
+class TestCoordinatesMustBeIntegers:
+    """Generator coordinates entering from outside are exact integers:
+    lift, GroupHom.apply and class_from_coords refuse anything else,
+    bool included, with LinAlgError."""
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1", None])
+    def test_non_integers_are_refused(self, bad):
+        X = builtin("circle-reflection")
+        spot = eq_homology(X, COEFF_Z, 0)
+        sigma = homology_involution(X, COEFF_Z2, 0)
+        assert (spot.ngens, sigma.source.ngens) == (2, 1)
+        for call in (lambda: class_from_coords(X, COEFF_Z2, 0, (1, bad)),
+                     lambda: spot.lift((bad, 1)),
+                     lambda: sigma.apply((bad,))):
+            with pytest.raises(LinAlgError, match="exact integers"):
+                call()
+
+    def test_integers_pass(self):
+        X = builtin("circle-reflection")
+        assert class_from_coords(X, COEFF_Z2, 0, (3, -2)).coords == (1, 0)
+        assert len(eq_homology(X, COEFF_Z, 0).lift((2, -1))) > 0
+        assert homology_involution(X, COEFF_Z2, 0).apply((5,)) == (1,)
 
 
 class TestGradedMaps:

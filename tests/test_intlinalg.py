@@ -60,6 +60,8 @@ from equihom.equivariant import (
     parity_projection,
     pullback_hom,
     pushforward_hom,
+    reduced_total_cochain_complex_of,
+    reduced_total_complex_of,
 )
 from equihom.intlinalg import (
     ChainConditionError,
@@ -669,8 +671,8 @@ def reference_reducer(grp, d_out, target_orders):
     """reduce by the dense formula, built once per group: solve in the
     cycle basis (the kernel of [d_out | R] cut to its top rows), apply the
     full U_y of the boundary Smith decomposition, keep the rows whose
-    invariant factor is not 1.  The returned function gives None for a
-    non-cycle."""
+    invariant factor is not 1.  Returns the function, which gives None for
+    a non-cycle, and the orders of the coordinates it keeps."""
     kmat = stacked_kernel(d_out, target_orders)
     ks = smith_normal_form(kmat)
     lmat = IntMatrix.hstack(grp.d_in, relation_matrix(grp.ambient_orders))
@@ -688,7 +690,7 @@ def reference_reducer(grp, d_out, target_orders):
         u = sy.U.mul_vector(y)
         return tuple(u[i] % d if d else u[i]
                      for i, d in enumerate(orders) if d != 1)
-    return reduce
+    return reduce, tuple(d for d in orders if d != 1)
 
 
 def random_cycles(grp, rng, rounds):
@@ -705,11 +707,37 @@ def random_cycles(grp, rng, rounds):
         yield cycle, [rng.randint(-2, 2) for _ in range(g)]
 
 
+def invertible_mod_2(A):
+    """Whether the square matrix A is invertible mod 2: its determinant,
+    the product of its invariant factors, is odd."""
+    dec = smith_normal_form(A)
+    return dec.rank == A.rows and all(d % 2 for d in dec.diag)
+
+
 def check_against_reference(grp, d_out, target_orders, rng, rounds=10):
-    """Random cycles (combinations of generators, boundaries and relations)
-    and random noise reduce as the dense reference does, a non-cycle
-    raises, and the lift of every unit vector reduces back to it."""
-    reference = reference_reducer(grp, d_out, target_orders)
+    """grp has the group type of the dense reference; random cycles
+    (combinations of generators, boundaries and relations) and random
+    noise reduce as the reference does, a non-cycle raises, and the lift
+    of every unit vector reduces back to it.
+
+    Over Z/2 the generators are echelon choices, not the Smith form's, so
+    the coordinates agree through a change of basis: A, whose column k is
+    the reference coordinates of lift(e_k), is invertible mod 2, and the
+    reference coordinates of every cycle are A times its coordinates.
+    Other groups are compared coordinate for coordinate."""
+    reference, orders = reference_reducer(grp, d_out, target_orders)
+    assert orders == grp.orders
+    n = grp.ngens
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    if set(orders) <= {2}:
+        A = IntMatrix.from_columns(n, [reference(grp.lift(e))
+                                       for e in units])
+        assert invertible_mod_2(A)
+
+        def translate(coords):
+            return tuple(v % 2 for v in A.mul_vector(coords))
+    else:
+        translate = tuple
     for cycle, noise in random_cycles(grp, rng, rounds):
         for vec in (cycle, noise):
             want = reference(vec)
@@ -717,10 +745,9 @@ def check_against_reference(grp, d_out, target_orders, rng, rounds=10):
                 with pytest.raises(LinAlgError):
                     grp.reduce(vec)
             else:
-                assert grp.reduce(vec) == want
+                assert translate(grp.reduce(vec)) == want
         assert reference(cycle) is not None
-    for k in range(grp.ngens):
-        unit = tuple(int(i == k) for i in range(grp.ngens))
+    for unit in units:
         assert grp.reduce(grp.lift(unit)) == unit
 
 
@@ -1011,7 +1038,12 @@ class TestLatticesCarryTheirOrders:
             assert solver.solve_vector(b) is not None
             for rhs in (b, noise):
                 got = solver.solve_vector(rhs)
-                assert got == stacked_solve(M, orders, rhs)
+                want = stacked_solve(M, orders, rhs)
+                if set(orders) <= {2}:
+                    # solved over F2: some solution, when there is one
+                    assert (got is None) == (want is None)
+                else:
+                    assert got == want
                 if got is not None:
                     assert len(got) == M.cols
                     assert all((v - w) % d == 0 if d else v == w
@@ -1032,18 +1064,22 @@ class TestLatticesCarryTheirOrders:
                        for v, d in zip(col, orders))
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_elementary_kernel_lattice_has_n_columns(self, seed):
+    def test_elementary_kernel_lattice_is_the_kernel_mod_2(self, seed):
         rng = random.Random(8300 + seed)
         n, m = rng.randint(0, 6), rng.randint(0, 6)
         hom = elementary_hom(rng, n, m)
         basis, orders = kernel_lattice(hom)
-        assert orders == (2,) * n
-        assert (basis.rows, basis.cols) == (n, n)
-        assert (hom.matrix @ basis).mod(2).is_zero()
-        # the basis alone spans the relations 2e_i too: its index in Z^n
-        # is the size 2^rank of the image mod 2
         rank = sum(1 for d in smith_normal_form(hom.matrix).diag if d % 2)
-        assert math.prod(smith_normal_form(basis).diag) == 2 ** rank
+        assert orders == (2,) * n
+        # a basis of the kernel over F2, with no relation columns
+        assert (basis.rows, basis.cols) == (n, n - rank)
+        assert (hom.matrix @ basis).mod(2).is_zero()
+        # with the relations 2e_i it spans the kernel lattice: its index
+        # in Z^n is the size 2^rank of the image mod 2
+        spanned = IntMatrix.hstack(basis, relation_matrix(orders))
+        assert math.prod(d for d in smith_normal_form(spanned).diag if d) \
+            == 2 ** rank
+        assert smith_normal_form(spanned).rank == n
 
     def test_image_lattice_is_the_matrix(self):
         hom = elementary_hom(random.Random(8400), 3, 2)
@@ -1269,6 +1305,160 @@ class TestRandomGComplexOracle:
     def test_fuzz_complexes(self, index):
         _, X = fuzz_complexes(20)[index]
         check_reduction(X, random.Random(index))
+
+
+def elementary(n, mod=2):
+    """(Z/2)^n, or Z^n for mod 0, presented with identity generators."""
+    return homology_at(IntMatrix.zeros(n, 0), IntMatrix.zeros(0, n), mod=mod)
+
+
+def reference_contains(lattice, B):
+    """Whether the columns of B lie in the lattice (M, orders), by the
+    dense integer reference on [M | R]."""
+    M, orders = lattice
+    return all(stacked_solve(M, orders, col) is not None
+               for col in B.columns())
+
+
+def check_f2_lattices(M, rng):
+    """The lattice layer of M : (Z/2)^cols -> (Z/2)^rows, worked over F2,
+    against the integer reference on [M | 2 I]: solve_vector finds a
+    solution exactly when the reference does, and it is one; the kernel
+    lattices, contains and lattices_equal agree.  A Z source with the
+    same Z/2 target keeps the integral kernel, which holds every 2 e_i."""
+    twos = (2,) * M.rows
+    solver = LinearSolver((M, twos))
+    for _ in range(6):
+        x = [rng.randint(-3, 3) for _ in range(M.cols)]
+        for b in (M.mul_vector(x), [rng.randint(-3, 3) for _ in twos]):
+            got = solver.solve_vector(b)
+            assert (got is None) == (stacked_solve(M, twos, b) is None)
+            if got is not None:
+                assert all((v - w) % 2 == 0
+                           for v, w in zip(M.mul_vector(got), b))
+    source = (2,) * M.cols
+    K, orders = kernel_lattice(GroupHom(elementary(M.cols),
+                                        elementary(M.rows), M))
+    ref = stacked_kernel(M, twos)
+    assert orders == source
+    assert reference_contains((K, source), ref)
+    assert reference_contains((ref, source), K)
+    for B in (M @ random_matrix(rng, M.cols, rng.randint(0, 3), bound=2),
+              random_matrix(rng, M.rows, rng.randint(0, 3), bound=2), M):
+        there = reference_contains((M, twos), B)
+        back = reference_contains((B, twos), M)
+        assert LinearSolver((M, twos)).contains((B, twos)) == there
+        assert LinearSolver((B, twos)).contains((M, twos)) == back
+        assert lattices_equal((M, twos), (B, twos)) == (there and back)
+    free = (0,) * M.cols
+    K, orders = kernel_lattice(GroupHom(elementary(M.cols, 0),
+                                        elementary(M.rows), M))
+    assert orders == free
+    assert K == kernel_basis(M, twos) == ref
+    for i in range(M.cols):
+        assert stacked_solve(K, free, [2 * (j == i) for j in free]) \
+            is not None
+
+
+def check_f2_presentation(d_in, d_out, rng, rounds=3):
+    """homology_at over Z/2 against the dense Smith reference."""
+    check_against_reference(homology_at(d_in, d_out, mod=2), d_out,
+                            (2,) * d_out.rows, rng, rounds)
+
+
+def z2_differentials(X):
+    """(d_in, d_out) of the Z/2 presentations the package builds on X: its
+    reduced staircases, chains and cochains, unbounded and cut to the
+    ordinary column, in degrees -2..dim+1."""
+    for width in (None, 1):
+        chains = reduced_total_complex_of(X, 0, width)
+        cochains = reduced_total_cochain_complex_of(X, 0, width)
+        for p in range(-2, dim(X) + 2):
+            yield chains.diff(p + 1), chains.diff(p)
+            yield cochains.diff(p - 1), cochains.diff(p)
+
+
+def check_f2_on_complex(X, rng):
+    for d_in, d_out in z2_differentials(X):
+        check_f2_presentation(d_in, d_out, rng)
+    for p in range(dim(X) + 1):
+        for hom in (edge_morphism(X, COEFF_Z2, p),
+                    homology_involution(X, COEFF_Z2, p)):
+            check_f2_lattices(hom.matrix, rng)
+
+
+class TestF2AgainstSmith:
+    """Differential test of the F2 elimination behind every presentation
+    and lattice test whose orders are all 2, against smith_normal_form
+    over Z/2 (on [M | 2 I], through the dense references): equal group
+    types, reduce equal through an invertible change of basis, and the
+    same solvability, containments and kernel lattices."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_corpus(self, seed):
+        # every shape up to 12 x 12, sparse matrices, [d | 2 I] stacks and
+        # matrices without units; each matrix is a map for the lattice
+        # layer and the outgoing differential of a presentation whose
+        # boundaries are random cycles mod 2
+        rng = random.Random(9000 + seed)
+        for M in smith_corpus(500 + seed):
+            check_f2_lattices(M, rng)
+            cycles = stacked_kernel(M, (2,) * M.rows)
+            d_in = cycles @ random_matrix(rng, cycles.cols,
+                                          rng.randint(0, 4), bound=2)
+            for boundaries in (d_in, IntMatrix.zeros(M.cols, 0)):
+                check_f2_presentation(boundaries, M, rng)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chain_pairs(self, seed):
+        rng = random.Random(9100 + seed)
+        check_f2_presentation(*random_chain_pair(rng, 2), rng, 10)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_oracle_complexes(self, seed):
+        check_f2_on_complex(*oracle_complex(seed))
+
+    @pytest.mark.parametrize("sd", [0, 1])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name, sd):
+        X = builtin(name)
+        for _ in range(sd):
+            X = barycentric_subdivide(X)
+        check_f2_on_complex(X, random.Random(name))
+
+
+class TestF2MakesNoSmithForm:
+    @pytest.fixture
+    def snf_calls(self, monkeypatch):
+        for memo in KERNEL_MEMOS + (intlinalg._f2_kernel_basis,):
+            memo.cache_clear()
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return smith_normal_form(M)
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_all_two_orders(self, snf_calls, seed):
+        rng = random.Random(9200 + seed)
+        d_in, d_out = random_chain_pair(rng, 2)
+        grp = homology_at(d_in, d_out, mod=2)
+        sigma = IntMatrix.identity(2).scale(-1)
+        group_cohomology(FGAbelianGroup(0, (2, 2)), sigma, 1)
+        _graded_group(grp.ngens + 1)
+        M = random_matrix(rng, grp.ngens, grp.ngens, bound=1)
+        hom = GroupHom(grp, grp, M)
+        LinearSolver(image_lattice(hom)).solve_vector([1] * grp.ngens)
+        lattices_equal(image_lattice(hom), kernel_lattice(hom))
+        exact_at(hom, hom)
+        assert snf_calls == []
+        # a Z source with a Z/2 target keeps the integral kernel
+        free, target = elementary(2, 0), elementary(1)
+        del snf_calls[:]
+        kernel_lattice(GroupHom(free, target, mat([[1, 1]])))
+        assert len(snf_calls) == 1
 
 
 def gmap_chain_matrices(f, coeff):

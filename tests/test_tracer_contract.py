@@ -19,7 +19,7 @@ import equihom
 import equihom.cli  # the tracer also wraps cli._emit and verify.suite_*
 from equihom import equivariant
 from equihom.complexes import (
-    COEFF_Z2, builtin, fixed_inclusion, identity_map)
+    COEFF_Z, COEFF_Z2, builtin, fixed_inclusion, identity_map)
 
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
 tracer_module = importlib.util.module_from_spec(spec)
@@ -39,6 +39,8 @@ try:
         fixed_inclusion(builtin("sphere-octahedron-reflection")), "Z2")
     equivariant.localize_homology(X, COEFF_Z2, 1)  # calls pushforward_hom
     equivariant.pushforward_hom(identity_map(X), COEFF_Z2, 0)
+    # Z/2 is worked over F2; Smith forms and integral kernels come from Z
+    equivariant.les_edge(X, COEFF_Z, -1, 1)
 finally:
     tracer.uninstall()
 print(json.dumps({"metrics": tracer.metrics(),
