@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .intlinalg import InternalError, _is_integer
@@ -44,6 +44,8 @@ class Coeff:
     def __post_init__(self):
         if self.ring not in ("Z", "Z2"):
             raise ComplexError("ring must be 'Z' or 'Z2'")
+        if not _is_integer(self.k):
+            raise ComplexError("twist must be an integer, got %r" % (self.k,))
         object.__setattr__(self, "k", 0 if self.ring == "Z2" else self.k % 2)
 
     @property
@@ -85,7 +87,7 @@ def _is_vertex_id(v, vertex_count):
 
 
 def make_complex(vertex_count, simplices, involution):
-    """Canonicalize and face-close the input; structural errors raise."""
+    """Canonicalize the input to its maximal simplices; errors raise."""
     if vertex_count < 0:
         raise ComplexFormatError("vertices: must be nonnegative")
     involution = tuple(involution)
@@ -93,17 +95,14 @@ def make_complex(vertex_count, simplices, involution):
         raise ComplexFormatError(
             "involution: expected a list of length %d, got %d"
             % (vertex_count, len(involution)))
-    seen = set()
     for v, w in enumerate(involution):
         if not _is_vertex_id(w, vertex_count):
             raise ComplexFormatError(
                 "involution[%d]: %r is not a vertex id" % (v, w))
-        seen.add(w)
-    if len(seen) != vertex_count:
+    if len(set(involution)) != vertex_count:
         raise ComplexFormatError("involution: not a permutation")
 
-    cleaned = []
-    covered = set()
+    cleaned = set()
     for idx, simplex in enumerate(simplices):
         # check the entries before sorting, which would compare them
         for v in simplex:
@@ -116,22 +115,23 @@ def make_complex(vertex_count, simplices, involution):
         if len(set(simplex)) != len(simplex):
             raise ComplexFormatError(
                 "simplices[%d]: repeated vertex in %r" % (idx, list(simplex)))
-        cleaned.append(simplex)
-        covered.update(simplex)
-    if covered != set(range(vertex_count)):
-        missing = sorted(set(range(vertex_count)) - covered)
+        cleaned.add(simplex)
+    missing = set(range(vertex_count)).difference(*cleaned)
+    if missing:
         raise ComplexFormatError(
-            "simplices: vertex %d appears in no simplex" % missing[0])
+            "simplices: vertex %d appears in no simplex" % min(missing))
 
-    # drop duplicates and non-maximal faces: longest first, a simplex is
-    # maximal unless it is a proper face of one kept before it
-    cleaned = sorted(set(cleaned), key=lambda s: (-len(s), s))
+    # drop non-maximal faces one size at a time, longest first: a simplex
+    # is maximal unless it is a face of a longer kept one (a face of the
+    # closure, so held to its cap)
     maximal = []
-    faces = set()
-    for s in cleaned:
-        if s not in faces:
-            maximal.append(s)
-            _add_faces(faces, s)
+    for n in sorted({len(s) for s in cleaned}, reverse=True):
+        faces = set()
+        for s in maximal:
+            _check_size(2 ** len(s) - 1)
+            faces.update(itertools.combinations(s, n))
+            _check_size(len(faces))
+        maximal += [s for s in cleaned if len(s) == n and s not in faces]
     maximal.sort(key=lambda s: (len(s), s))
     return GComplex(vertex_count, tuple(maximal), involution)
 
@@ -142,29 +142,25 @@ def _check_size(count, what="simplices: the face closure has at least"):
                                  % (what, count, MAX_SIMPLICES))
 
 
-def _add_faces(faces, s):
-    """Add the faces of the simplex s to the set faces, checking the count
-    for s alone, then per face size, so that little past the cap is built."""
-    _check_size(2 ** len(s) - 1)
-    for q in range(1, len(s) + 1):
-        faces.update(itertools.combinations(s, q))
-        _check_size(len(faces))
-
-
 @lru_cache(maxsize=None)
 def simplices_by_dim(X):
-    """All faces, per dimension, in sorted order."""
-    faces = set()
+    """All faces, per dimension, in sorted order: the one face closure.
+    Its count is checked for each maximal simplex alone, then per face
+    size, so that little past the cap is built."""
+    levels = [set() for _ in range(dim(X) + 1)]
+    count = 0
     for s in X.maximal_simplices:
-        _add_faces(faces, s)
-    return tuple(tuple(sorted(f for f in faces if len(f) == q + 1))
-                 for q in range(dim(X) + 1))
+        _check_size(2 ** len(s) - 1)
+        for q, level in enumerate(levels[:len(s)]):
+            count -= len(level)
+            level.update(itertools.combinations(s, q + 1))
+            count += len(level)
+            _check_size(count)
+    return tuple(tuple(sorted(level)) for level in levels)
 
 
 def dim(X):
-    if not X.maximal_simplices:
-        return -1
-    return max(len(s) for s in X.maximal_simplices) - 1
+    return max(map(len, X.maximal_simplices), default=0) - 1
 
 
 def simplex_count(X):
@@ -182,27 +178,56 @@ def face_index(X):
                  for level in simplices_by_dim(X))
 
 
-def _sigma_simplex(X, simplex):
-    return tuple(sorted(X.involution[v] for v in simplex))
+def _perm_sign(seq):
+    """(-1) to the number of inversions of seq."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
+
+
+def _map_columns(X, Y, vertex_map, what):
+    """The chain map of the vertex map X -> Y as sparse columns, per degree
+    one [(index, sign)] per simplex, or [] where its image collapses: the
+    one lookup of images.  A ComplexError names the first simplex whose
+    image is missing."""
+    index = face_index(Y) + ({},) * (dim(X) + 1)  # no image past dim(Y)
+
+    def column(s):
+        image = [vertex_map[v] for v in s]
+        i = index[len(s) - 1].get(tuple(sorted(image)))
+        if i is not None:
+            return [(i, _perm_sign(image))]
+        face = tuple(sorted(set(image)))
+        if len(face) == len(s) or face not in index[len(face) - 1]:
+            raise ComplexError("%s is not simplicial: image of %r missing"
+                               % (what, list(s)))
+        return []
+    return tuple([column(s) for s in level] for level in simplices_by_dim(X))
+
+
+@lru_cache(maxsize=None)
+def sigma_columns(X):
+    """The sigma of chain_columns(X): the untwisted involution's columns."""
+    return _map_columns(X, X, X.involution, "involution")
 
 
 def validate(X):
-    """None when all invariants hold, else a message naming the first
-    failing simplex."""
+    """None when the involution has order two, is simplicial and regular (a
+    simplex whose sigma column points at itself is fixed vertexwise), else
+    a message naming the first failing vertex or simplex."""
     inv = X.involution
     for v in range(X.vertex_count):
         if inv[inv[v]] != v:
             return "involution is not of order two at vertex %d" % v
-    index = face_index(X)
-    for level in simplices_by_dim(X):
-        for s in level:
-            image = _sigma_simplex(X, s)
-            if image not in index[len(s) - 1]:
-                return ("involution is not simplicial: image of %r missing"
-                        % (list(s),))
-            if set(image) == set(s) and any(inv[v] != v for v in s):
+    # past the cap the face closure raises here, not as a missing image
+    levels = simplices_by_dim(X)
+    try:
+        sigma = sigma_columns(X)
+    except ComplexError as exc:
+        return str(exc)
+    for level, cols in zip(levels, sigma):
+        for j, [(i, _)] in enumerate(cols):
+            if i == j and any(inv[v] != v for v in level[j]):
                 return ("regularity violated: simplex %r is fixed setwise "
-                        "but not vertexwise" % (list(s),))
+                        "but not vertexwise" % (list(level[j]),))
     return None
 
 
@@ -211,25 +236,25 @@ def barycentric_subdivide(X):
 
     One subdivision always restores regularity: a setwise-fixed flag has
     every member setwise fixed, so all its barycenters are fixed vertices.
+    Any other defect of X, as validate reports it, is a ComplexError.
     """
-    inv = X.involution
-    for v in range(X.vertex_count):
-        if inv[inv[v]] != v:
-            raise ComplexError("involution is not of order two")
-    all_faces = [s for level in simplices_by_dim(X) for s in level]
-    bary_id = {s: i for i, s in enumerate(all_faces)}
-    for s in all_faces:
-        if _sigma_simplex(X, s) not in bary_id:
-            raise ComplexError("involution is not simplicial")
-    new_inv = tuple(bary_id[_sigma_simplex(X, s)] for s in all_faces)
+    message = validate(X)
+    if message is not None and not message.startswith("regularity"):
+        raise ComplexError(message)
+    # face i of level q has the barycenter offsets[q] + i, moved by sigma
+    offsets = list(itertools.accumulate(map(len, simplices_by_dim(X)),
+                                        initial=0))
+    new_inv = tuple(offsets[q] + i for q, cols in enumerate(sigma_columns(X))
+                    for [(i, _)] in cols)
+    index = face_index(X)
     # the full flags of distinct maximal simplices are distinct, maximal
     # and cover every barycenter, so no face filter is needed
     new_simplices = sorted(
-        (tuple(sorted(bary_id[tuple(sorted(perm[:i + 1]))]
+        (tuple(sorted(offsets[i] + index[i][tuple(sorted(perm[:i + 1]))]
                       for i in range(len(perm))))
          for s in X.maximal_simplices for perm in itertools.permutations(s)),
         key=lambda s: (len(s), s))
-    return GComplex(len(all_faces), tuple(new_simplices), new_inv,
+    return GComplex(offsets[-1], tuple(new_simplices), new_inv,
                     X.auto_subdivided)
 
 
@@ -249,7 +274,7 @@ def _subdivision_size(X):
 def fixed_subcomplex(X):
     """The subcomplex of vertexwise-fixed simplices, with trivial
     involution; by regularity this is the topological fixed set."""
-    fixed = [v for v in range(X.vertex_count) if X.involution[v] == v]
+    fixed = fixed_vertex_injection(X)
     renum = {v: i for i, v in enumerate(fixed)}
     kept = [tuple(renum[v] for v in s) for level in simplices_by_dim(X)
             for s in level if all(v in renum for v in s)]
@@ -261,11 +286,6 @@ def fixed_vertex_injection(X):
     """Vertex map of the inclusion fixed_subcomplex(X) -> X (monotone, so
     every induced chain map has +1 signs)."""
     return tuple(v for v in range(X.vertex_count) if X.involution[v] == v)
-
-
-def _perm_sign(seq):
-    """(-1) to the number of inversions of seq."""
-    return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
 
 
 @dataclass(frozen=True)
@@ -339,13 +359,11 @@ def chain_columns(X):
     check_chain_columns, once per complex."""
     index = face_index(X)
     out = []
-    for q, basis in enumerate(simplices_by_dim(X)):
+    for q, (basis, sigma) in enumerate(zip(simplices_by_dim(X),
+                                           sigma_columns(X))):
         boundary = [[(index[q - 1][s[:i] + s[i + 1:]], (-1) ** i)
                      for i in range(len(s))] if q else []
                     for s in basis]
-        images = [[X.involution[v] for v in s] for s in basis]
-        sigma = [[(index[q][tuple(sorted(im))], _perm_sign(im))]
-                 for im in images]
         out.append((boundary, sigma))
     check_chain_columns(out)
     return tuple(out)
@@ -354,9 +372,7 @@ def chain_columns(X):
 def check_chain_columns(columns):
     """InternalError unless the sparse chain layout columns is a based
     G-chain complex: each sigma column is one entry +-1 and sigma^2 = 1,
-    d^2 = 0 and d sigma = sigma d.  sigma is a signed permutation, so
-    sigma(d b) lists each face a of b moved to sigma a with its sign, and
-    is compared with d(sigma b) as a sorted list, without summing."""
+    d^2 = 0, and sigma is a chain map (check_chain_map)."""
     for _, sigma in columns:
         for c, col in enumerate(sigma):
             if len(col) != 1 or col[0][1] not in (1, -1):
@@ -364,17 +380,11 @@ def check_chain_columns(columns):
                                     "entry" % c)
             if sigma[col[0][0]] != [(c, col[0][1])]:
                 raise InternalError("involution matrix is not an involution")
-    for q in range(1, len(columns)):
-        (boundary, sigma), (lower, lower_sigma) = columns[q], columns[q - 1]
-        for b, faces in enumerate(boundary):
-            if q > 1 and _apply(lower, faces):
-                raise InternalError("boundary squared is nonzero")
-            (image, sign), = sigma[b]
-            moved = sorted((c, s * u) for a, u in faces
-                           for c, s in lower_sigma[a])
-            if moved != sorted((c, sign * u) for c, u in boundary[image]):
-                raise InternalError("sigma does not commute with the "
-                                    "boundary")
+    for q in range(2, len(columns)):
+        if any(_apply(columns[q - 1][0], faces) for faces in columns[q][0]):
+            raise InternalError("boundary squared is nonzero")
+    check_chain_map("sigma", [sigma for _, sigma in columns], columns,
+                    columns)
 
 
 @lru_cache(maxsize=None)
@@ -404,13 +414,7 @@ def make_gmap(source, target, vertex_map):
         if vertex_map[source.involution[v]] != target.involution[vertex_map[v]]:
             raise ComplexError(
                 "map does not commute with the involutions at vertex %d" % v)
-    tgt_index = face_index(target)
-    for level in simplices_by_dim(source):
-        for s in level:
-            image = tuple(sorted(set(vertex_map[v] for v in s)))
-            if image not in tgt_index[len(image) - 1]:
-                raise ComplexError(
-                    "map is not simplicial: image of %r missing" % (list(s),))
+    _map_columns(source, target, vertex_map, "map")
     return GMap(source, target, vertex_map)
 
 
@@ -435,12 +439,7 @@ def gmap_chain_columns(f):
     degree one list of (row, entry) per simplex; collapsing simplices
     contribute zero.  That it commutes with the boundary and the
     involution is checked with InternalError."""
-    index = face_index(f.target)
-    images = [[[f.vertex_map[v] for v in s] for s in level]
-              for level in simplices_by_dim(f.source)]
-    out = tuple([[(index[q][tuple(sorted(im))], _perm_sign(im))]
-                 if len(set(im)) == len(im) else [] for im in level]
-                for q, level in enumerate(images))
+    out = _map_columns(f.source, f.target, f.vertex_map, "map")
     check_chain_map("chain map", out, chain_columns(f.source),
                     chain_columns(f.target))
     return out
@@ -450,7 +449,8 @@ def relabel(X, perm):
     """The same complex with vertices renamed by a permutation; the
     involution is conjugated accordingly."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(X.vertex_count)):
+    if not all(map(_is_integer, perm)) \
+            or sorted(perm) != list(range(X.vertex_count)):
         raise ComplexError("relabeling is not a permutation")
     inverse = [0] * X.vertex_count
     for v, w in enumerate(perm):
@@ -651,9 +651,7 @@ def complex_from_dict(obj):
     if message.startswith("regularity"):
         _check_size(_subdivision_size(X),
                     "regularity repair: the subdivision would have")
-        X = barycentric_subdivide(X)
-        X = GComplex(X.vertex_count, X.maximal_simplices, X.involution,
-                     auto_subdivided=True)
+        X = replace(barycentric_subdivide(X), auto_subdivided=True)
         message = validate(X)
         if message is None:
             return X

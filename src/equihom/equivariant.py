@@ -257,8 +257,9 @@ def group_cohomology(module, invol, p):
     those coordinates.  Degree 0 gives the invariants; degrees >= 1 are
     the two-periodic kernels mod images of 1 -/+ invol.
     """
-    if p < 0:
-        raise LinAlgError("group cohomology lives in degrees >= 0")
+    if not _is_integer(p) or p < 0:
+        raise LinAlgError("group cohomology degree must be a nonnegative "
+                          "integer, got %r" % (p,))
     n = module.ngens
     if invol.rows != n or invol.cols != n:
         raise LinAlgError("involution matrix has wrong shape")

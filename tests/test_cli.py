@@ -136,6 +136,17 @@ class TestCompute:
         assert code == 2
         assert err.startswith("error: %s: " % field)
 
+    def test_missing_image_past_a_regularity_violation_exits_two(
+            self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": 4,
+                                    "simplices": [[0, 1], [1, 2], [3]],
+                                    "involution": [1, 0, 2, 3]}))
+        code, out, err = run(capsys, "compute", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: involution is not simplicial: image of "
+                       "[1, 2] missing\n")
+
     @pytest.mark.parametrize("n, swap, count", [
         (30, False, 2 ** 30 - 1),
         (8, True, 1091669),

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import re
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from equihom.complexes import (
     Coeff,
     ComplexError,
     ComplexFormatError,
+    GComplex,
     barycentric_subdivide,
     builtin,
     chain_complex,
@@ -29,6 +32,7 @@ from equihom.complexes import (
     load_complex,
     make_complex,
     make_gmap,
+    relabel,
     simplex_count,
     simplices_by_dim,
     validate,
@@ -83,6 +87,20 @@ class TestValidate:
 
 
 class TestSubdivision:
+    @pytest.mark.parametrize("X, message", [
+        (GComplex(3, ((0,), (1,), (2,)), (1, 2, 0)),
+         "involution is not of order two at vertex 0"),
+        (make_complex(3, [(0, 1), (2,)], [2, 1, 0]),
+         "involution is not simplicial: image of [0, 1] missing"),
+    ])
+    def test_refuses_what_validate_refuses(self, X, message):
+        # validate is the one check of the involution; only a regularity
+        # violation, which the subdivision mends, passes
+        assert validate(X) == message
+        with pytest.raises(ComplexError) as err:
+            barycentric_subdivide(X)
+        assert str(err.value) == message
+
     def test_swapped_edge_becomes_regular(self):
         X = make_complex(2, [(0, 1)], [1, 0])
         Y = barycentric_subdivide(X)
@@ -178,7 +196,65 @@ def pairwise_maximal(simplices):
     return tuple(sorted(maximal, key=lambda s: (len(s), s)))
 
 
+def closure_maximal(simplices):
+    """The maximal simplices of a face list and the size of its face
+    closure, by closing faces: longest first, a simplex is maximal unless
+    it is a face of one kept before it, and every face of a kept simplex
+    enters the closure.  The reference for the per-size filter of
+    make_complex, which builds no closure."""
+    closure, maximal = set(), []
+    for s in sorted({tuple(sorted(s)) for s in simplices},
+                    key=lambda s: (-len(s), s)):
+        if s not in closure:
+            maximal.append(s)
+            for q in range(1, len(s) + 1):
+                closure.update(itertools.combinations(s, q))
+    return tuple(sorted(maximal, key=lambda s: (len(s), s))), len(closure)
+
+
+def mixed_faces(rng, n):
+    """Simplices of mixed sizes on n vertices, faces of them and
+    duplicates of both, shuffled, covering every vertex."""
+    faces = [tuple(rng.sample(range(n), rng.randint(1, min(n, 6))))
+             for _ in range(rng.randint(1, 10))]
+    faces += [tuple(rng.sample(s, rng.randint(1, len(s))))
+              for s in rng.choices(faces, k=rng.randint(0, 12))]
+    faces += rng.choices(faces, k=rng.randint(0, 6))
+    faces += [(v,) for v in range(n)]
+    rng.shuffle(faces)
+    return [list(s) for s in faces]
+
+
 class TestMaximalFaces:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_closure_filter(self, seed):
+        rng = random.Random(10_000 + seed)
+        n = rng.randint(1, 10)
+        faces = mixed_faces(rng, n)
+        X = make_complex(n, faces, list(range(n)))
+        maximal, closure = closure_maximal(faces)
+        assert X.maximal_simplices == maximal
+        assert simplex_count(X) == closure
+
+    def test_matches_the_closure_filter_at_the_cap(self, monkeypatch):
+        # a mixed input no other test builds, so that no cached face
+        # closure answers for it: it is refused with the cap one below its
+        # closure size and loads with the cap at that size
+        faces = mixed_faces(random.Random(7), 12)
+        maximal, closure = closure_maximal(faces)
+        obj = {"vertices": 12, "simplices": faces, "involution": list(
+            range(12))}
+        monkeypatch.setattr(complexes, "MAX_SIMPLICES", closure - 1)
+        with pytest.raises(ComplexFormatError) as err:
+            complex_from_dict(obj)
+        assert re.fullmatch(r"simplices: the face closure has at least "
+                            r"\d+ simplices, past the cap %d"
+                            % (closure - 1), str(err.value))
+        monkeypatch.setattr(complexes, "MAX_SIMPLICES", closure)
+        X = complex_from_dict(obj)
+        assert X.maximal_simplices == maximal
+        assert simplex_count(X) == closure
+
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_the_pairwise_filter(self, seed):
         # random simplices, faces of them and duplicates of both, shuffled
@@ -201,6 +277,22 @@ class TestMaximalFaces:
     def test_subdivision_keeps_the_facets(self):
         X = barycentric_subdivide(builtin("torus-reflection"))
         assert X.maximal_simplices == pairwise_maximal(X.maximal_simplices)
+
+
+class TestRelabel:
+    def test_conjugates_the_involution(self):
+        X = builtin("circle-reflection")
+        Y = relabel(X, [3, 2, 1, 0])
+        assert Y.involution == (2, 1, 0, 3)
+        assert relabel(Y, [3, 2, 1, 0]) == X
+
+    @pytest.mark.parametrize("perm", [
+        [0.0, 1, 2, 3], [True, False, 2, 3], ["0", 1, 2, 3], [0, 1, 2],
+        [0, 0, 2, 3], [1, 2, 3, 4]])
+    def test_refuses_what_is_no_permutation(self, perm):
+        with pytest.raises(ComplexError) as err:
+            relabel(builtin("circle-reflection"), perm)
+        assert str(err.value) == "relabeling is not a permutation"
 
 
 class TestFixedSubcomplex:
@@ -330,6 +422,16 @@ class TestGMap:
         with pytest.raises(ComplexError, match="not a vertex of the target"):
             make_gmap(builtin(source), builtin(target), vertex_map)
 
+    def test_image_past_the_target_dimension_is_missing(self):
+        # an edge sent onto two isolated points: its image would lie in
+        # dimension 1, which the target does not have
+        edge = make_complex(2, [(0, 1)], [0, 1])
+        points = make_complex(2, [(0,), (1,)], [0, 1])
+        with pytest.raises(ComplexError) as err:
+            make_gmap(edge, points, [0, 1])
+        assert str(err.value) == ("map is not simplicial: image of [0, 1] "
+                                  "missing")
+
     def test_fixed_inclusion_chain_maps(self):
         X = builtin("sphere-octahedron-reflection")
         inc = fixed_inclusion(X)
@@ -365,6 +467,17 @@ class TestJsonInterface:
         })
         assert X.auto_subdivided
         assert validate(X) is None
+
+    def test_missing_image_is_named_past_a_regularity_violation(self):
+        # [0, 1] is fixed setwise but not vertexwise, which a subdivision
+        # mends; the image [0, 2] of the later [1, 2] is missing, which
+        # none mends, so the file is refused naming [1, 2]
+        with pytest.raises(ComplexFormatError) as err:
+            complex_from_dict({"vertices": 4,
+                               "simplices": [[0, 1], [1, 2], [3]],
+                               "involution": [1, 0, 2, 3]})
+        assert str(err.value) == ("involution is not simplicial: image of "
+                                  "[1, 2] missing")
 
     @pytest.mark.parametrize("obj,needle", [
         ({"simplices": [], "involution": []}, "vertices"),
@@ -464,6 +577,17 @@ class TestSizeCap:
         assert time.process_time() - start < 1
         assert str(err.value) == message
 
+    def test_huge_face_of_a_huge_simplex_fails_fast(self):
+        # deciding that the 15-simplex is a face of the 30-simplex would
+        # list C(30, 15) faces; the cap refuses first
+        start = time.process_time()
+        with pytest.raises(ComplexFormatError) as err:
+            make_complex(30, [range(30), range(15)], range(30))
+        assert time.process_time() - start < 1
+        assert str(err.value) == ("simplices: the face closure has at least "
+                                  "1073741823 simplices, past the cap "
+                                  "1000000")
+
     def test_irregular_seven_simplex_loads(self):
         X = complex_from_dict(simplex_file(7, swap=True))
         assert X.auto_subdivided and simplex_count(X) == 94585
@@ -511,3 +635,11 @@ class TestCoeff:
         assert COEFF_Z.shift() == COEFF_Z1
         assert COEFF_Z1.shift() == COEFF_Z
         assert COEFF_Z2.shift() == COEFF_Z2
+
+    @pytest.mark.parametrize("ring", ["Z", "Z2"])
+    @pytest.mark.parametrize("k", ["a", 1.5, 1.0, True, None])
+    def test_twist_must_be_an_integer(self, ring, k):
+        # checked before Z/2 drops the twist
+        with pytest.raises(ComplexError) as err:
+            Coeff(ring, k)
+        assert str(err.value) == "twist must be an integer, got %r" % (k,)

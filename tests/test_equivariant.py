@@ -121,6 +121,12 @@ class TestGroupCohomology:
             group_cohomology(FGAbelianGroup(1, (2,)),
                              IntMatrix.from_rows([[1, 0], [1, -1]]), 1)
 
+    @pytest.mark.parametrize("p", [2.5, 2.0, True, False, "1", None, -1])
+    def test_rejects_degrees_that_are_no_nonnegative_integer(self, p):
+        # a float or bool degree used to be taken for its integer value
+        with pytest.raises(LinAlgError, match="nonnegative integer, got"):
+            group_cohomology(Z2G, IntMatrix.identity(1), p)
+
     def test_swap_module_is_acyclic(self):
         swap = IntMatrix.from_rows([[0, 1], [1, 0]])
         for p in (1, 2, 3):
