@@ -11,9 +11,10 @@ of the columns plus the relations d.e_i over the per-coordinate orders d
 relations to a matrix as columns.
 
 One interface, two paths.  Where every order is 2 a lattice is a subspace
-of F2^n, and _subquotient, LinearSolver and coordinate_kernel_lattice work
-on bit masks by one XOR elimination, _f2_eliminate; Z/2 generators are
-then its echelon choices.  Z and mixed orders run on smith_normal_form.
+of F2^n, and _subquotient and LinearSolver work on bit masks by one XOR
+elimination, _f2_eliminate; Z/2 generators are then its echelon choices.
+Z and mixed orders run on smith_normal_form.  A kernel is a presentation:
+coordinate_kernel_lattice reads the generators of a _subquotient.
 """
 
 from __future__ import annotations
@@ -463,11 +464,6 @@ def _f2_fully_reduced(vectors):
     return basis
 
 
-def _f2_kernel(M):
-    """The kernel of M mod 2, fully reduced (_f2_fully_reduced)."""
-    return _f2_fully_reduced(_f2_eliminate(_f2_columns(M))[1])
-
-
 class LinearSolver:
     """Solve M x = b modulo the relations of a lattice (M, orders) over Z.
 
@@ -545,26 +541,6 @@ class LinearSolver:
 # the solver of a lattice, built once per (matrix, orders) value; equal
 # lattices (IntMatrix hashes by value) share one
 _solver = lru_cache(maxsize=None)(LinearSolver)
-
-
-@lru_cache(maxsize=None)
-def kernel_basis(M, orders):
-    """Columns form a basis of {x : M x in R}, R the relations over the
-    orders of M's rows; one result per (matrix, orders) value.  They are
-    the top M.cols rows of the kernel basis V[:, r:] of [M | R]."""
-    snf = smith_normal_form(_with_relations(M, orders))
-    r = snf.rank
-    return _matrix(M.cols, snf.V.cols - r,
-                   tuple(row[r:] for row in snf.V.data[:M.cols]))
-
-
-@lru_cache(maxsize=None)
-def _f2_kernel_basis(M):
-    """Columns, of 0s and 1s, form a basis of the kernel of M mod 2; with
-    the relations 2.e_i of a source of order 2 they span the lattice that
-    kernel_basis(M, (2,) * M.rows) spans."""
-    return IntMatrix.from_columns(
-        M.cols, [_f2_vector(v, M.cols) for v in _f2_kernel(M).values()])
 
 
 def lattices_equal(A, B):
@@ -702,13 +678,14 @@ class PresentedGroup(FGAbelianGroup):
 
     def coordinate_kernel_lattice(self, matrix, target):
         """The lattice {x in Z^ngens : matrix . x dies in target} in this
-        group's coordinates, as (basis, orders).  When both groups have
-        every order 2 that is a kernel over F2; otherwise it is the
-        integral one, which the relations of the target may enlarge (a
-        source Z needs the 2.e_i of a target Z/2)."""
-        if _all_two(self.orders) and _all_two(target.orders):
-            return _f2_kernel_basis(matrix), self.orders
-        return kernel_basis(matrix, target.orders), self.orders
+        group's coordinates, as (generators, orders): the generators of
+        the presentation {x : matrix . x in R_target} / R_source, which
+        span it together with the source's relations.  Raises
+        ChainConditionError unless matrix sends those relations into
+        R_target, that is unless it is a homomorphism."""
+        K = _subquotient(matrix, IntMatrix.zeros(matrix.cols, 0),
+                         self.orders, target.orders)
+        return IntMatrix.from_columns(self.ngens, K.generators), self.orders
 
 
 def _coordinates(coords, n):
@@ -749,7 +726,8 @@ def _subquotient(d_out, d_in, ambient_orders, target_orders):
     each relation lattice R spanned by the d.e_i over its per-coordinate
     orders d (0 for none); equal inputs give one presentation object.
     When every order is 2 the group is worked over F2 (_f2_subquotient),
-    otherwise by two Smith normal forms."""
+    otherwise by two Smith normal forms, or by one when no boundary and
+    no relation is to be presented."""
     g = d_out.cols
     if d_in.rows != g:
         raise LinAlgError("d_in lands in the wrong ambient")
@@ -767,6 +745,10 @@ def _subquotient(d_out, d_in, ambient_orders, target_orders):
               _column_entries(snf.Vinv.data[r:], snf.V.rows), t)
     ycols = [_boundary_coordinates(cycles, col) for col in
              chain(d_in.columns(), _relations(ambient_orders))]
+    if not ycols:
+        # nothing to present: the cycle basis generates freely
+        return _presented((), t, kmat.columns(), cycles,
+                          [[(j, 1)] for j in range(t)], d_in, ambient_orders)
     sy = smith_normal_form(IntMatrix.from_columns(t, ycols))
     orders_all = sy.diag + (0,) * (t - len(sy.diag))
     kept = [i for i in range(t) if orders_all[i] != 1]
@@ -789,7 +771,7 @@ def _f2_subquotient(d_out, d_in, ambient_orders, target_orders):
     its non-pivots are the generators, and the coordinates of y are y
     plus the boundaries at its pivots, read at the non-pivots."""
     g = d_out.cols
-    cycle_basis = _f2_kernel(d_out)
+    cycle_basis = _f2_fully_reduced(_f2_eliminate(_f2_columns(d_out))[1])
     leads = list(cycle_basis)
     t = len(leads)
     vicols = [[] for _ in range(g + d_out.rows)]
@@ -842,8 +824,11 @@ def homology_at(d_in, d_out, mod=0):
     mod=0 works over Z.  mod=2 works over Z/2 and is the only place the
     modulus acts: the inputs are not reduced, every coordinate of Z^g and
     Z^h gets the order 2, and the group is worked over F2.  Equal matrices
-    and modulus give one presentation object.
+    and modulus give one presentation object.  Any other modulus raises.
     """
+    if not (_is_integer(mod) and mod in (0, 2)):
+        raise LinAlgError("modulus must be the integer 0 or 2, got %r"
+                          % (mod,))
     return _subquotient(d_out, d_in, (mod,) * d_out.cols, (mod,) * d_out.rows)
 
 

@@ -74,7 +74,6 @@ from equihom.intlinalg import (
     homology_at,
     image_lattice,
     induced_hom,
-    kernel_basis,
     kernel_lattice,
     lattices_equal,
     smith_normal_form,
@@ -311,8 +310,9 @@ def reference_smith_normal_form(M):
 
 SNF_FIELDS = ("U", "D", "V", "Uinv", "Vinv")
 
-# Smith inputs of one `verify core` run, in a fresh process so that the
-# memo caches are cold and every elimination is reached
+# Smith inputs of one `verify core` and one `verify exactness` run, in a
+# fresh process so that the memo caches are cold and every elimination is
+# reached
 CAPTURE_SMITH_INPUTS = r"""
 import json
 from equihom import intlinalg, verify
@@ -328,6 +328,7 @@ def capturing(M):
 
 intlinalg.smith_normal_form = capturing
 verify.run_suite("core")
+verify.run_suite("exactness")
 print(json.dumps([[r, c, [list(row) for row in data]]
                   for r, c, data in seen]))
 """
@@ -457,6 +458,16 @@ class TestHomologyAt:
         with pytest.raises(ChainConditionError):
             homology_at(d_in, d_out)
         assert homology_at(d_in, d_out, mod=2) == FGAbelianGroup(0)
+
+    @pytest.mark.parametrize("mod", [2.0, True, None, 3, -2, "2"])
+    def test_modulus_is_the_integer_0_or_2(self, mod):
+        d_in, d_out = mat([[2]]), IntMatrix.zeros(0, 1)
+        misses = intlinalg._subquotient.cache_info().misses
+        with pytest.raises(LinAlgError, match="modulus must be"):
+            homology_at(d_in, d_out, mod)
+        # nothing is stored under the key of an exact modulus
+        assert intlinalg._subquotient.cache_info().misses == misses
+        assert type(homology_at(d_in, d_out, 2).ambient_orders[0]) is int
 
     def test_mod2(self):
         d_in = mat([[2]])
@@ -648,13 +659,16 @@ def relation_matrix(orders):
 
 
 def integer_kernel(M):
-    """A basis of the plain integer kernel {x : M x = 0}."""
-    return kernel_basis(M, (0,) * M.rows)
+    """A basis of the plain integer kernel {x : M x = 0}: the columns of V
+    past the rank, by the eager reference elimination."""
+    _, D, V, _, _ = reference_smith_normal_form(M)
+    r = sum(1 for i in range(min(D.rows, D.cols)) if D.data[i][i])
+    return IntMatrix(V.rows, V.cols - r, [row[r:] for row in V.data])
 
 
 def stacked_kernel(M, orders):
-    """The dense reference of kernel_basis(M, orders): the integer kernel
-    of [M | R], R = relation_matrix(orders), cut to its top M.cols
+    """The dense reference of the lattice {x : M x in R}: the integer
+    kernel of [M | R], R = relation_matrix(orders), cut to its top M.cols
     rows."""
     K = integer_kernel(IntMatrix.hstack(M, relation_matrix(orders)))
     return IntMatrix(M.cols, K.cols, K.data[:M.cols])
@@ -860,7 +874,7 @@ def equal_copy(M):
 
 
 # the exact kernel's memos, keyed by matrix value
-KERNEL_MEMOS = (intlinalg._subquotient, kernel_basis, intlinalg._solver)
+KERNEL_MEMOS = (intlinalg._subquotient, intlinalg._solver)
 
 
 class TestTwoSmithForms:
@@ -879,15 +893,17 @@ class TestTwoSmithForms:
         return calls
 
     def test_homology_at(self, snf_calls):
-        rng = random.Random(31)
-        d_in, d_out = random_chain_pair(rng, 0)
-        grp = homology_at(d_in, d_out)
-        assert len(snf_calls) == 2
-        assert not any(isinstance(getattr(grp, name), LinearSolver)
-                       for name in type(grp).__slots__)
-        # equal matrices: no Smith form, the same presentation object
-        assert homology_at(equal_copy(d_in), equal_copy(d_out)) is grp
-        assert len(snf_calls) == 2
+        # seed 31 draws no boundaries, which need no second Smith form
+        for seed, forms in ((31, 1), (33, 2)):
+            d_in, d_out = random_chain_pair(random.Random(seed), 0)
+            del snf_calls[:]
+            grp = homology_at(d_in, d_out)
+            assert len(snf_calls) == forms
+            assert not any(isinstance(getattr(grp, name), LinearSolver)
+                           for name in type(grp).__slots__)
+            # equal matrices: no Smith form, the same presentation object
+            assert homology_at(equal_copy(d_in), equal_copy(d_out)) is grp
+            assert len(snf_calls) == forms
 
     def test_group_cohomology(self, snf_calls):
         module, sigma = random_module(random.Random(32))
@@ -895,6 +911,17 @@ class TestTwoSmithForms:
         assert len(snf_calls) == 2
         assert group_cohomology(module, equal_copy(sigma), 1) is grp
         assert len(snf_calls) == 2
+
+    def test_kernel_lattice(self, snf_calls):
+        # a free source needs one Smith form: its kernel is the cycles of
+        # the map; a source with torsion presents its relations by a second
+        M = random_matrix(random.Random(34), 2, 4).scale(2)
+        target = presented((2, 4))
+        for orders, forms in (((0,) * 4, 1), ((2, 0, 0, 0), 2)):
+            source = presented(orders)
+            del snf_calls[:]
+            kernel_lattice(GroupHom(source, target, M))
+            assert len(snf_calls) == forms
 
 
 class TestKernelMemoAgainstFreshBuilds:
@@ -944,15 +971,24 @@ class TestKernelMemoAgainstFreshBuilds:
                  rels, rels), rng)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_kernel_basis_and_solver(self, seed):
+    def test_kernel_lattice_and_solver(self, seed):
         rng = random.Random(7800 + seed)
         M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), bound=2)
-        orders = tuple(random.Random(7850 + seed).choice((0, 2, 4))
-                       for _ in range(M.rows))
+        target = presented(random.Random(7850 + seed).choice((0, 2, 4))
+                           for _ in range(M.rows))
+        orders = target.orders
         lattice = (M, orders)
         copy = (equal_copy(M), tuple(list(orders)))
-        assert kernel_basis(*lattice) == kernel_basis.__wrapped__(*lattice)
-        assert kernel_basis(*copy) is kernel_basis(*lattice)
+        # the kernel of a free source is the memoized presentation's
+        free = elementary(M.cols, 0)
+        fresh = intlinalg._subquotient.__wrapped__(
+            M, IntMatrix.zeros(M.cols, 0), free.orders, orders)
+        K = kernel_lattice(GroupHom(free, target, M))
+        assert K == (IntMatrix.from_columns(M.cols, fresh.generators),
+                     free.orders)
+        hits = intlinalg._subquotient.cache_info().hits
+        assert kernel_lattice(GroupHom(free, target, copy[0])) == K
+        assert intlinalg._subquotient.cache_info().hits == hits + 1
         solver, fresh = intlinalg._solver(lattice), LinearSolver(lattice)
         assert intlinalg._solver(copy) is solver
         assert isinstance(solver, LinearSolver)
@@ -1010,6 +1046,18 @@ def mixed_orders(rng, n, mix):
 ORDER_MIXES = [0, 2, 4, "mixed"]
 
 
+def presented(orders):
+    """Z^n with relations over these coordinate orders, rearranged as
+    PresentedGroup orders come (torsion first, ascending, then free), and
+    presented with identity generators."""
+    orders = tuple(sorted(orders, key=lambda d: (d == 0, d)))
+    n = len(orders)
+    grp = intlinalg._subquotient(IntMatrix.zeros(0, n), IntMatrix.zeros(n, 0),
+                                 orders, ())
+    assert grp.orders == orders
+    return grp
+
+
 def elementary_hom(rng, n, m):
     """A random map (Z/2)^n -> (Z/2)^m, the source presented as the mod-2
     homology of n cycles and no boundaries."""
@@ -1052,11 +1100,13 @@ class TestLatticesCarryTheirOrders:
 
     @pytest.mark.parametrize("mix", ORDER_MIXES)
     @pytest.mark.parametrize("seed", range(6))
-    def test_kernel_basis(self, mix, seed):
+    def test_kernel_lattice_of_a_free_source(self, mix, seed):
         rng = random.Random(8200 + seed)
         M = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), bound=3)
-        orders = mixed_orders(rng, M.rows, mix)
-        K = kernel_basis(M, orders)
+        target = presented(mixed_orders(rng, M.rows, mix))
+        orders = target.orders
+        K, source = kernel_lattice(GroupHom(elementary(M.cols, 0), target, M))
+        assert source == (0,) * M.cols
         assert K == stacked_kernel(M, orders)
         assert K.rows == M.cols
         for col in (M @ K).columns():
@@ -1111,7 +1161,7 @@ class TestLatticesCarryTheirOrders:
     def test_orders_must_match_the_rows(self, orders):
         M = IntMatrix.identity(2)
         with pytest.raises(LinAlgError, match="relation orders"):
-            kernel_basis(M, orders)
+            elementary(2, 0).coordinate_kernel_lattice(M, presented(orders))
         with pytest.raises(LinAlgError, match="relation orders"):
             LinearSolver((M, orders))
 
@@ -1282,6 +1332,67 @@ def oracle_complex(seed, max_simplices=80):
     return X, rng
 
 
+# source and target order pools of the kernels tested against the dense
+# reference
+KERNEL_MIXES = {
+    "free": ((0,), (0,)),
+    "all-2": ((2,), (2,)),
+    "Z/2 with Z/4": ((2, 4), (2, 4)),
+    "free source, Z/2 target": ((0,), (2,)),
+}
+
+
+def random_hom_matrix(rng, source, target, bound=3):
+    """A random homomorphism between coordinates of these orders: entry
+    (i, j) times source[j] lies in the relations target[i]."""
+    def step(t, s):
+        if not s:
+            return 1
+        return t // math.gcd(t, s) if t else 0
+    return IntMatrix(len(target), len(source),
+                     [[step(t, s) * rng.randint(-bound, bound)
+                       for s in source] for t in target])
+
+
+class TestKernelLatticeAgainstDenseReference:
+    """kernel_lattice reads the generators of a presentation; with the
+    source's relations they span {x : M x in R_target}, the integer kernel
+    of [M | R_target] cut to the source's coordinates."""
+
+    @pytest.mark.parametrize("mix", KERNEL_MIXES)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_spans_the_kernel(self, mix, seed):
+        rng = random.Random(8600 + seed)
+        pools = KERNEL_MIXES[mix]
+        source, target = (
+            presented(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+            for pool in pools)
+        M = random_hom_matrix(rng, source.orders, target.orders)
+        K, orders = kernel_lattice(GroupHom(source, target, M))
+        assert orders == source.orders
+        assert K.rows == source.ngens
+        for col in (M @ K).columns():
+            assert all(v % d == 0 if d else v == 0
+                       for v, d in zip(col, target.orders))
+        spanned = IntMatrix.hstack(K, relation_matrix(orders))
+        want = stacked_kernel(M, target.orders)
+        free = (0,) * source.ngens
+        assert reference_contains((spanned, free), want)
+        assert reference_contains((want, free), spanned)
+
+    @pytest.mark.parametrize("source, target", [
+        ((2,), (0,)),
+        ((2,), (4,)),
+        ((2, 0), (0,)),
+    ])
+    def test_a_map_that_is_no_homomorphism_raises(self, source, target):
+        # the relation 2.e_0 is sent to 2, outside the target's relations
+        M = IntMatrix.from_rows([[1] * len(source)])
+        hom = GroupHom(presented(source), presented(target), M)
+        with pytest.raises(ChainConditionError):
+            kernel_lattice(hom)
+
+
 class TestRandomGComplexOracle:
     """Every presentation computed on the Morse-reduced complex agrees with
     the one computed on the simplicial complex, up to an automorphism of
@@ -1354,7 +1465,7 @@ def check_f2_lattices(M, rng):
     K, orders = kernel_lattice(GroupHom(elementary(M.cols, 0),
                                         elementary(M.rows), M))
     assert orders == free
-    assert K == kernel_basis(M, twos) == ref
+    assert K == ref
     for i in range(M.cols):
         assert stacked_solve(K, free, [2 * (j == i) for j in free]) \
             is not None
@@ -1430,7 +1541,7 @@ class TestF2AgainstSmith:
 class TestF2MakesNoSmithForm:
     @pytest.fixture
     def snf_calls(self, monkeypatch):
-        for memo in KERNEL_MEMOS + (intlinalg._f2_kernel_basis,):
+        for memo in KERNEL_MEMOS:
             memo.cache_clear()
         calls = []
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from equihom.complexes import (
@@ -23,6 +27,38 @@ from equihom.spectral import (
     rho_surjectivity_criteria,
 )
 from equihom.verify import fuzz_complexes
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# in a fresh process, so that no earlier computation holds the invariants:
+# per builtin, coefficient system, degree and (co)homology with generators,
+# the _subquotient hits and misses of H^0(G; H) after the edge test
+INVARIANTS_AFTER_THE_EDGE_TEST = r"""
+from equihom import intlinalg
+from equihom.complexes import BUILTIN_NAMES, COEFF_BY_FLAG, builtin, dim
+from equihom.equivariant import (
+    cohomology, cohomology_involution, group_cohomology, homology,
+    homology_involution)
+from equihom.spectral import coedge_surjective, edge_surjective
+
+counts = []
+for name in BUILTIN_NAMES:
+    X = builtin(name)
+    for coeff in COEFF_BY_FLAG.values():
+        for p in range(dim(X) + 1):
+            for edge, group, involution in (
+                    (edge_surjective, homology, homology_involution),
+                    (coedge_surjective, cohomology, cohomology_involution)):
+                spot = group(X, coeff, p)
+                if spot.ngens:
+                    edge(X, coeff, p)
+                    before = intlinalg._subquotient.cache_info()
+                    group_cohomology(spot, involution(X, coeff, p).matrix, 0)
+                    after = intlinalg._subquotient.cache_info()
+                    counts.append((after.hits - before.hits,
+                                   after.misses - before.misses))
+print(len(counts), sorted(set(counts)))
+"""
 
 Z = FGAbelianGroup(1)
 Z2G = FGAbelianGroup(0, (2,))
@@ -224,6 +260,18 @@ class TestEdgeSurjectivity:
         assert not edge_surjective(builtin("circle-antipodal"), COEFF_Z2, 0)
         assert not edge_surjective(
             builtin("sphere-octahedron-antipodal"), COEFF_Z2, 0)
+
+    def test_invariants_are_the_degree_zero_group_cohomology(self):
+        # the edge test reads the invariants as the presentation that
+        # group_cohomology(H, sigma, 0) is, so that is a memo hit after it
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", INVARIANTS_AFTER_THE_EDGE_TEST],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        count, outcomes = proc.stdout.split(" ", 1)
+        assert int(count) > 100
+        assert outcomes.strip() == "[(1, 0)]"
 
     def test_trivial_actions_surject_everywhere(self):
         X = builtin("rp2-trivial")
