@@ -69,6 +69,7 @@ from .intlinalg import (
     _column_entries,
     _combine,
     _is_integer,
+    _one_plus,
     _reduced,
     _solver,
     _subquotient,
@@ -248,6 +249,7 @@ def cohomology_involution(X, coeff, q):
     return induced_hom(reduced_chain_complex(X, coeff.k).sigma(q), spot, spot)
 
 
+@lru_cache(maxsize=None, typed=True)
 def group_cohomology(module, invol, p):
     """Cohomology of the order-two group with coefficients in a finitely
     generated module.
@@ -255,7 +257,9 @@ def group_cohomology(module, invol, p):
     `module` is an FGAbelianGroup (its coordinate space is torsion
     generators first, then free ones); `invol` an integer matrix acting on
     those coordinates.  Degree 0 gives the invariants; degrees >= 1 are
-    the two-periodic kernels mod images of 1 -/+ invol.
+    the two-periodic kernels mod images of 1 -/+ invol.  Memoized by
+    value (the module by its type, which fixes its orders, and typed, so
+    a bool degree still raises); a rejected input raises on every call.
     """
     if not _is_integer(p) or p < 0:
         raise LinAlgError("group cohomology degree must be a nonnegative "
@@ -264,19 +268,14 @@ def group_cohomology(module, invol, p):
     if invol.rows != n or invol.cols != n:
         raise LinAlgError("involution matrix has wrong shape")
     orders = module.orders
-    ident = IntMatrix.identity(n)
     # the relation lattice is diagonal, so membership is divisibility
-    if not (_canonical_matrix(module, invol @ invol - ident).is_zero()
+    if not (_canonical_matrix(module, _one_plus(invol @ invol, -1)).is_zero()
             and not any(any(_reduced([d * x for x in col], orders))
                         for col, d in zip(invol.columns(), orders))):
         raise LinAlgError("matrix is not an involution of the module")
     sign = -1 if p % 2 else 1
-    d_out = ident - invol.scale(sign)
-    if p == 0:
-        d_in = IntMatrix.zeros(n, 0)
-    else:
-        d_in = ident + invol.scale(sign)
-    return _subquotient(d_out, d_in, orders, orders)
+    d_in = _one_plus(invol, sign) if p else IntMatrix.zeros(n, 0)
+    return _subquotient(_one_plus(invol, -sign), d_in, orders, orders)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,16 @@ One interface, two paths.  Where every order is 2 a lattice is a subspace
 of F2^n, and _subquotient and LinearSolver work on bit masks by one XOR
 elimination, _f2_eliminate; Z/2 generators are then its echelon choices.
 Z and mixed orders run on smith_normal_form.  A kernel is a presentation:
-coordinate_kernel_lattice reads the generators of a _subquotient.
+coordinate_kernel_lattice reads the generators of a _subquotient.  A map
+is a memo entry too: induced_hom builds and checks each distinct chain
+map between two presentation objects once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress, groupby, repeat
+from itertools import chain, compress, groupby, islice, repeat
 
 
 class LinAlgError(ValueError):
@@ -196,6 +198,13 @@ def _is_integer(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _all_integers(values):
+    """Whether every entry of values is an exact integer by the rule of
+    _is_integer, tested once per distinct type, not per entry."""
+    return all(issubclass(t, int) and t is not bool
+               for t in set(map(type, values)))
+
+
 def _check_scalar(c):
     if not isinstance(c, int):
         raise LinAlgError("scalar must be an exact integer, got %r" % (c,))
@@ -203,6 +212,14 @@ def _check_scalar(c):
 
 def _identity_rows(n):
     return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+
+
+def _one_plus(M, c):
+    """1 + c.M for a square matrix M: c.M with one added on the diagonal,
+    no identity matrix built."""
+    return _matrix(M.rows, M.cols, tuple(
+        row[:i] + (row[i] + 1,) + row[i + 1:]
+        for i, row in enumerate(M.scale(c).data)))
 
 
 def _add_multiple(dst, src, c):
@@ -651,25 +668,36 @@ class PresentedGroup(FGAbelianGroup):
 
     Every GroupHom endpoint is one.  generators holds one ambient cycle
     per generator, torsion generators first, then free ones, and lift
-    reads them as sparse columns built once.  d_in holds its boundaries
-    as columns and ambient_orders the orders of its relations d.e_i; a
-    map out of the group must send both to boundaries.
+    reads them as sparse columns built once.  _cycles holds the columns
+    of d_out and the relation orders of its target, for the cycle test,
+    and the generator coordinates of the ambient vectors and of the
+    relations, for reduce.  d_in holds its boundaries as columns and
+    ambient_orders the orders of its relations d.e_i; a map out of the
+    group must send both to boundaries.
     """
 
     __slots__ = ("ambient_rank", "generators", "_gen_cols", "_cycles",
-                 "_coord_cols", "d_in", "ambient_orders")
+                 "d_in", "ambient_orders")
 
     def reduce(self, vec):
         """Coordinates of an ambient cycle in the chosen generators.
 
-        Raises if vec is not a cycle of the presentation.  Torsion
-        coordinates are returned in [0, d).
+        Raises unless vec is a cycle of the presentation with exact
+        integer entries.  Torsion coordinates are returned in [0, d).
+        One pass over the nonzeros of vec tests the cycle and sums the
+        coordinates; only the coordinates it touches are reduced.
         """
-        y = _cycle_coordinates(*self._cycles, vec)
-        if y is None:
+        if not _all_integers(vec):
+            raise LinAlgError("vector entries must be exact integers, got %r"
+                              % (vec,))
+        acc = _cycle_combination(*self._cycles, vec)
+        if acc is None:
             raise LinAlgError("vector is not a cycle of this presentation")
-        return _reduced(_combine(self._coord_cols, y, self.ngens),
-                        self.orders)
+        out = [0] * self.ngens
+        torsion = self.torsion
+        for i, x in acc.items():
+            out[i] = x % torsion[i] if i < len(torsion) else x
+        return tuple(out)
 
     def lift(self, coords):
         """An ambient cycle representing the given generator coordinates."""
@@ -694,30 +722,61 @@ def _coordinates(coords, n):
     coords = list(coords)
     if len(coords) != n:
         raise LinAlgError("coordinate vector has wrong length")
-    if not all(map(_is_integer, coords)):
+    if not _all_integers(coords):
         raise LinAlgError("coordinates must be exact integers, got %r"
                           % (coords,))
     return coords
 
 
-def _cycle_coordinates(dcols, orders, vicols, t, vec):
-    """Coordinates of the ambient vector x in the cycle basis, or None if x
-    is not a cycle.  Row i of R holds the relation orders[i].e_i, or none
-    when orders[i] is 0, so d_out . x + R . z = 0 gives z by division, and
-    the coordinates are V^-1[r:] . (x; z), whose columns are vicols."""
+def _cycle_combination(dcols, orders, cols, relcols, vec):
+    """The combination sum x_j cols[j] + sum z_i relcols[i] for the
+    ambient vector x = vec and the z with d_out . x + R . z = 0, as a
+    dict from row to value over the rows it touches; None if x is not a
+    cycle.  dcols are the columns of d_out, and row i of R holds the
+    relation orders[i].e_i, or none when orders[i] is 0, so z comes by
+    division.  One pass over the nonzeros of x sums d_out . x and the
+    combination."""
     if len(vec) != len(dcols):
         raise LinAlgError("vector has wrong length for this presentation")
-    z = [0] * len(orders)
-    b = _combine(dcols, vec, len(orders))
-    for i in compress(range(len(b)), b):
+    b = {}
+    acc = {}
+    for j in compress(range(len(vec)), vec):
+        c = vec[j]
+        for i, x in dcols[j]:
+            b[i] = b.get(i, 0) + c * x
+        for i, x in cols[j]:
+            acc[i] = acc.get(i, 0) + c * x
+    for i, v in b.items():
+        if not v:
+            continue
         d = orders[i]
         if not d:
             return None
-        q, rem = divmod(b[i], d)
+        q, rem = divmod(v, d)
         if rem:
             return None
-        z[i] = -q
-    return _combine(vicols, list(vec) + list(compress(z, orders)), t)
+        for k, x in relcols[i]:
+            acc[k] = acc.get(k, 0) - q * x
+    return acc
+
+
+def _composed(outer, inner):
+    """The sparse columns of the product of two matrices given by their
+    sparse columns: column k combines the columns of outer by column k of
+    inner.  A unit column of inner shares the column of outer it picks."""
+    out = []
+    for col in inner:
+        if len(col) == 1 and col[0][1] == 1:
+            out.append(outer[col[0][0]])
+        elif col:
+            acc = {}
+            for j, c in col:
+                for i, x in outer[j]:
+                    acc[i] = acc.get(i, 0) + c * x
+            out.append([e for e in acc.items() if e[1]])
+        else:
+            out.append(())
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -741,9 +800,15 @@ def _subquotient(d_out, d_in, ambient_orders, target_orders):
     r = snf.rank
     t = snf.V.rows - r
     kmat = _matrix(g, t, tuple(row[r:] for row in snf.V.data[:g]))
-    cycles = (_column_entries(d_out.data, g), target_orders,
-              _column_entries(snf.Vinv.data[r:], snf.V.rows), t)
-    ycols = [_boundary_coordinates(cycles, col) for col in
+    # the cycle coordinates of (x; z) are V^-1[r:] . (x; z): its first g
+    # columns act on x, the others on z, one per row of nonzero order
+    vicols = _column_entries(snf.Vinv.data[r:], snf.V.rows)
+    relcols = [()] * d_out.rows
+    for k, i in enumerate(compress(range(d_out.rows), target_orders), g):
+        relcols[i] = vicols[k]
+    cycles = (_column_entries(d_out.data, g), target_orders, vicols[:g],
+              relcols)
+    ycols = [_boundary_coordinates(cycles, t, col) for col in
              chain(d_in.columns(), _relations(ambient_orders))]
     if not ycols:
         # nothing to present: the cycle basis generates freely
@@ -765,21 +830,23 @@ def _f2_subquotient(d_out, d_in, ambient_orders, target_orders):
 
     The cycles are a fully reduced basis of the kernel of d_out mod 2, so
     the cycle coordinates of x are x at their leads, which
-    _cycle_coordinates reads as a V^-1 with one unit per lead.  The
-    boundaries,
-    in those coordinates, get a fully reduced basis too: the cycles at
-    its non-pivots are the generators, and the coordinates of y are y
-    plus the boundaries at its pivots, read at the non-pivots."""
+    _cycle_combination reads as one unit column per lead and no relation
+    columns.  The boundaries, in those coordinates, get a fully reduced
+    basis too: the cycles at its non-pivots are the generators, and the
+    coordinates of y are y plus the boundaries at its pivots, read at the
+    non-pivots."""
     g = d_out.cols
     cycle_basis = _f2_fully_reduced(_f2_eliminate(_f2_columns(d_out))[1])
     leads = list(cycle_basis)
     t = len(leads)
-    vicols = [[] for _ in range(g + d_out.rows)]
+    cols = [()] * g
     for j, lead in enumerate(leads):
-        vicols[lead] = [(j, 1)]
-    cycles = (_column_entries(d_out.data, g), target_orders, vicols, t)
-    pivots, _ = _f2_eliminate([_f2_mask(_boundary_coordinates(cycles, col))
-                               for col in d_in.columns()])
+        cols[lead] = ((j, 1),)
+    cycles = (_column_entries(d_out.data, g), target_orders, cols,
+              [()] * d_out.rows)
+    pivots, _ = _f2_eliminate([
+        _f2_mask(_boundary_coordinates(cycles, t, col))
+        for col in d_in.columns()])
     image = _f2_fully_reduced(c for c, _ in pivots.values())
     kept = [j for j in range(t) if j not in image]
     index = {j: n for n, j in enumerate(kept)}
@@ -791,27 +858,35 @@ def _f2_subquotient(d_out, d_in, ambient_orders, target_orders):
         coord_cols, d_in, ambient_orders)
 
 
-def _boundary_coordinates(cycles, col):
-    """The cycle coordinates of a boundary or relation column; raises
+def _boundary_coordinates(cycles, t, col):
+    """The t cycle coordinates of a boundary or relation column, cycles
+    being the arguments of _cycle_combination that give them; raises
     unless it is a cycle."""
-    y = _cycle_coordinates(*cycles, col)
-    if y is None:
+    acc = _cycle_combination(*cycles, col)
+    if acc is None:
         raise ChainConditionError(
             "boundaries do not lie in the cycle lattice")
+    y = [0] * t
+    for i, x in acc.items():
+        y[i] = x
     return y
 
 
 def _presented(torsion, free_rank, generators, cycles, coord_cols, d_in,
                ambient_orders):
     """The PresentedGroup of these fields; generators are ambient
-    vectors, read by lift as sparse columns."""
+    vectors, read by lift as sparse columns.  cycles gives cycle
+    coordinates, and coord_cols, the generator coordinates of the cycle
+    basis, are composed into its columns once, so reduce reads generator
+    coordinates in one pass."""
     grp = PresentedGroup(free_rank, torsion)
     grp.ambient_rank = d_in.rows
     grp.generators = tuple(map(tuple, generators))
-    grp._gen_cols = [list(compress(enumerate(gen), gen))
+    grp._gen_cols = [[(i, gen[i]) for i in compress(range(len(gen)), gen)]
                      for gen in grp.generators]
-    grp._cycles = cycles
-    grp._coord_cols = coord_cols
+    dcols, orders, cols, relcols = cycles
+    grp._cycles = (dcols, orders, _composed(coord_cols, cols),
+                   _composed(coord_cols, relcols))
     grp.d_in, grp.ambient_orders = d_in, ambient_orders
     return grp
 
@@ -911,11 +986,31 @@ def induced_hom(columns, src, tgt):
     """The map on homology induced by a chain map, given by its sparse
     columns on the ambient chains of src with rows in those of tgt.  It
     must send cycles to cycles, and boundaries and relations to
-    boundaries; the image of a relation d.e_i is d times column i."""
+    boundaries; the image of a relation d.e_i is d times column i.
+
+    Equal columns between the same two presentation objects give one
+    GroupHom object, built and checked once (_induced_hom)."""
+    return _induced_hom(
+        (id(src), id(tgt), len(columns), *map(len, columns),
+         *chain.from_iterable(chain.from_iterable(columns))), src, tgt)
+
+
+@lru_cache(maxsize=None)
+def _induced_hom(key, src, tgt):
+    """induced_hom of the chain map flattened into key: the ids of src and
+    tgt, the number of columns, their lengths, and their entries (row,
+    value) in turn.  PresentedGroup equality compares types only, so the
+    ids make equal keys mean the same two objects, which the memo keeps
+    alive."""
+    ncols = key[2]
+    lengths, entries = key[3:3 + ncols], key[3 + ncols:]
     n = tgt.ambient_rank
-    if len(columns) != src.ambient_rank or not all(
-            0 <= i < n for col in columns for i, _ in col):
+    rows = entries[::2]
+    if ncols != src.ambient_rank or 2 * sum(lengths) != len(entries) \
+            or rows and not 0 <= min(rows) <= max(rows) < n:
         raise LinAlgError("chain map has wrong shape for these presentations")
+    pairs = zip(rows, entries[1::2])
+    columns = [list(islice(pairs, k)) for k in lengths]
     relation_img = [_combine([col], [d], n)
                     for col, d in zip(columns, src.ambient_orders) if d]
     return hom_from_images(
@@ -933,12 +1028,14 @@ def kernel_lattice(hom):
     return hom.source.coordinate_kernel_lattice(hom.matrix, hom.target)
 
 
+@lru_cache(maxsize=None)
 def exact_at(incoming, outgoing):
     """Whether im(incoming) = ker(outgoing) at their common group.
 
     The two maps must share the *same presentation object* in the middle;
     isomorphic-but-differently-presented groups would make the comparison
     meaningless.  Presentations built from equal matrices are one object.
+    Memoized by value: equal maps share their endpoint objects.
     """
     if incoming.target is not outgoing.source:
         raise LinAlgError("maps do not share the middle presentation")

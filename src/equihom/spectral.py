@@ -50,6 +50,7 @@ from .intlinalg import (
     InternalError,
     LinAlgError,
     _is_integer,
+    _one_plus,
     _solver,
     image_lattice,
     kernel_lattice,
@@ -104,8 +105,8 @@ def _onto_invariants(hom, sigma):
     """Whether hom maps onto the coordinates of its target fixed by the
     involution sigma of that target."""
     spot = hom.target
-    ident = IntMatrix.identity(spot.ngens)
-    invariants = spot.coordinate_kernel_lattice(ident - sigma.matrix, spot)
+    invariants = spot.coordinate_kernel_lattice(_one_plus(sigma.matrix, -1),
+                                                spot)
     return lattices_equal(image_lattice(hom), invariants)
 
 

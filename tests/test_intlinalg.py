@@ -738,7 +738,8 @@ def check_against_reference(grp, d_out, target_orders, rng, rounds=10):
     the coordinates agree through a change of basis: A, whose column k is
     the reference coordinates of lift(e_k), is invertible mod 2, and the
     reference coordinates of every cycle are A times its coordinates.
-    Other groups are compared coordinate for coordinate."""
+    Other groups are compared coordinate for coordinate.  Returns the
+    number of non-cycles among the vectors reduced."""
     reference, orders = reference_reducer(grp, d_out, target_orders)
     assert orders == grp.orders
     n = grp.ngens
@@ -752,10 +753,12 @@ def check_against_reference(grp, d_out, target_orders, rng, rounds=10):
             return tuple(v % 2 for v in A.mul_vector(coords))
     else:
         translate = tuple
+    non_cycles = 0
     for cycle, noise in random_cycles(grp, rng, rounds):
         for vec in (cycle, noise):
             want = reference(vec)
             if want is None:
+                non_cycles += 1
                 with pytest.raises(LinAlgError):
                     grp.reduce(vec)
             else:
@@ -763,6 +766,7 @@ def check_against_reference(grp, d_out, target_orders, rng, rounds=10):
         assert reference(cycle) is not None
     for unit in units:
         assert grp.reduce(grp.lift(unit)) == unit
+    return non_cycles
 
 
 def random_chain_pair(rng, mod):
@@ -868,13 +872,143 @@ class TestGroupCohomologyReduce:
                                     d_out, module.orders, rng)
 
 
+class TestOnePassReduce:
+    """reduce tests the cycle and sums the generator coordinates in one
+    pass over the nonzeros of a vector, through the cycle coordinates
+    composed with the generator coordinates; it agrees with the dense
+    reference on cycles and non-cycles of random Z, Z/2 and mixed-order
+    presentations, and takes exact integers only."""
+
+    @staticmethod
+    def presentations(family, rng):
+        """(group, d_out, target orders) of one random draw."""
+        if family == "mixed":
+            module, sigma = random_module(rng)
+            ident = IntMatrix.identity(module.ngens)
+            for p in range(4):
+                yield (group_cohomology(module, sigma, p),
+                       ident - sigma.scale(-1 if p % 2 else 1),
+                       module.orders)
+        else:
+            mod = 2 if family == "Z/2" else 0
+            d_in, d_out = random_chain_pair(rng, mod)
+            yield homology_at(d_in, d_out, mod=mod), d_out, \
+                (mod,) * d_out.rows
+
+    @pytest.mark.parametrize("family", ["Z", "Z/2", "mixed"])
+    def test_agrees_with_the_reference_on_cycles_and_non_cycles(self,
+                                                                family):
+        rng = random.Random(6500 + len(family))
+        non_cycles = 0
+        for _ in range(16):
+            for grp, d_out, orders in self.presentations(family, rng):
+                non_cycles += check_against_reference(grp, d_out, orders,
+                                                      rng)
+        assert non_cycles > 0
+
+    @pytest.mark.parametrize("coeff", [COEFF_Z2, COEFF_Z], ids=["Z2", "Z"])
+    @pytest.mark.parametrize("vec", [[0.5, 0.5], [True, True], [0.0, 0]],
+                             ids=["halves", "bools", "float-zero"])
+    def test_refuses_entries_that_are_not_exact_integers(self, coeff, vec):
+        # (1, 1) is the cycle of H_1; lift and GroupHom.apply refuse such
+        # coordinates as well
+        grp = homology(builtin("circle-reflection"), coeff, 1)
+        assert grp.reduce([1, 1]) == (1,)
+        with pytest.raises(LinAlgError, match="exact integers"):
+            grp.reduce(vec)
+
+
+def square_circle(last=1):
+    """H_1 of the square circle (edges 01, 12, 23, 03) over Z, the last
+    edge scaled by last: for last = -1 an equal group that is another
+    presentation object."""
+    d1 = mat([
+        [-1, 0, 0, -last],
+        [1, -1, 0, 0],
+        [0, 1, -1, 0],
+        [0, 0, 1, last],
+    ])
+    return homology_at(IntMatrix.zeros(4, 0), d1)
+
+
+class TestMapsAreMemoEntries:
+    """induced_hom gives one GroupHom per (columns, source object, target
+    object); exact_at and group_cohomology are memoized by value; no memo
+    keeps an exception."""
+
+    def test_equal_columns_give_one_map(self):
+        h1 = square_circle()
+        hom = induced_hom(sparse(IntMatrix.identity(4)), h1, h1)
+        assert induced_hom([[(j, 1)] for j in range(4)], h1, h1) is hom
+        assert hom.matrix == IntMatrix.identity(1)
+        twice = induced_hom(sparse(IntMatrix.identity(4).scale(2)), h1, h1)
+        assert twice is not hom and twice.matrix == mat([[2]])
+
+    def test_equal_types_never_share_a_map(self):
+        a, b = square_circle(), square_circle(-1)
+        assert a == b and a is not b
+        columns = sparse(IntMatrix.identity(4))
+        on_a = induced_hom(columns, a, a)
+        misses = intlinalg._induced_hom.cache_info().misses
+        on_b = induced_hom(columns, b, b)
+        assert intlinalg._induced_hom.cache_info().misses == misses + 1
+        assert on_a.source is a and on_a.target is a
+        assert on_b.source is b and on_b.target is b
+        assert on_a.matrix == on_b.matrix and on_a != on_b
+
+    def test_a_map_that_is_no_homomorphism_raises_on_every_call(self):
+        src = homology_at(mat([[2], [0]]), IntMatrix.zeros(0, 2))
+        # the boundary 2.e_0 goes to 2.e_1, which is no boundary
+        bad = sparse(mat([[0, 1], [1, 0]]))
+        misses = intlinalg._induced_hom.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(LinAlgError, match="not well defined"):
+                induced_hom(bad, src, src)
+        assert intlinalg._induced_hom.cache_info().misses == misses + 2
+
+    def test_exact_at_by_value(self):
+        ambient = IntMatrix.zeros(0, 1)
+        z = homology_at(IntMatrix.zeros(1, 0), ambient)
+        z2 = homology_at(IntMatrix.from_rows([[2]]), ambient)
+        times2 = induced_hom(sparse(IntMatrix.from_rows([[2]])), z, z)
+        proj = induced_hom(sparse(IntMatrix.identity(1)), z, z2)
+        assert exact_at(times2, proj)
+        hits = exact_at.cache_info().hits
+        assert exact_at(GroupHom(z, z, equal_copy(times2.matrix)), proj)
+        assert exact_at.cache_info().hits == hits + 1
+        # no shared middle group: raises on every call
+        for _ in range(2):
+            with pytest.raises(LinAlgError, match="middle"):
+                exact_at(proj, times2)
+
+    def test_group_cohomology_by_value(self):
+        module, sigma = random_module(random.Random(35))
+        grp = group_cohomology(module, sigma, 1)
+        hits = group_cohomology.cache_info().hits
+        assert group_cohomology(FGAbelianGroup(module.free_rank,
+                                               module.torsion),
+                                equal_copy(sigma), 1) is grp
+        assert group_cohomology.cache_info().hits == hits + 1
+        # a memoized degree 1 does not let the bool True through
+        z2 = FGAbelianGroup(0, (2,))
+        assert group_cohomology(z2, IntMatrix.identity(1), 1) == z2
+        with pytest.raises(LinAlgError, match="nonnegative integer"):
+            group_cohomology(z2, IntMatrix.identity(1), True)
+        misses = group_cohomology.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(LinAlgError, match="not an involution"):
+                group_cohomology(z2, mat([[2]]), 1)
+        assert group_cohomology.cache_info().misses == misses + 2
+
+
 def equal_copy(M):
     """An equal matrix that is a different object."""
     return IntMatrix(M.rows, M.cols, M.data)
 
 
-# the exact kernel's memos, keyed by matrix value
-KERNEL_MEMOS = (intlinalg._subquotient, intlinalg._solver)
+# the exact kernel's memos, keyed by matrix value; group_cohomology
+# returns _subquotient's objects, so the two are cleared together
+KERNEL_MEMOS = (intlinalg._subquotient, intlinalg._solver, group_cohomology)
 
 
 class TestTwoSmithForms:

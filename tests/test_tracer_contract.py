@@ -17,7 +17,7 @@ import sys
 
 import equihom
 import equihom.cli  # the tracer also wraps cli._emit and verify.suite_*
-from equihom import equivariant
+from equihom import equivariant, spectral
 from equihom.complexes import (
     COEFF_Z, COEFF_Z2, builtin, fixed_inclusion, identity_map)
 
@@ -41,6 +41,7 @@ try:
     equivariant.pushforward_hom(identity_map(X), COEFF_Z2, 0)
     # Z/2 is worked over F2; Smith forms and integral kernels come from Z
     equivariant.les_edge(X, COEFF_Z, -1, 1)
+    spectral.e2_page(X, COEFF_Z2)  # group cohomology
 finally:
     tracer.uninstall()
 print(json.dumps({"metrics": tracer.metrics(),
@@ -60,14 +61,18 @@ def test_tracer_wraps_the_package():
     # solve_vector and reduce are wrapped in their class __dict__s
     for key in ("equivariant.total_diff_calls", "intlinalg.snf_calls",
                 "intlinalg.subquotient_calls", "intlinalg.solve_columns",
-                "intlinalg.reduce_calls", "equivariant.maps_calls",
+                "intlinalg.reduce_calls", "intlinalg.induced_hom_calls",
+                "equivariant.maps_calls",
                 "intlinalg.lattice_calls", "equivariant.les_calls",
                 "equivariant.localize_calls"):
         assert metrics[key] > 0, key
     # classes are cycles of the reduced staircase, so nothing builds the
     # simplicial chain complex
     assert metrics["complexes.chain_complex_calls"] == 0
-    # the exact kernel's memos are in the snapshot every span file holds;
-    # the solver memo wraps the class, so it is listed under its name
-    for memo in ("intlinalg._subquotient", "intlinalg.LinearSolver"):
+    # the exact kernel's memos and those of maps, exactness and group
+    # cohomology are in the snapshot every span file holds; the solver
+    # memo wraps the class, so it is listed under its name
+    for memo in ("intlinalg._subquotient", "intlinalg.LinearSolver",
+                 "intlinalg._induced_hom", "intlinalg.exact_at",
+                 "equivariant.group_cohomology"):
         assert out["caches"][memo]["misses"] > 0, memo
