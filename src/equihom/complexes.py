@@ -435,7 +435,6 @@ def fixed_inclusion(X):
     return make_gmap(XG, X, fixed_vertex_injection(X))
 
 
-@lru_cache(maxsize=None)
 def gmap_chain_columns(f):
     """The integral chain map of a simplicial map as sparse columns, per
     degree one list of (row, entry) per simplex; collapsing simplices

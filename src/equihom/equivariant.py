@@ -60,6 +60,7 @@ from .complexes import (
     transpose,
 )
 from .intlinalg import (
+    ChainConditionError,
     FGAbelianGroup,
     GroupHom,
     IntMatrix,
@@ -70,7 +71,6 @@ from .intlinalg import (
     _combine,
     _is_integer,
     _one_plus,
-    _reduced,
     _solver,
     _subquotient,
     exact_at,
@@ -259,7 +259,8 @@ def group_cohomology(module, invol, p):
     those coordinates.  Degree 0 gives the invariants; degrees >= 1 are
     the two-periodic kernels mod images of 1 -/+ invol.  Memoized by
     value (the module by its type, which fixes its orders, and typed, so
-    a bool degree still raises); a rejected input raises on every call.
+    a bool degree still raises); a rejected input raises on every call,
+    a matrix that is no involution of the module LinAlgError.
     """
     if not _is_integer(p) or p < 0:
         raise LinAlgError("group cohomology degree must be a nonnegative "
@@ -267,15 +268,20 @@ def group_cohomology(module, invol, p):
     n = module.ngens
     if invol.rows != n or invol.cols != n:
         raise LinAlgError("involution matrix has wrong shape")
-    orders = module.orders
-    # the relation lattice is diagonal, so membership is divisibility
-    if not (_canonical_matrix(module, _one_plus(invol @ invol, -1)).is_zero()
-            and not any(any(_reduced([d * x for x in col], orders))
-                        for col, d in zip(invol.columns(), orders))):
+    # the presentation checks the module: relation columns are cycles iff
+    # invol R lies in R, and for p >= 1 boundary columns iff invol^2 = 1
+    # mod R (d_out . d_in = 1 - invol^2); p = 0 has no d_in
+    if p == 0 and not _canonical_matrix(
+            module, _one_plus(invol @ invol, -1)).is_zero():
         raise LinAlgError("matrix is not an involution of the module")
     sign = -1 if p % 2 else 1
     d_in = _one_plus(invol, sign) if p else IntMatrix.zeros(n, 0)
-    return _subquotient(_one_plus(invol, -sign), d_in, orders, orders)
+    try:
+        return _subquotient(_one_plus(invol, -sign), d_in, module.orders,
+                            module.orders)
+    except ChainConditionError:
+        raise LinAlgError("matrix is not an involution of the module") \
+            from None
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ class IntMatrix:
 
     def mod(self, m):
         _check_scalar(m)
+        if m < 1:
+            raise LinAlgError("modulus must be positive, got %r" % (m,))
         return _matrix(self.rows, self.cols,
                        tuple(tuple([x % m for x in row]) for row in self.data))
 
@@ -206,7 +208,7 @@ def _all_integers(values):
 
 
 def _check_scalar(c):
-    if not isinstance(c, int):
+    if not _is_integer(c):
         raise LinAlgError("scalar must be an exact integer, got %r" % (c,))
 
 

@@ -73,6 +73,12 @@ class E2Page:
         return dict(self.table)[p, q]
 
 
+def _e2(X, coeff, p, q):
+    """The entry E2(p, q) of the second page: the one place it is read."""
+    return group_cohomology(homology(X, coeff, q),
+                            homology_involution(X, coeff, q).matrix, -p)
+
+
 def e2_page(X, coeff, depth=None):
     """The page E2(p, q) = H^{-p}(group, H_q(X, A(k))) for -depth <= p <= 0
     and 0 <= q <= dim X.  Columns p <= -1 are verified two-periodic over Z
@@ -82,12 +88,8 @@ def e2_page(X, coeff, depth=None):
     if not _is_integer(depth) or depth < 0:
         raise LinAlgError("depth must be a nonnegative integer, got %r"
                           % (depth,))
-    entries = {}
-    for q in range(dim(X) + 1):
-        hq = homology(X, coeff, q)
-        sigma = homology_involution(X, coeff, q)
-        for p in range(0, -depth - 1, -1):
-            entries[p, q] = group_cohomology(hq, sigma.matrix, -p)
+    entries = {(p, q): _e2(X, coeff, p, q) for q in range(dim(X) + 1)
+               for p in range(0, -depth - 1, -1)}
     period = 1 if coeff.mod else 2
     for (p, q), grp in entries.items():
         if p <= -1 and p - period >= -depth \
@@ -143,40 +145,24 @@ class GMReport:
 
 def gm_bounds(X):
     """The three inequalities (lhs, rhs): total/even/odd mod-2 homology of
-    the fixed set against stabilized column sums of the second page.
-
-    The rhs are the column sums of the page in a far-negative total
-    degree: with mod-2 coefficients every entry is the degree-1 group
-    cohomology, and over Z the group-cohomology degree q - n has the
-    parity of the row q, so even rows contribute degree-2 entries and odd
-    rows degree-1 entries (even target; the odd target swaps the roles).
-    lhs <= rhs is a hard check (InternalError).
+    the fixed set against anti-diagonal sums of the second page, by mod-2
+    dimension: the mod-2 page at total degree -1, the integral page at
+    total degrees -2 and -1.  Far-negative columns are periodic, so these
+    are stabilized column sums (every mod-2 entry is degree-1 group
+    cohomology; even integral rows give degree 2 to gm2 and degree 1 to
+    gm3, odd rows the reverse).  lhs <= rhs is a hard check (InternalError).
     """
-    F = fixed_subcomplex(X)
-    dims = [homology(F, COEFF_Z2, q).ngens for q in range(dim(F) + 1)]
-    lhs1 = sum(dims)
-    lhs2 = sum(d for q, d in enumerate(dims) if q % 2 == 0)
-    lhs3 = sum(d for q, d in enumerate(dims) if q % 2 == 1)
-    rhs1 = rhs2 = rhs3 = 0
-    for r in range(dim(X) + 1):
-        h2 = homology(X, COEFF_Z2, r)
-        s2 = homology_involution(X, COEFF_Z2, r)
-        rhs1 += group_cohomology(h2, s2.matrix, 1).f2_dim()
-        hz = homology(X, COEFF_Z, r)
-        sz = homology_involution(X, COEFF_Z, r)
-        deg1 = group_cohomology(hz, sz.matrix, 1).f2_dim()
-        deg2 = group_cohomology(hz, sz.matrix, 2).f2_dim()
-        if r % 2 == 0:
-            rhs2 += deg2
-            rhs3 += deg1
-        else:
-            rhs2 += deg1
-            rhs3 += deg2
-    bounds = ((lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3))
-    for lhs, rhs in bounds:
-        if lhs > rhs:
-            raise InternalError("Galois bound violated: %d > %d" % (lhs, rhs))
+    offsets = fixed_offsets(fixed_subcomplex(X), homology)
+    dims = [b - a for a, b in zip(offsets, offsets[1:])]
+    lhs = (offsets[-1], sum(dims[0::2]), sum(dims[1::2]))
+    rhs = [sum(_e2(X, coeff, n - q, q).f2_dim() for q in range(dim(X) + 1))
+           for coeff, n in ((COEFF_Z2, -1), (COEFF_Z, -2), (COEFF_Z, -1))]
+    bounds = tuple(zip(lhs, rhs))
+    for lo, hi in bounds:
+        if lo > hi:
+            raise InternalError("Galois bound violated: %d > %d" % (lo, hi))
     return bounds
+
 
 def gm_report(X):
     """Exact GM / Z-GM decision through edge surjectivity in every degree,
@@ -227,9 +213,7 @@ def rho_surjectivity_criteria(X, variant):
 
     # side one: the composite through group cohomology of H_1
     e1 = edge_morphism(X, coeff1, 1)
-    h1 = homology(X, coeff1, 1)
-    sigma = homology_involution(X, coeff1, 1)
-    h2g = group_cohomology(h1, sigma.matrix, 2)
+    h2g = _e2(X, coeff1, -2, 1)
     criterion_zero = not any(any(h2g.reduce(img))
                              for img in e1.matrix.columns())
 

@@ -120,6 +120,14 @@ class TestGroupCohomology:
         with pytest.raises(LinAlgError, match="not an involution"):
             group_cohomology(FGAbelianGroup(1, (2,)),
                              IntMatrix.from_rows([[1, 0], [1, -1]]), 1)
+        # degree 0 has no boundaries: the square is tested before the
+        # presentation is built, the relations by it; the zero map of
+        # Z/2 takes the F2 path
+        for module, rows in ((FGAbelianGroup(0, (4,)), [[2]]),
+                             (FGAbelianGroup(1, (2,)), [[1, 0], [1, -1]]),
+                             (Z2G, [[2]])):
+            with pytest.raises(LinAlgError, match="not an involution"):
+                group_cohomology(module, IntMatrix.from_rows(rows), 0)
 
     @pytest.mark.parametrize("p", [2.5, 2.0, True, False, "1", None, -1])
     def test_rejects_degrees_that_are_no_nonnegative_integer(self, p):

@@ -1941,6 +1941,18 @@ def test_shapes_and_scalars_are_checked_at_the_input_boundary():
             M.mod(2.0)
     assert mat([[1, -3]]).scale(2) == mat([[2, -6]])
     assert mat([[1, -3]]).mod(2) == mat([[1, 1]])
+    # the scalar follows the package's one integer rule: true and false
+    # are no numbers, and a modulus is at least 1, so every entry lands
+    # in [0, m)
+    for bad in (True, False):
+        with pytest.raises(LinAlgError, match="scalar"):
+            mat([[1, -3]]).scale(bad)
+        with pytest.raises(LinAlgError, match="scalar"):
+            mat([[1, -3]]).mod(bad)
+    for bad in (0, -2):
+        with pytest.raises(LinAlgError, match="modulus"):
+            mat([[1, -3]]).mod(bad)
+    assert mat([[1, -3]]).mod(1) == mat([[0, 0]])
 
 
 class TestGroupBasics:

@@ -5,14 +5,19 @@ import sys
 import pytest
 
 from equihom.complexes import (
+    BUILTIN_NAMES,
     COEFF_Z,
     COEFF_Z1,
     COEFF_Z2,
     builtin,
     dim,
+    fixed_subcomplex,
 )
 from equihom.equivariant import (
     edge_morphism_cohomology,
+    group_cohomology,
+    homology,
+    homology_involution,
     localize_cohomology,
 )
 from equihom.intlinalg import FGAbelianGroup, LinAlgError
@@ -83,6 +88,26 @@ print(len(outcomes), sorted(set(outcomes)))
 Z = FGAbelianGroup(1)
 Z2G = FGAbelianGroup(0, (2,))
 TRIVIAL = FGAbelianGroup(0)
+
+
+def row_parity_bounds(X):
+    """The Galois bounds by the row-parity formula: the mod-2 rows give
+    their degree-1 group cohomology; over Z even rows give degree 2 to
+    the even bound and degree 1 to the odd one, odd rows the reverse."""
+    def f2(coeff, q, degree):
+        return group_cohomology(homology(X, coeff, q),
+                                homology_involution(X, coeff, q).matrix,
+                                degree).f2_dim()
+
+    F = fixed_subcomplex(X)
+    dims = [homology(F, COEFF_Z2, q).ngens for q in range(dim(F) + 1)]
+    rhs = [0, 0, 0]
+    for q in range(dim(X) + 1):
+        rhs[0] += f2(COEFF_Z2, q, 1)
+        rhs[1] += f2(COEFF_Z, q, 2 if q % 2 == 0 else 1)
+        rhs[2] += f2(COEFF_Z, q, 1 if q % 2 == 0 else 2)
+    return ((sum(dims), rhs[0]), (sum(dims[0::2]), rhs[1]),
+            (sum(dims[1::2]), rhs[2]))
 
 
 class TestE2Page:
@@ -161,6 +186,15 @@ class TestGMReport:
         want = gm_report(builtin(label.split("/")[0]))
         assert (rep.is_gm, rep.is_zgm, rep.gm1, rep.gm2, rep.gm3) == (
             want.is_gm, want.is_zgm, want.gm1, want.gm2, want.gm3)
+
+    @pytest.mark.parametrize("X", [
+        pytest.param(X, id=label) for label, X in
+        [(name, builtin(name)) for name in BUILTIN_NAMES]
+        + list(fuzz_complexes(30))])
+    def test_bounds_are_the_row_parity_sums(self, X):
+        # the anti-diagonal sums of the page equal the far-negative column
+        # sums by row parity, read from group cohomology in degrees 1, 2
+        assert gm_bounds(X) == row_parity_bounds(X)
 
     def test_bounds_hold_on_unions(self):
         gm_bounds(builtin("circle-reflection+free-pair"))
